@@ -58,7 +58,7 @@ class CheckReport:
 
 
 def _report(check, instance, start, failures):
-    millis = int((time.time() - start) * 1000)
+    millis = int((time.perf_counter() - start) * 1000)
     if failures:
         return CheckReport(check, instance, "fail", {"failures": failures}, millis)
     return CheckReport(check, instance, "pass", None, millis)
@@ -74,7 +74,7 @@ def _cyclo_str(v):
 
 def check_fourier(inst, ts=None, twist=1):
     """Norm-equation sum equals its character expansion, exactly, per t."""
-    start = time.time()
+    start = time.perf_counter()
     base = inst.base
     ts = list(ts) if ts is not None else [base.unit(j) for j in range(base.q - 1)]
     failures = []
@@ -90,7 +90,7 @@ def check_fourier(inst, ts=None, twist=1):
 
 def check_example_recovery(params, q, ts=None):
     """Split-algebra sum reproduces the classic series, exactly, per t."""
-    start = time.time()
+    start = time.perf_counter()
     inst = split_instance(params, q)
     base = inst.base
     ts = list(ts) if ts is not None else [base.unit(j) for j in range(base.q - 1)]
@@ -107,7 +107,7 @@ def check_example_recovery(params, q, ts=None):
 
 def check_gauss_norm(chi_a):
     """|g_A(chi)|^2 is exactly q^f with f the predicted degree count."""
-    start = time.time()
+    start = time.perf_counter()
     failures = []
     try:
         f = gauss_norm_exponent(chi_a)
@@ -122,7 +122,7 @@ def check_zeta_p_independence(inst, ts=None, twists=None):
     """Equi-dimensional sums are unchanged by every additive-character twist."""
     if not inst.is_equidimensional:
         raise ValueError("this check requires dim A = dim B")
-    start = time.time()
+    start = time.perf_counter()
     base = inst.base
     ts = list(ts) if ts is not None else [base.unit(j) for j in range(base.q - 1)]
     twists = list(twists) if twists is not None else list(range(1, base.p))
@@ -141,7 +141,7 @@ def check_zeta_p_independence(inst, ts=None, twists=None):
 
 def check_omega_independence(params, q, ts=None):
     """The classic series does not depend on which unit generates omega."""
-    start = time.time()
+    start = time.perf_counter()
     field = make_field(*_pf(q))
     try:
         alt = field.nth_generator(1)
@@ -187,7 +187,7 @@ def check_fixed_field(params, p, ts=None):
     """Values of the orbit-built instance lie in the fixed field of the
     parameter stabilizer: fixed by exactly the stabilizer twists, moved by
     others (negative control), and expressible over Q(zeta_D)."""
-    start = time.time()
+    start = time.perf_counter()
     inst = orbit_instance(params, p)
     base = inst.base
     d = params.common_denominator()
@@ -243,7 +243,7 @@ def check_fixed_field(params, p, ts=None):
 def check_gp_equals_hp(params, p, ts=None, prec=6, max_pn=None):
     """p-adic sum against the embedded complex sum, or against the orbit
     route when the divisibility assumption fails at q = p."""
-    start = time.time()
+    start = time.perf_counter()
     delta = params.denominator_exponent()
     k = prec - delta
     ts = list(ts) if ts is not None else list(range(1, p))
@@ -269,7 +269,7 @@ def check_gp_equals_hp(params, p, ts=None, prec=6, max_pn=None):
 
 def check_integrality_delta(params, p, ts=None, prec=6, max_pn=None):
     """p^delta times the p-adic sum is provably a p-adic integer."""
-    start = time.time()
+    start = time.perf_counter()
     delta = params.denominator_exponent()
     ts = list(ts) if ts is not None else list(range(1, p))
     failures = []
@@ -284,7 +284,7 @@ def check_main_theorem(params, p, t, prec_list=(6, 8), max_pn=None):
     """Certificate that p^Delta times the sum is an algebraic integer:
     the characteristic polynomial over the stabilizer cosets has integer
     coefficient lifts that are stable across working precisions."""
-    start = time.time()
+    start = time.perf_counter()
     if not params.splits_at(p):
         raise DoesNotSplit(f"p = {p} does not split for {params!r}")
     d = params.common_denominator()

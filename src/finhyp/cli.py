@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .charsums import MultChar, gauss_sum
 from .checks import CHECK_NAMES, run_full_suite
-from .errors import BoundExceeded, FieldTooLarge, FinHypError
+from .errors import BadPrecision, BoundExceeded, FieldTooLarge, FinHypError
 from .finfield import make_field
 from .hypergeometric import (
     algebra_sum_direct,
@@ -58,11 +58,16 @@ class RunConfig:
     as_json: bool = False
 
 
-def _default_prec():
+def _precision(arg):
+    """--prec if given, else FINHYP_PREC, else 6; a positive integer."""
+    raw = os.environ.get("FINHYP_PREC", "6") if arg is None else arg
     try:
-        return int(os.environ.get("FINHYP_PREC", "6"))
+        prec = int(raw)
     except ValueError:
-        return 6
+        raise BadPrecision(f"FINHYP_PREC must be an integer, not {raw!r}") from None
+    if prec < 1:
+        raise BadPrecision(f"precision must be a positive integer, not {prec}")
+    return prec
 
 
 def _build_parser():
@@ -90,7 +95,7 @@ def _build_parser():
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--t", type=int)
     sp.add_argument("--all-t", action="store_true")
-    sp.add_argument("--prec", type=int, default=_default_prec())
+    sp.add_argument("--prec", type=int)
     sp.add_argument("--route", choices=["direct", "algebra", "both"], default="direct")
     sp.add_argument("--max-pn", type=int)
     add_json(sp)
@@ -99,7 +104,7 @@ def _build_parser():
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--f", type=int, default=1)
     sp.add_argument("--m", type=int, required=True, help="character exponent")
-    sp.add_argument("--prec", type=int, default=_default_prec())
+    sp.add_argument("--prec", type=int)
     sp.add_argument("--max-pn", type=int)
     add_json(sp)
 
@@ -293,11 +298,13 @@ def main(argv=None):
         cfg = RunConfig(command=args.command, as_json=getattr(args, "as_json", False))
         if hasattr(args, "alpha"):
             cfg.params = HGParams.parse(args.alpha, args.beta)
-        for name in ("q", "p", "f", "t", "m", "prec", "route", "algebra",
+        for name in ("q", "p", "f", "t", "m", "route", "algebra",
                      "max_pn", "max_q", "max_p", "seed"):
             if hasattr(args, name) and getattr(args, name) is not None:
                 setattr(cfg, name, getattr(args, name))
         cfg.all_t = getattr(args, "all_t", False)
+        if hasattr(args, "prec"):
+            cfg.prec = _precision(args.prec)
         if hasattr(args, "prec_list"):
             cfg.prec_list = tuple(s for s in str(args.prec_list).split(",") if s)
         if hasattr(args, "check"):

@@ -83,3 +83,7 @@ class ConductorNotDividing(FinHypError):
 
 class BoundExceeded(FinHypError):
     """A configured resource bound (field size, precision cost) was exceeded."""
+
+
+class BadPrecision(FinHypError):
+    """A p-adic precision must be a positive integer."""

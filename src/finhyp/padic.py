@@ -5,12 +5,13 @@ A PadicNum is p^v times a unit known modulo p^N.  Addition tracks the
 worst-case precision of the result; nothing is ever reported beyond what
 the inputs support.
 
-Gamma values are computed by the factorial definition: Gamma_p of a
-p-adic integer x is (-1)^x' * prod of j < x', p not dividing j, where x'
-is the representative of x in [1, p^N].  The cost is O(p^N), so all
-arguments needed by one computation are collected first and served from
-a single sweep; large sweeps run through a vectorized block product.
-The default cost cap is p^N <= 10^7; callers may override it.
+Gamma_p of a p-adic integer x is (-1)^r * prod of j < r, p not dividing
+j, modulo p^N, where r is the representative of x in [1, p^N].  The
+product is evaluated by polynomial doubling (see _gamma_compute), so one
+value costs O(pN + N^2 log p^N) integer operations; values are cached per
+(p, N).  The max_pn cap (default 10^7, callers may override it) is checked
+before any work and bounds, for each uncached argument, the smaller of the
+representatives of x and 1 - x in [1, p^N] (of x alone for p = 2).
 """
 
 import math
@@ -18,6 +19,7 @@ from fractions import Fraction
 
 from .cyclo import CycloNum
 from .errors import (
+    BadPrecision,
     BadPrime,
     BoundExceeded,
     ConductorNotDividing,
@@ -33,8 +35,6 @@ from .errors import (
 from .finfield import is_prime, make_field
 
 MAX_PN_DEFAULT = 10**7
-
-_NUMPY_CUTOFF = 1 << 19  # below this, a plain python loop is faster
 
 
 def _vp(n, p):
@@ -322,96 +322,82 @@ def teichmuller(a, p, prec):
 _gamma_cache = {}
 
 
-def _range_product_skip_p(lo, hi, p, m):
-    """Product of all j in [lo, hi) with p not dividing j, modulo m.
+def _check_prec(prec):
+    if not isinstance(prec, int) or prec < 1:
+        raise BadPrecision(f"p-adic precision must be a positive integer, not {prec!r}")
 
-    Long ranges fold blocks into a vector of running products (one
-    vectorized mulmod per element) and reduce the vector once at the end.
-    Requires m < 2**40 for the 17-bit split to stay inside int64; larger
-    moduli fall back to the scalar loop.
+
+def _mul_trunc(a, b, m):
+    """a * b truncated to the length of a, coefficients mod m."""
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j in range(n - i):
+                out[i + j] += x * b[j]
+    return [c % m for c in out]
+
+
+def _shift(g, c, m):
+    """g(y + c), coefficients mod m (Taylor shift by synthetic division)."""
+    g = list(g)
+    n = len(g)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            g[j] = (g[j] + c * g[j + 1]) % m
+    return g
+
+
+def _gamma_compute(r, p, n):
+    """(-1)^r * prod of j in [1, r) with p not dividing j, modulo p^n.
+
+    With r - 1 = kp + s the product is G_k(0) * prod_{t<=s}(kp + t), where
+    f(y) = prod_{t<p}(y + t) and G_k(y) = prod_{i<k} f(y + ip).  G_k is
+    built by doubling on the bits of k: G_2a(y) = G_a(y) G_a(y + ap) and
+    G_2a+1(y) = G_2a(y) f(y + 2ap).  Keeping degree < n and coefficients
+    mod p^n is exact: every shift is by a multiple of p, so the dropped
+    terms reach the coefficient of y^i only in multiples of p^(n-i).
     """
-    if hi - lo < _NUMPY_CUTOFF or m >= 1 << 40:
-        prod = 1
-        for j in range(lo, hi):
-            if j % p:
-                prod = prod * j % m
-        return prod
-    import numpy as np
-
-    block = 1 << 21
-    acc = np.ones(block, dtype=np.int64)
-    buf = np.empty(block, dtype=np.int64)
-    t1 = np.empty(block, dtype=np.int64)
-    t2 = np.empty(block, dtype=np.int64)
-    base = np.arange(block, dtype=np.int64)
-    for start in range(lo, hi, block):
-        stop = min(start + block, hi)
-        n = stop - start
-        arr = buf[:n]
-        np.add(base[:n], start, out=arr)
-        arr[(-start) % p::p] = 1
-        a, u, v = acc[:n], t1[:n], t2[:n]
-        np.right_shift(arr, 17, out=u)
-        np.multiply(a, u, out=u)
-        np.remainder(u, m, out=u)
-        np.left_shift(u, 17, out=u)
-        np.bitwise_and(arr, 0x1FFFF, out=v)
-        np.multiply(a, v, out=v)
-        np.add(u, v, out=u)
-        np.remainder(u, m, out=a)
-    total = 1
-    arr = acc
-    while arr.size > 1:
-        if arr.size & 1:
-            total = total * int(arr[-1]) % m
-            arr = arr[:-1]
-        a, b = arr[0::2].copy(), arr[1::2]
-        hi_ = b >> 17
-        lo_ = b & 0x1FFFF
-        t = (a * hi_) % m
-        arr = ((t << 17) + a * lo_) % m
-    return total * int(arr[0]) % m
+    m = p**n
+    k, s = divmod(r - 1, p)
+    f = [1] + [0] * (n - 1)
+    for t in range(1, p):
+        f = [(f[0] * t) % m] + [(f[i] * t + f[i - 1]) % m for i in range(1, n)]
+    g = [1] + [0] * (n - 1)
+    a = 0
+    for bit in bin(k)[2:]:
+        if a:
+            g = _mul_trunc(g, _shift(g, a * p, m), m)
+        a *= 2
+        if bit == "1":
+            g = _mul_trunc(g, _shift(f, a * p, m), m)
+            a += 1
+    prod = g[0]
+    for t in range(1, s + 1):
+        prod = prod * (k * p + t) % m
+    return (m - prod) % m if r & 1 else prod
 
 
-def _gamma_sweep(p, prec, residues, max_pn):
-    """Fill the (p, prec) cache for all requested residues in one pass.
+def _gamma_fill(p, prec, residues, max_pn):
+    """Compute every uncached residue of the (p, prec) cache.
 
-    For odd p each argument is served from the smaller of its own
-    representative and the reflected one, via Gamma_p(x) Gamma_p(1-x) =
-    (-1)^(x mod p, taken in [1, p]); that halves the typical sweep length.
+    The cap applies before any work, to the smaller of the representatives
+    of x and 1 - x in [1, p^N] (of x alone for p = 2).
     """
     cache = _gamma_cache.setdefault((p, prec), {})
-    todo = set(residues) - set(cache)
+    todo = {r for r in residues if r not in cache}
     if not todo:
         return cache
     m = p**prec
-    direct = set()
-    reflected = {}
+    cap = max_pn if max_pn is not None else MAX_PN_DEFAULT
+    reach = max(r if p == 2 else min(r, (1 - r) % m or m) for r in todo)
+    if reach > cap:
+        raise BoundExceeded(
+            f"Gamma_p argument representative {reach} exceeds the cap {cap} "
+            f"(p^N = {m}); raise max_pn to allow it"
+        )
     for r in todo:
-        rr = (1 - r) % m or m
-        if p > 2 and rr < r:
-            reflected[r] = rr
-            if rr not in cache:
-                direct.add(rr)
-        else:
-            direct.add(r)
-    if direct:
-        cap = max_pn if max_pn is not None else MAX_PN_DEFAULT
-        if max(direct) > cap:
-            raise BoundExceeded(
-                f"Gamma_p sweep of length {max(direct)} exceeds the cap {cap} "
-                f"(p^N = {m}); raise max_pn to allow it"
-            )
-        prod = 1
-        pos = 1
-        for x in sorted(direct):
-            prod = prod * _range_product_skip_p(pos, x, p, m) % m
-            pos = x
-            cache[x] = (m - prod) % m if x & 1 else prod
-    for r, rr in reflected.items():
-        x0 = r % p or p
-        sign = -1 if x0 & 1 else 1
-        cache[r] = sign * pow(cache[rr], -1, m) % m
+        cache[r] = _gamma_compute(r, p, prec)
     return cache
 
 
@@ -434,31 +420,23 @@ def _gamma_residue(x, p, prec):
 
 
 def prefetch_gamma_p(args, p, prec, max_pn=None):
-    """Compute Gamma_p for many arguments with one shared sweep."""
-    residues = [_gamma_residue(x, p, prec) for x in args]
-    _gamma_sweep(p, prec, residues, max_pn)
+    """Compute and cache Gamma_p for many arguments, checking the cap once."""
+    _check_prec(prec)
+    _gamma_fill(p, prec, [_gamma_residue(x, p, prec) for x in args], max_pn)
+
+
+def _gamma_unit(x, p, prec, max_pn=None):
+    """Gamma_p(x) as a unit integer mod p^prec."""
+    _check_prec(prec)
+    r = _gamma_residue(x, p, prec)
+    return _gamma_fill(p, prec, [r], max_pn)[r]
 
 
 def gamma_p(x, p, prec, max_pn=None):
     """Morita's p-adic Gamma function modulo p^prec."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    r = _gamma_residue(x, p, prec)
-    cache = _gamma_cache.get((p, prec), {})
-    if r not in cache:
-        _gamma_sweep(p, prec, [r], max_pn)
-        cache = _gamma_cache[(p, prec)]
-    return PadicNum(p, 0, cache[r], prec)
-
-
-def _gamma_unit(x, p, prec, max_pn=None):
-    """Gamma_p as a raw unit integer mod p^prec (internal fast path)."""
-    r = _gamma_residue(x, p, prec)
-    cache = _gamma_cache.get((p, prec), {})
-    if r not in cache:
-        _gamma_sweep(p, prec, [r], max_pn)
-        cache = _gamma_cache[(p, prec)]
-    return cache[r]
+    return PadicNum(p, 0, _gamma_unit(x, p, prec, max_pn), prec)
 
 
 # ------------------------------------------------------------ Gauss sums

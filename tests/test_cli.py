@@ -122,3 +122,34 @@ def test_resource_bound_exit_code(capsys):
 def test_missing_t_is_usage_error(capsys):
     code = main(["hq", "--alpha", "1/2", "--beta", "0", "--q", "5"])
     assert code == 2
+
+
+@pytest.mark.parametrize("prec", ["-2", "0"])
+def test_nonpositive_prec_is_usage_error(capsys, prec):
+    code = main([
+        "gp", "--alpha", "1/2", "--beta", "0", "--p", "7", "--t", "1", "--prec", prec,
+    ])
+    assert code == 2
+    assert "precision" in capsys.readouterr().err
+
+
+def test_gauss_nonpositive_prec_is_usage_error(capsys):
+    code = main(["gauss", "--p", "5", "--m", "2", "--prec", "0"])
+    assert code == 2
+    assert "precision" in capsys.readouterr().err
+
+
+def test_non_integer_prec_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("FINHYP_PREC", "abc")
+    code = main(["gp", "--alpha", "1/2", "--beta", "0", "--p", "7", "--t", "1"])
+    assert code == 2
+    assert "FINHYP_PREC" in capsys.readouterr().err
+
+
+def test_prec_env_sets_default(capsys, monkeypatch):
+    monkeypatch.setenv("FINHYP_PREC", "3")
+    code, out = run_cli(
+        capsys, "gp", "--alpha", "1/2", "--beta", "0", "--p", "7", "--t", "1", "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["prec"] == 3

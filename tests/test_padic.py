@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finhyp.errors import (
+    BadPrecision,
     BadPrime,
     BoundExceeded,
     ConductorNotDividing,
@@ -25,6 +26,7 @@ from finhyp.padic import (
     gauss_sum_padic,
     padic_sum_direct,
     padic_sum_via_orbits,
+    prefetch_gamma_p,
     teichmuller,
 )
 from finhyp.params import HGParams
@@ -187,6 +189,44 @@ def test_gamma_rejects_non_integer():
 def test_gamma_cost_cap():
     with pytest.raises(BoundExceeded):
         gamma_p(F(1, 3), 13, 9, max_pn=10**4)
+
+
+def test_gamma_doubling_matches_bruteforce():
+    # p = 2, p^N up to 10^5, N = 1; residues at block edges kp and kp + 1
+    rng = random.Random(2)
+    for p, n in ((2, 16), (3, 10), (17, 4), (3, 3), (2, 3), (2, 1), (3, 1), (13, 1)):
+        mod = p**n
+        ks = {0, 1, mod // p - 1} | {rng.randrange(mod // p) for _ in range(3)}
+        residues = {1, 2, mod - 1, mod} | {k * p for k in ks if k} | {k * p + 1 for k in ks}
+        for r in sorted(x for x in residues if 1 <= x <= mod):
+            assert gamma_p(r % mod, p, n, max_pn=mod).u == _gamma_bruteforce(r, p, n), (p, n, r)
+
+
+def test_gamma_identities_at_large_precision():
+    p, n = 101, 20
+    mod = p**n
+
+    def g(x):
+        return gamma_p(x, p, n, max_pn=mod)
+
+    assert g(0).u == 1
+    assert g(1).u == mod - 1
+    for x in (F(1, 3), F(7, 100), 12345, p, 2 * p):
+        rhs = -(g(x) * x) if F(x).numerator % p else -g(x)
+        assert (g(x + 1) - rhs).is_zero_mod(n), x
+    for x in (F(1, 3), F(5, 7)):
+        x0 = int(x.numerator * pow(x.denominator, -1, p) % p) or p
+        assert (g(x) * g(1 - x)).u == ((mod - 1) if x0 % 2 else 1), x
+    for x, m in ((F(2, 9), 5), (17, 12)):
+        assert (g(x) - g(x + p**m)).is_zero_mod(m)
+
+
+def test_gamma_rejects_nonpositive_precision():
+    for prec in (0, -2):
+        with pytest.raises(BadPrecision):
+            gamma_p(2, 5, prec)
+        with pytest.raises(BadPrecision):
+            prefetch_gamma_p([2], 5, prec)
 
 
 # --------------------------------------------------------- Gauss sums
