@@ -132,11 +132,6 @@ class SemisimpleAlgebra:
             self, tuple(c.unit(j) for c, j in zip(self.components, dlogs))
         )
 
-    def norm_dlog(self, dlogs):
-        """dlog (in the base field) of the norm-to-base of a unit dlog tuple."""
-        qbar = self.base.q - 1
-        return sum(j * f for j, f in zip(dlogs, self._norm_factors)) % qbar
-
     def trace_int(self, dlogs):
         """Absolute trace (an integer mod p) of a unit dlog tuple."""
         return (

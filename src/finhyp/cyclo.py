@@ -1,10 +1,21 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-An element is stored as a vector of rationals over the power basis
-1, z, ..., z^(phi(N)-1), z = exp(2*pi*i/N), reduced modulo the N-th
-cyclotomic polynomial.  The reduced representation is unique, so equality,
-rationality and subfield membership are exact coefficient checks; no
-floating point is involved anywhere except the diagnostic to_float.
+An element is an integer numerator vector over one positive denominator,
+in the power basis 1, z, ..., z^(phi(N)-1), z = exp(2*pi*i/N), reduced
+modulo the N-th cyclotomic polynomial Phi_N.  The pair is normalised so
+that gcd(den, *num) = 1.  That form is unique, so equality, rationality
+and subfield membership are exact integer checks; no floating point is
+involved anywhere except the diagnostic to_float.
+
+A product is one big-integer multiply (Kronecker substitution): each
+vector is packed into an int with slots wide enough that no coefficient of
+the convolution overflows its slot, and the signed slots of the product
+are read back.  Any integer vector, whatever its length, is brought to
+reduced form by one routine: fold it modulo x^N - 1, then divide by the
+monic Phi_N, touching only the nonzero low terms of Phi_N.  Sums of powers
+of z (from_powers, embed, galois, root_of_unity) scatter their exponents
+into a length-N vector and reduce it the same way, so no table of powers
+is kept per conductor.
 
 Binary operations on elements with different conductors silently promote
 both sides into Q(zeta_lcm).
@@ -20,84 +31,153 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _poly_divide_exact(num, den):
-    """Exact division of integer polynomials (lists, low degree first)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        q, r = divmod(c, den[-1])
-        if r:
-            raise InternalInconsistency("non-exact cyclotomic division")
-        out[i] = q
-        for j, dj in enumerate(den):
-            num[i + j] -= q * dj
-    if any(num[: len(den) - 1]):
-        raise InternalInconsistency("non-exact cyclotomic division")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
-    """Coefficients of Phi_n, low degree first, as a tuple of ints."""
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divide_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    """Coefficients of Phi_n, low degree first, as a tuple of ints.
 
-
-class _Structure:
-    """Per-conductor tables: Phi_N and power-basis rows for z^j."""
-
-    def __init__(self, n):
-        self.n = n
-        phi_poly = cyclotomic_polynomial(n)
-        self.degree = len(phi_poly) - 1
-        d = self.degree
-        # pow_rows[j] = integer coordinates of z^j for 0 <= j < max(n, 2d-1)
-        rows = [[0] * d for _ in range(max(n, 2 * d - 1))]
-        for j in range(min(d, len(rows))):
-            rows[j][j] = 1
-        top = [-c for c in phi_poly[:-1]]  # z^d in the basis
-        for j in range(d, len(rows)):
-            prev = rows[j - 1]
-            shifted = [0] + prev[:-1]
-            lead = prev[-1]
-            if lead:
-                for i in range(d):
-                    shifted[i] += lead * top[i]
-            rows[j] = shifted
-        self.pow_rows = [tuple(r) for r in rows]
+    With r the product of the primes dividing n, Phi_n(x) = Phi_r(x^(n/r)),
+    and Phi_r is the product of (x^d - 1)^mu(r/d) over the divisors d of r:
+    multiply by the binomials with mu = 1, then divide exactly by the rest.
+    """
+    primes, m, p = [], n, 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    divisors = [(1, -1 if len(primes) % 2 else 1)]  # (d, mu(r/d)), d | r
+    for p in primes:
+        divisors += [(d * p, -s) for d, s in divisors]
+    poly = [1]
+    for d, s in divisors:
+        if s == 1:  # times x^d - 1
+            poly = [-c for c in poly] + [0] * d
+            for i in range(len(poly) - 1, d - 1, -1):
+                poly[i] -= poly[i - d]
+    for d, s in divisors:
+        if s == -1:  # exactly divided by x^d - 1, from the top down
+            quot = [0] * len(poly)
+            for k in range(len(poly) - 1, d - 1, -1):
+                quot[k - d] = poly[k] + quot[k]
+            if any(poly[k] + quot[k] for k in range(d)):
+                raise InternalInconsistency("non-exact cyclotomic division")
+            poly = quot[: len(poly) - d]
+    step = n // divisors[-1][0]  # the last divisor is r
+    out = [0] * ((len(poly) - 1) * step + 1)
+    out[::step] = poly
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _structure(n):
-    return _Structure(n)
+    """(phi(n), the nonzero low terms of Phi_n as (index, coefficient) pairs)."""
+    poly = cyclotomic_polynomial(n)
+    return len(poly) - 1, tuple((i, c) for i, c in enumerate(poly[:-1]) if c)
+
+
+def _reduce(n, v):
+    """Reduced coordinates of sum v[j] z^j, z = zeta_n, for an int list v.
+
+    Folds v modulo x^n - 1 when it is longer than n, then divides by the
+    monic Phi_n from the top down; v may be overwritten.
+    """
+    d, low = _structure(n)
+    if len(v) > n:
+        folded = v[:n]
+        for j in range(n, len(v)):
+            folded[j % n] += v[j]
+        v = folded
+    for j in range(len(v) - 1, d - 1, -1):
+        c = v[j]
+        if c:
+            top = j - d
+            for i, pc in low:
+                v[top + i] -= c * pc
+    return v[:d]
+
+
+def _scatter(n, pairs):
+    """Reduced coordinates of sum w * z^e over (e, w) pairs, integer w."""
+    v = [0] * n
+    for e, w in pairs:
+        v[e % n] += w
+    return _reduce(n, v)
+
+
+def _pack(v, width, half):
+    """The int sum v[i] * 2^(8*width*i), for |v[i]| < half = 2^(8*width-1)."""
+    raw = b"".join((x + half).to_bytes(width, "little") for x in v)
+    return int.from_bytes(raw, "little") - _slot_ones(len(v), width) * half
+
+
+def _slot_ones(count, width):
+    """The int with a 1 at the bottom of each of `count` slots of `width` bytes."""
+    return int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
+
+
+def _convolve(a, b):
+    """The integer convolution of two int sequences, by one big-int multiply."""
+    ma = max(map(abs, a))
+    mb = max(map(abs, b))
+    k = len(a) + len(b) - 1
+    if not ma or not mb:
+        return [0] * k
+    # every product coefficient is below ma*mb*min(len) < 2^(bits-2) in size
+    bits = (ma * mb * min(len(a), len(b))).bit_length() + 2
+    width = (bits + 7) // 8
+    half = 1 << (8 * width - 1)
+    prod = _pack(a, width, half) * _pack(b, width, half)
+    # adding half to every slot makes each slot's digit its coefficient + half
+    raw = (prod + _slot_ones(k, width) * half).to_bytes(width * k, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") - half
+        for i in range(0, width * k, width)
+    ]
+
+
+def _make(conductor, num, den=1):
+    """A CycloNum from reduced integer coordinates over den > 0."""
+    g = gcd(den, *num)
+    out = object.__new__(CycloNum)
+    out.conductor = conductor
+    if g == 1:
+        out.num, out.den = tuple(num), den
+    else:
+        out.num, out.den = tuple(a // g for a in num), den // g
+    return out
 
 
 class CycloNum:
-    """An element of Q(zeta_N) in reduced power-basis form."""
+    """An element of Q(zeta_N): reduced integer coordinates `num` over `den`."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor, coeffs):
-        st = _structure(conductor)
+        d = _structure(conductor)[0]
         c = [Fraction(x) for x in coeffs]
-        if len(c) != st.degree:
+        if len(c) != d:
             raise ValueError(
-                f"need {st.degree} coefficients for conductor {conductor}, got {len(c)}"
+                f"need {d} coefficients for conductor {conductor}, got {len(c)}"
             )
+        # over the lcm of reduced denominators gcd(den, *num) is already 1
+        den = lcm(*(x.denominator for x in c))
         self.conductor = conductor
-        self.coeffs = tuple(c)
+        self.num = tuple(x.numerator * (den // x.denominator) for x in c)
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The coordinates as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     # ---------------------------------------------------------------- basics
 
     @staticmethod
     def zero(conductor=1):
-        return CycloNum(conductor, [0] * _structure(conductor).degree)
+        return _make(conductor, (0,) * _structure(conductor)[0])
 
     @staticmethod
     def one(conductor=1):
@@ -105,37 +185,32 @@ class CycloNum:
 
     @staticmethod
     def from_rational(x, conductor=1):
-        c = [_ZERO] * _structure(conductor).degree
-        c[0] = Fraction(x)
-        return CycloNum(conductor, c)
+        x = Fraction(x)
+        rest = (0,) * (_structure(conductor)[0] - 1)
+        return _make(conductor, (x.numerator,) + rest, x.denominator)
 
     @staticmethod
     def from_powers(conductor, weights):
         """Sum of weights[j] * z^j over all j, weights indexed mod N.
 
-        Accepts a full list of length N or a {exponent: weight} mapping.
-        This is the workhorse for assembling character sums exactly.
+        Accepts a full list of length N or a {exponent: weight} mapping, with
+        int or Fraction weights.  This is the workhorse for assembling
+        character sums exactly.
         """
-        st = _structure(conductor)
-        acc = [_ZERO] * st.degree
         items = weights.items() if hasattr(weights, "items") else enumerate(weights)
-        for j, w in items:
-            if not w:
-                continue
-            row = st.pow_rows[j % conductor]
-            for i in range(st.degree):
-                if row[i]:
-                    acc[i] += w * row[i]
-        return CycloNum(conductor, acc)
+        items = [(j, w) for j, w in items if w]
+        den = lcm(*(w.denominator for _, w in items))
+        pairs = ((j, w.numerator * (den // w.denominator)) for j, w in items)
+        return _make(conductor, _scatter(conductor, pairs), den)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def as_rational(self):
         """The element as a Fraction, or None when it is irrational."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # ------------------------------------------------------------- promotion
 
@@ -145,17 +220,9 @@ class CycloNum:
             return self
         if conductor % self.conductor != 0:
             raise NotDivisor(f"{self.conductor} does not divide {conductor}")
-        st = _structure(conductor)
         step = conductor // self.conductor
-        acc = [_ZERO] * st.degree
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            row = st.pow_rows[(j * step) % conductor]
-            for i in range(st.degree):
-                if row[i]:
-                    acc[i] += c * row[i]
-        return CycloNum(conductor, acc)
+        pairs = ((j * step, a) for j, a in enumerate(self.num) if a)
+        return _make(conductor, _scatter(conductor, pairs), self.den)
 
     def _common(self, other):
         if isinstance(other, (int, Fraction)):
@@ -169,52 +236,39 @@ class CycloNum:
 
     # ------------------------------------------------------------ arithmetic
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other over a common conductor and denominator."""
         a, b = self._common(other)
         if a is None:
             return NotImplemented
-        return CycloNum(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        g = gcd(a.den, b.den)
+        fa, fb = b.den // g, sign * (a.den // g)
+        num = [x * fa + y * fb for x, y in zip(a.num, b.num)]
+        return _make(a.conductor, num, a.den * fa)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.conductor, [-x for x in self.coeffs])
+        return _make(self.conductor, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        a, b = self._common(other)
-        if a is None:
-            return NotImplemented
-        return CycloNum(a.conductor, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycloNum(self.conductor, [c * other for c in self.coeffs])
+            num = [c * other.numerator for c in self.num]
+            return _make(self.conductor, num, self.den * other.denominator)
         if not isinstance(other, CycloNum):
             return NotImplemented
         a, b = self._common(other)
-        st = _structure(a.conductor)
-        d = st.degree
-        conv = [_ZERO] * (2 * d - 1)
-        bc = b.coeffs
-        for i, av in enumerate(a.coeffs):
-            if not av:
-                continue
-            for j, bv in enumerate(bc):
-                if bv:
-                    conv[i + j] += av * bv
-        acc = list(conv[:d])
-        for j in range(d, 2 * d - 1):
-            w = conv[j]
-            if not w:
-                continue
-            row = st.pow_rows[j]
-            for i in range(d):
-                if row[i]:
-                    acc[i] += w * row[i]
-        return CycloNum(a.conductor, acc)
+        n = a.conductor
+        return _make(n, _reduce(n, _convolve(a.num, b.num)), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -223,7 +277,7 @@ class CycloNum:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         n = self.conductor
-        if n <= 2 or not any(self.coeffs[1:]):
+        if n <= 2 or not any(self.num[1:]):
             r = self.as_rational()
             if r is not None:
                 return CycloNum.from_rational(1 / r, n)
@@ -264,13 +318,21 @@ class CycloNum:
         if not isinstance(other, CycloNum):
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
-        r = self.as_rational()
-        if r is not None:
-            return hash(r)
-        return hash((self.conductor, self.coeffs))
+        # The normalised trace Tr(x)/phi(N) does not depend on the conductor
+        # x is written over, and is x itself for a rational x, so equal
+        # elements hash alike and a rational one hashes like Fraction(x).
+        # z^j has order m = N/gcd(j, N) and Tr(z^j)/phi(N) = mu(m)/phi(m);
+        # mu(m) is minus the coefficient of x^(phi(m)-1) in Phi_m.
+        n = self.conductor
+        total = _ZERO
+        for j, a in enumerate(self.num):
+            if a:
+                phi_m = cyclotomic_polynomial(n // gcd(j, n))
+                total -= Fraction(a * phi_m[-2], len(phi_m) - 1)
+        return hash(total / self.den)
 
     # ---------------------------------------------------------------- galois
 
@@ -279,16 +341,8 @@ class CycloNum:
         n = self.conductor
         if gcd(k, n) != 1:
             raise NotCoprime(f"{k} is not coprime to {n}")
-        st = _structure(n)
-        acc = [_ZERO] * st.degree
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            row = st.pow_rows[(j * k) % n]
-            for i in range(st.degree):
-                if row[i]:
-                    acc[i] += c * row[i]
-        return CycloNum(n, acc)
+        pairs = ((j * k, a) for j, a in enumerate(self.num) if a)
+        return _make(n, _scatter(n, pairs), self.den)
 
     def conj(self):
         """Complex conjugation, z -> z^(-1)."""
@@ -307,19 +361,16 @@ class CycloNum:
             raise NotDivisor(f"{conductor} does not divide {n}")
         if conductor == n:
             return self
-        sub = _structure(conductor)
-        big = _structure(n)
+        sub_degree = _structure(conductor)[0]
         step = n // conductor
-        cols = []
-        for j in range(sub.degree):
-            cols.append(big.pow_rows[(j * step) % n])
-        # Gaussian elimination on the (big.degree x sub.degree) system.
-        rows = big.degree
-        mat = [[Fraction(cols[c][r]) for c in range(sub.degree)] + [self.coeffs[r]]
-               for r in range(rows)]
+        cols = [_scatter(n, [(j * step, 1)]) for j in range(sub_degree)]
+        # Gaussian elimination on the (phi(N) x phi(M)) system.
+        rows = len(self.num)
+        mat = [[Fraction(cols[c][r]) for c in range(sub_degree)]
+               + [Fraction(self.num[r], self.den)] for r in range(rows)]
         piv_cols = []
         r = 0
-        for c in range(sub.degree):
+        for c in range(sub_degree):
             piv = next((i for i in range(r, rows) if mat[i][c] != 0), None)
             if piv is None:
                 continue
@@ -334,7 +385,7 @@ class CycloNum:
             r += 1
         if any(row[-1] != 0 for row in mat[r:]):
             return None
-        sol = [_ZERO] * sub.degree
+        sol = [_ZERO] * sub_degree
         for i, c in enumerate(piv_cols):
             sol[c] = mat[i][-1]
         return CycloNum(conductor, sol)
@@ -381,5 +432,4 @@ class CycloNum:
 
 def root_of_unity(conductor, k=1):
     """zeta_N^k as a CycloNum."""
-    st = _structure(conductor)
-    return CycloNum(conductor, list(st.pow_rows[k % conductor]))
+    return _make(conductor, _scatter(conductor, [(k, 1)]))

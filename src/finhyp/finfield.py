@@ -150,7 +150,8 @@ def _smallest_irreducible(p, f):
         return (0, 1)
     for vec in _lex_vectors(p, f):
         poly = list(vec) + [1]
-        if _is_irreducible(poly, p):
+        # a zero constant term means x divides poly, so it is reducible
+        if poly[0] and _is_irreducible(poly, p):
             return tuple(poly)
     raise AssertionError("no irreducible polynomial found")
 

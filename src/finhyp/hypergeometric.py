@@ -166,48 +166,48 @@ def _denominator_inverse(inst, twist):
     return invert_gauss_product(gA * gB, inst.base.q, fA)
 
 
+def _unit_tally(alg, exps, big, at_minus_y):
+    """Counts of (trace mod p, character exponent mod big, norm dlog) over
+    the units y of alg, the first two taken at -y when at_minus_y is set.
+
+    Each key is the componentwise sum of the components' keys, so the tally
+    is the convolution of one histogram of q_i - 1 entries per component.
+    """
+    p, qbar = alg.base.p, alg.base.q - 1
+    acc = {(0, 0, 0): 1}
+    for comp, e, nf in zip(alg.components, exps, alg._norm_factors):
+        order = comp.q - 1
+        h = comp.minus_one_dlog if at_minus_y else 0
+        step = (-e if at_minus_y else e) * (big // order)
+        hist = {}
+        for j in range(order):
+            key = (comp.trace_of_unit(j + h), step * (j + h) % big, j * nf % qbar)
+            hist[key] = hist.get(key, 0) + 1
+        out = {}
+        for (tr, ch, nd), cnt in acc.items():
+            for (tr_i, ch_i, nd_i), cnt_i in hist.items():
+                key = ((tr + tr_i) % p, (ch + ch_i) % big, (nd + nd_i) % qbar)
+                out[key] = out.get(key, 0) + cnt * cnt_i
+        acc = out
+    return acc
+
+
 @lru_cache(maxsize=None)
 def _direct_tallies(inst):
     """t- and twist-independent tallies for the norm-equation sum.
 
-    A side: list of (trace, character exponent, norm dlog) per unit.
+    A side: counts of (trace, character exponent, norm dlog) over the units.
     B side: per norm dlog, counts of (trace of -y, conj character exponent).
     """
-    base = inst.base
-    p = base.p
-    qbar = base.q - 1
-    orders_a = [c.q - 1 for c in inst.A.components]
-    orders_b = [c.q - 1 for c in inst.B.components]
-    big = lcm(*(orders_a + orders_b))
-
+    qbar = inst.base.q - 1
+    big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
+    a_side = _unit_tally(inst.A, inst.chiA.exponents, big, False)
     # the whole B side is evaluated at -y: additive and multiplicative part
-    halves = [c.minus_one_dlog for c in inst.B.components]
-    eb = inst.chiB.exponents
-    buckets = [dict() for _ in range(qbar)]
-    for dl in inst.B.units():
-        tr = sum(
-            c.trace_of_unit(j + h)
-            for c, j, h in zip(inst.B.components, dl, halves)
-        ) % p
-        ch = sum(
-            -e * (j + h) * (big // o)
-            for e, j, h, o in zip(eb, dl, halves, orders_b)
-        ) % big
-        bucket = buckets[inst.B.norm_dlog(dl)]
-        key = (tr, ch)
-        bucket[key] = bucket.get(key, 0) + 1
-    compressed = [list(b.items()) for b in buckets]
-
-    ea = inst.chiA.exponents
-    a_side = {}
-    for dl in inst.A.units():
-        key = (
-            inst.A.trace_int(dl),
-            sum(e * j * (big // o) for e, j, o in zip(ea, dl, orders_a)) % big,
-            inst.A.norm_dlog(dl),
-        )
-        a_side[key] = a_side.get(key, 0) + 1
-    return big, list(a_side.items()), compressed
+    b_side = _unit_tally(inst.B, inst.chiB.exponents, big, True)
+    buckets = [[] for _ in range(qbar)]
+    for (tr, ch, nd), cnt in b_side.items():
+        buckets[nd].append(((tr, ch), cnt))
+    return big, list(a_side.items()), buckets
 
 
 def algebra_sum_direct(inst, t, twist=1):

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,22 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(5) == (1, 1, 1, 1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+
+def test_cyclotomic_polynomials_multiply_to_binomial():
+    # x^n - 1 is the product of Phi_d over the divisors d of n
+    for n in list(range(1, 80)) + [506, 1024, 3 * 5 * 7 * 11]:
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = cyclotomic_polynomial(d)
+                out = [0] * (len(prod) + len(phi) - 1)
+                for i, a in enumerate(prod):
+                    for j, b in enumerate(phi):
+                        out[i + j] += a * b
+                prod = out
+        assert prod == [-1] + [0] * (n - 1) + [1], n
 
 
 def test_i_squared():
@@ -131,3 +149,140 @@ def test_rational_detection():
     s = z + z.galois(2) + z.galois(3) + z.galois(4)
     assert s.as_rational() == -1
     assert z.as_rational() is None
+
+
+# ------------------------------------------- dense schoolbook reference
+
+
+@lru_cache(maxsize=None)
+def _ref_rows(n):
+    """Fraction coordinates of z^j, j < n, by repeated multiplication by z."""
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    rows = [[Fraction(int(i == j)) for i in range(d)] for j in range(d)]
+    while len(rows) < n:
+        prev = rows[-1]
+        shifted = [Fraction(0)] + prev[:-1]
+        rows.append([r - prev[-1] * c for r, c in zip(shifted, phi)])
+    return rows
+
+
+def _ref_powers(n, pairs):
+    """Coordinates of sum w * z^e over (e, w), from the dense power table."""
+    rows = _ref_rows(n)
+    acc = [Fraction(0)] * len(rows[0])
+    for e, w in pairs:
+        for i, r in enumerate(rows[e % n]):
+            acc[i] += w * r
+    return tuple(acc)
+
+
+def _ref_mul(a, b):
+    pairs = [(i + j, x * y) for i, x in enumerate(a.coeffs) for j, y in enumerate(b.coeffs)]
+    return _ref_powers(a.conductor, pairs)
+
+
+KERNEL_CONDUCTORS = [1, 2, 5, 7, 23, 8, 9, 12, 78]
+
+_coefficient = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**80), 2**80),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**66)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=36),
+)
+
+
+def _kernel_elements(n):
+    degree = len(cyclotomic_polynomial(n)) - 1
+    return st.lists(_coefficient, min_size=degree, max_size=degree).map(
+        lambda c: CycloNum(n, c)
+    )
+
+
+def _assert_normal(x):
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_CONDUCTORS).flatmap(
+    lambda n: st.tuples(_kernel_elements(n), _kernel_elements(n))
+))
+def test_kernel_multiply_matches_reference(pair):
+    a, b = pair
+    prod = a * b
+    assert prod.coeffs == _ref_mul(a, b)
+    _assert_normal(prod)
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 23), (2, 8), (3, 9), (4, 12), (6, 78), (13, 78), (5, 5)])
+       .flatmap(lambda nm: st.tuples(st.just(nm[1]), _kernel_elements(nm[0]))))
+def test_kernel_embed_matches_reference(case):
+    m, a = case
+    step = m // a.conductor
+    out = a.embed(m)
+    assert out.coeffs == _ref_powers(m, [(j * step, c) for j, c in enumerate(a.coeffs)])
+    _assert_normal(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_CONDUCTORS).flatmap(
+    lambda n: st.tuples(_kernel_elements(n), st.integers(-3 * n - 5, 3 * n + 5))
+))
+def test_kernel_galois_matches_reference(case):
+    a, k = case
+    n = a.conductor
+    if gcd(k, n) != 1:
+        return
+    out = a.galois(k)
+    assert out.coeffs == _ref_powers(n, [(j * k, c) for j, c in enumerate(a.coeffs)])
+    _assert_normal(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_CONDUCTORS).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.dictionaries(st.integers(-2 * n, 3 * n), _coefficient, max_size=2 * n + 3),
+    )
+))
+def test_kernel_from_powers_matches_reference(case):
+    n, weights = case
+    out = CycloNum.from_powers(n, weights)
+    assert out.coeffs == _ref_powers(n, weights.items())
+    _assert_normal(out)
+    dense = [0] * n
+    for e, w in weights.items():
+        dense[e % n] += w
+    assert CycloNum.from_powers(n, dense) == out
+
+
+@pytest.mark.parametrize("n", KERNEL_CONDUCTORS)
+def test_kernel_root_of_unity_matches_reference(n):
+    for k in list(range(-n - 2, 2 * n + 3)) + [10**20 + 3, -(10**20) - 7]:
+        assert root_of_unity(n, k).coeffs == _ref_powers(n, [(k, 1)])
+
+
+# ------------------------------------------------------ hash/eq contract
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(4, 12), (3, 6), (5, 20), (12, 60)])
+       .flatmap(lambda nm: st.tuples(st.just(nm[1]), _elements(nm[0]))))
+def test_hash_agrees_with_eq_across_embeddings(case):
+    m, a = case
+    b = a.embed(m)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_hash_of_rational_matches_fraction():
+    for r in (0, 1, -7, Fraction(3, 5), Fraction(-22, 7)):
+        for n in (1, 2, 5, 12, 60):
+            x = CycloNum.from_rational(r, n)
+            assert hash(x) == hash(Fraction(r)) == hash(r)
+            assert len({x, r}) == 1
+    i = root_of_unity(4, 1)
+    assert len({i, i.embed(12), root_of_unity(12, 3), -i}) == 2

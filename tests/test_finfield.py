@@ -45,6 +45,17 @@ def test_field_too_large():
     make_field(2, 17, max_size=2**17)  # override allowed
 
 
+def test_modulus_is_lex_smallest_irreducible():
+    # pinned: skipping candidates divisible by x must not change any modulus
+    from finhyp.finfield import _smallest_irreducible
+
+    assert _smallest_irreducible(2, 16) == (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)
+    assert _smallest_irreducible(3, 10) == (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)
+    assert _smallest_irreducible(5, 6) == (1, 0, 0, 0, 1, 1, 1)
+    assert _smallest_irreducible(7, 5) == (1, 0, 0, 0, 3, 1)
+    assert make_field(7, 5).modulus == (1, 0, 0, 0, 3, 1)
+
+
 def test_modulus_irreducible_bruteforce():
     # no roots and, for degree <= 3, rootlessness is irreducibility
     for p, f in ((3, 2), (3, 3), (5, 2), (7, 2)):

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from finhyp.charsums import AlgebraChar, MultChar, SemisimpleAlgebra, add_char
+from finhyp.charsums import (
+    AlgebraChar,
+    MultChar,
+    SemisimpleAlgebra,
+    add_char,
+    algebra_gauss_sum,
+    algebra_norm_to_base,
+)
 from finhyp.cyclo import CycloNum
 from finhyp.errors import AssumptionFails, ZeroArgument
 from finhyp.finfield import make_field
@@ -237,3 +244,50 @@ def test_random_instances_direct_equals_fourier():
         for j in range(inst.base.q - 1):
             t = inst.base.unit(j)
             assert algebra_sum_direct(inst, t) == algebra_sum_fourier(inst, t)
+
+
+def _direct_bruteforce(inst, t):
+    """The norm-equation sum as a literal double loop over unit pairs.
+
+    Sums psi(Tr x + Tr(-y)) chi_A(x) conj(chi_B)(-y) over units x of A and
+    y of B with N(y) = t N(x), and divides by minus the Gauss-sum
+    denominator g_A(chi_A) g_B(conj chi_B), inverted generically.
+    """
+    A, B = inst.A, inst.B
+    t = inst.base.elem(t)
+    chiB_bar = inst.chiB.conj()
+
+    def psi(z):
+        out = CycloNum.one(1)
+        for comp, part in zip(z.algebra.components, z.parts):
+            out = out * add_char(comp, part)
+        return out
+
+    total = CycloNum.zero(1)
+    for dx in A.units():
+        x = A.unit_elem(dx)
+        target = t * algebra_norm_to_base(x)
+        for dy in B.units():
+            y = B.unit_elem(dy)
+            if algebra_norm_to_base(y) != target:
+                continue
+            minus_y = B.elem([-part for part in y.parts])
+            total = total + psi(x) * psi(minus_y) * inst.chiA.eval(x) * chiB_bar.eval(minus_y)
+    den = algebra_gauss_sum(inst.chiA) * algebra_gauss_sum(chiB_bar)
+    return -total / den
+
+
+def test_direct_against_bruteforce():
+    from finhyp.hypergeometric import _direct_tallies
+
+    split = split_instance(HGParams([F(1, 6), F(5, 6)], [0, F(1, 2)]), 7)
+    mixed = orbit_instance(HGParams([F(1, 2), F(1, 4), F(3, 4)], [0, F(1, 8), F(3, 8)]), 3)
+    assert sorted(c.f for c in mixed.A.components) == [1, 2]
+    assert sorted(c.f for c in mixed.B.components) == [1, 2]
+    for inst in (split, mixed):
+        _, a_side, buckets = _direct_tallies(inst)
+        assert sum(cnt for _, cnt in a_side) == inst.A.unit_count()
+        assert sum(cnt for b in buckets for _, cnt in b) == inst.B.unit_count()
+        for j in range(inst.base.q - 1):
+            t = inst.base.unit(j)
+            assert algebra_sum_direct(inst, t) == _direct_bruteforce(inst, t)
