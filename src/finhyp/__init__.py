@@ -7,7 +7,6 @@ from .charsums import (
     MultChar,
     SemisimpleAlgebra,
     add_char,
-    algebra_char_eval,
     algebra_gauss_sum,
     algebra_gauss_sum_bruteforce,
     algebra_norm_absolute,

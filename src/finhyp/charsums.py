@@ -9,7 +9,7 @@ tally exponents first and convert the tally to a cyclotomic number once.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 from .cyclo import CycloNum, root_of_unity
 from .errors import InternalInconsistency, NotUnit, ZeroElement
@@ -61,6 +61,11 @@ def add_char(field, x, a=1):
 def gauss_sum(chi, a=1):
     """Exact Gauss sum of chi against the a-twisted trace character."""
     return _gauss_table(chi.field, a % chi.field.p)[chi.e]
+
+
+def gauss_product(chars, a=1):
+    """Product of the Gauss sums of chars against the a-twisted trace."""
+    return prod(gauss_sum(chi, a) for chi in chars)
 
 
 @lru_cache(maxsize=None)
@@ -248,16 +253,9 @@ def algebra_norm_absolute(x):
     return base.norm_to(n, 1) if base.f > 1 else n
 
 
-def algebra_char_eval(chi_a, x):
-    return chi_a.eval(x)
-
-
 def algebra_gauss_sum(chi_a, a=1):
     """Gauss sum of an algebra character, via the component product."""
-    out = CycloNum.one(1)
-    for chi in chi_a.chars:
-        out = out * gauss_sum(chi, a)
-    return out
+    return gauss_product(chi_a.chars, a)
 
 
 def algebra_gauss_sum_bruteforce(chi_a, a=1):
@@ -291,15 +289,10 @@ def gauss_norm_exponent(chi_a):
     return f
 
 
-def invert_gauss_product(g, q, f):
-    """Exact inverse of a product of Gauss sums with known |.|^2 = q^f.
-
-    The candidate conj(g)/q^f is verified by multiplication; a failure
-    falls back to the generic field inverse.
-    """
-    from fractions import Fraction
-
-    cand = g.conj() * Fraction(1, q**f)
-    if g * cand == 1:
-        return cand
-    return g.inverse()
+def invert_gauss_product(g):
+    """Exact inverse conj(g)/|g|^2 of a product of Gauss sums, whose |g|^2
+    is a power of q."""
+    norm = (g * g.conj()).as_rational()
+    if not norm:
+        raise InternalInconsistency("|g|^2 is not a nonzero rational")
+    return g.conj() * (1 / norm)

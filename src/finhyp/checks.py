@@ -1,5 +1,6 @@
 """Executable checks: each one evaluates both sides of an identity on a
-concrete instance and reports pass or fail with a witness.
+concrete instance and reports pass or fail with a witness, or inconclusive
+when the working precision leaves nothing to compare.
 
 A failing check is a verdict, not an exception; checks only raise when the
 instance violates a precondition (wrong prime, non-split parameters) or a
@@ -15,7 +16,7 @@ from random import Random
 
 from .charsums import AlgebraChar, SemisimpleAlgebra, gauss_norm_exponent
 from .errors import DoesNotSplit, InternalInconsistency
-from .finfield import make_field
+from .finfield import make_field, prime_power
 from .hypergeometric import (
     HGAlgebraInstance,
     algebra_sum_direct,
@@ -27,6 +28,7 @@ from .hypergeometric import (
 from .padic import (
     PadicNum,
     embed_cyclotomic,
+    gamma_args,
     padic_sum_direct,
     padic_sum_via_orbits,
     prefetch_gamma_p,
@@ -142,7 +144,7 @@ def check_zeta_p_independence(inst, ts=None, twists=None):
 def check_omega_independence(params, q, ts=None):
     """The classic series does not depend on which unit generates omega."""
     start = time.perf_counter()
-    field = make_field(*_pf(q))
+    field = make_field(*prime_power(q))
     try:
         alt = field.nth_generator(1)
     except ValueError:
@@ -157,13 +159,6 @@ def check_omega_independence(params, q, ts=None):
                 {"t": repr(field.elem(t)), "default": _cyclo_str(v1), "alternate": _cyclo_str(v2)}
             )
     return _report("omega_independence", f"{params!r} q={q}", start, failures)
-
-
-def _pf(q):
-    from .finfield import factorize
-
-    ((p, f),) = factorize(q).items()
-    return p, f
 
 
 def _lift_coprime(k, d, n):
@@ -242,14 +237,20 @@ def check_fixed_field(params, p, ts=None):
 
 def check_gp_equals_hp(params, p, ts=None, prec=6, max_pn=None):
     """p-adic sum against the embedded complex sum, or against the orbit
-    route when the divisibility assumption fails at q = p."""
-    start = time.perf_counter()
+    route when the divisibility assumption fails at q = p.  Both sides are
+    known modulo p^(prec - delta); at prec <= delta that says nothing and
+    the verdict is inconclusive."""
     delta = params.denominator_exponent()
     k = prec - delta
-    ts = list(ts) if ts is not None else list(range(1, p))
     assumption = all(((p - 1) * x).denominator == 1 for x in params.alpha + params.beta)
-    failures = []
     mode = "embedding" if assumption else "orbit-route"
+    instance = f"{params!r} p={p} prec={prec} via {mode}"
+    if k <= 0:
+        witness = {"prec": prec, "delta": delta}
+        return CheckReport("gp_equals_hp", instance, "inconclusive", witness)
+    start = time.perf_counter()
+    ts = list(ts) if ts is not None else list(range(1, p))
+    failures = []
     for t in ts:
         gp = padic_sum_direct(params, p, t, prec, max_pn)
         if assumption:
@@ -262,9 +263,7 @@ def check_gp_equals_hp(params, p, ts=None, prec=6, max_pn=None):
             other = padic_sum_via_orbits(params, p, t, prec, max_pn)
         if not gp.eq_mod(other, k):
             failures.append({"t": t, "direct": repr(gp), "other": repr(other)})
-    return _report(
-        "gp_equals_hp", f"{params!r} p={p} prec={prec} via {mode}", start, failures
-    )
+    return _report("gp_equals_hp", instance, start, failures)
 
 
 def check_integrality_delta(params, p, ts=None, prec=6, max_pn=None):
@@ -300,14 +299,7 @@ def check_main_theorem(params, p, t, prec_list=(6, 8), max_pn=None):
     failures = []
     lifts_per_prec = {}
     for prec in prec_list:
-        args = []
-        for pk in conj_params:
-            for m in range(p - 1):
-                x = Fraction(m, p - 1)
-                for a in pk.alpha:
-                    args.append((a + x) % 1)
-                for b in pk.beta:
-                    args.append((-b - x) % 1)
+        args = [x for pk in conj_params for row in gamma_args(pk, p) for x in row]
         prefetch_gamma_p(args, p, prec, max_pn)
         roots = [
             PadicNum.from_rational(p**cap, p, prec) * padic_sum_direct(pk, p, t, prec, max_pn)
@@ -369,7 +361,7 @@ def fixed_params():
 
 def random_algebra_instance(rng, q, max_size=81, equidim=False):
     """A random semisimple instance over F_q with |A|, |B| <= max_size."""
-    p, f = _pf(q)
+    p, f = prime_power(q)
 
     def degrees():
         out = []

@@ -65,6 +65,15 @@ def factorize(n):
     return out
 
 
+def prime_power(q):
+    """(p, f) with q = p^f."""
+    fac = factorize(q)
+    if len(fac) != 1:
+        raise NotPrime(f"{q} is not a prime power")
+    ((p, f),) = fac.items()
+    return p, f
+
+
 # ---------------------------------------------------------- F_p[x] helpers
 
 def _pmul(a, b, mod, p):

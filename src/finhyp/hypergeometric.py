@@ -1,17 +1,19 @@
 """Finite hypergeometric sums, exactly, in three forms.
 
-classic_sum evaluates the Gauss-sum series over F_q for a parameter pair.
 algebra_sum_direct evaluates the two-algebra exponential sum over pairs of
 units subject to the norm equation, and algebra_sum_fourier evaluates its
 expansion in multiplicative characters; the two are proved equal and both
-are kept as independent code paths.
+are kept as independent code paths.  classic_sum, the Gauss-sum series
+over F_q for a parameter pair, is the character expansion on the split
+instance (d copies of F_q on both sides), whose terms are the series
+terms one for one.
 
 Two normalization choices make the three forms one function: the
 denominator is g_A(chi_A) * g_B(conj(chi_B)), and the whole B side of the
 direct sum is evaluated at -y (multiplicative character included).  With
-these, the split-algebra instance reproduces classic_sum exactly and the
-equi-dimensional sums do not depend on the choice of the p-th root of
-unity inside the additive characters.
+these, the direct sum on the split instance reproduces classic_sum exactly
+and the equi-dimensional sums do not depend on the choice of the p-th root
+of unity inside the additive characters.
 """
 
 from dataclasses import dataclass
@@ -22,14 +24,13 @@ from math import gcd, lcm
 from .charsums import (
     AlgebraChar,
     SemisimpleAlgebra,
-    _gauss_table,
     algebra_norm_to_base,
-    gauss_sum,
+    gauss_product,
     invert_gauss_product,
 )
 from .cyclo import CycloNum, root_of_unity
 from .errors import AssumptionFails, ZeroArgument
-from .finfield import factorize, make_field
+from .finfield import make_field, prime_power
 
 
 @dataclass(frozen=True)
@@ -65,14 +66,6 @@ class HGAlgebraInstance:
         }
 
 
-def _split_prime_power(q):
-    fac = factorize(q)
-    if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    ((p, f),) = fac.items()
-    return p, f
-
-
 def _check_assumption(params, q):
     for x in params.alpha + params.beta:
         if ((q - 1) * x).denominator != 1:
@@ -100,70 +93,33 @@ def _omega_reindex(field, generator):
     return pow(u, -1, qbar)
 
 
-@lru_cache(maxsize=None)
-def _classic_coefficients(params, field, w):
-    """Series coefficients of classic_sum, denominator folded in."""
-    qbar = field.q - 1
-    table = _gauss_table(field, 1)
-    a_exps = [int((qbar) * x) for x in params.alpha]
-    b_exps = [int((qbar) * x) for x in params.beta]
-    den = CycloNum.one(1)
-    nontrivial = 0
-    for a in a_exps:
-        den = den * table[(a * w) % qbar]
-        nontrivial += 1 if a % qbar else 0
-    for b in b_exps:
-        den = den * table[(-b * w) % qbar]
-        nontrivial += 1 if b % qbar else 0
-    inv_den = invert_gauss_product(den, field.q, nontrivial)
-    coeffs = []
-    for m in range(qbar):
-        num = CycloNum.one(1)
-        for a in a_exps:
-            num = num * table[((m + a) * w) % qbar]
-        for b in b_exps:
-            num = num * table[((-m - b) * w) % qbar]
-        coeffs.append(num * inv_den)
-    return tuple(coeffs)
-
-
 def classic_sum(params, q, t, generator=None):
     """The hypergeometric sum over F_q at argument t, exactly.
 
     Requires q-1 divisible by every parameter denominator.  The optional
     generator replaces the field's canonical unit-group generator in the
-    definition of the character basis; the value must not change.
+    definition of the character basis; the value must not change.  Both
+    characters are raised to the power that carries the default basis to
+    that one, and the series is the split instance's character expansion.
     """
-    p, f = _split_prime_power(q)
-    _check_assumption(params, q)
-    field = make_field(p, f)
-    t = _unit_arg(field, t)
-    w = _omega_reindex(field, generator)
-    qbar = q - 1
-    coeffs = _classic_coefficients(params, field, w)
-    sign = field.minus_one_dlog * params.d % qbar
-    base_exp = (w * ((sign + field.dlog(t)) % qbar)) % qbar
-    total = CycloNum.zero(1)
-    for m in range(qbar):
-        total = total + coeffs[m] * root_of_unity(qbar, base_exp * m)
-    return total * Fraction(1, 1 - q)
+    inst = split_instance(params, q)
+    w = _omega_reindex(inst.base, generator)
+    if w != 1:
+        inst = HGAlgebraInstance(inst.A, inst.B, inst.chiA.power(w), inst.chiB.power(w))
+    return algebra_sum_fourier(inst, t)
 
 
 # ------------------------------------------------------------- algebra sums
 
 
+def _gauss_denominator(inst, twist):
+    """The normalising denominator g_A(chi_A) * g_B(conj(chi_B))."""
+    return gauss_product(inst.chiA.chars + inst.chiB.conj().chars, twist)
+
+
 @lru_cache(maxsize=None)
 def _denominator_inverse(inst, twist):
-    gA = CycloNum.one(1)
-    fA = 0
-    for chi, deg in zip(inst.chiA.chars, inst.A.degrees):
-        gA = gA * gauss_sum(chi, twist)
-        fA += deg if not chi.is_trivial else 0
-    gB = CycloNum.one(1)
-    for chi, deg in zip(inst.chiB.conj().chars, inst.B.degrees):
-        gB = gB * gauss_sum(chi, twist)
-        fA += deg if not chi.is_trivial else 0
-    return invert_gauss_product(gA * gB, inst.base.q, fA)
+    return invert_gauss_product(_gauss_denominator(inst, twist))
 
 
 def _unit_tally(alg, exps, big, at_minus_y):
@@ -239,17 +195,17 @@ def algebra_sum_direct(inst, t, twist=1):
 
 @lru_cache(maxsize=None)
 def _fourier_coefficients(inst, twist):
-    qbar = inst.base.q - 1
     inv_den = _denominator_inverse(inst, twist)
-    out = []
-    for m in range(qbar):
-        num = CycloNum.one(1)
-        for chi in inst.chiA.twist_by_norm_power(m).chars:
-            num = num * gauss_sum(chi, twist)
-        for chi in inst.chiB.conj().twist_by_norm_power(-m).chars:
-            num = num * gauss_sum(chi, twist)
-        out.append(num * inv_den)
-    return tuple(out)
+    chiB_bar = inst.chiB.conj()
+    return tuple(
+        gauss_product(
+            inst.chiA.twist_by_norm_power(m).chars
+            + chiB_bar.twist_by_norm_power(-m).chars,
+            twist,
+        )
+        * inv_den
+        for m in range(inst.base.q - 1)
+    )
 
 
 def algebra_sum_fourier(inst, t, twist=1):
@@ -274,10 +230,11 @@ def algebra_sum_fourier(inst, t, twist=1):
 # ---------------------------------------------------------------- instances
 
 
+@lru_cache(maxsize=None)
 def split_instance(params, q):
     """Both algebras a direct sum of d copies of F_q, characters from the
     parameters scaled by q-1."""
-    p, f = _split_prime_power(q)
+    p, f = prime_power(q)
     _check_assumption(params, q)
     field = make_field(p, f)
     qbar = q - 1
@@ -323,35 +280,15 @@ def orbit_instance(params, p, max_size=None):
 
 def greene_factor(params, q):
     """Multiplier turning classic_sum into the Jacobi-sum normalization."""
-    p, f = _split_prime_power(q)
-    _check_assumption(params, q)
-    field = make_field(p, f)
-    qbar = q - 1
-    table = _gauss_table(field, 1)
-    a_exps = [int(qbar * x) for x in params.alpha]
-    b_exps = [int(qbar * x) for x in params.beta]
-    beta_weight = sum(params.beta) * qbar
-    assert beta_weight.denominator == 1
-    sign = root_of_unity(qbar, field.minus_one_dlog * int(beta_weight))
-    num = CycloNum.one(1)
-    for a, b in zip(a_exps, b_exps):
-        num = num * table[a % qbar] * table[(-b) % qbar]
-    den = CycloNum.one(1)
-    for a, b in zip(a_exps, b_exps):
-        den = den * table[(a - b) % qbar]
-    return sign * Fraction(1, q**params.d) * num * den.inverse()
+    inst = split_instance(params, q)
+    sign = root_of_unity(q - 1, inst.base.minus_one_dlog * sum(inst.chiB.exponents))
+    jacobi = gauss_product(a * b.conj() for a, b in zip(inst.chiA.chars, inst.chiB.chars))
+    return (
+        sign * Fraction(1, q**params.d)
+        * _gauss_denominator(inst, 1) * invert_gauss_product(jacobi)
+    )
 
 
 def katz_unnormalized(params, q, t):
     """classic_sum with the Gauss-sum denominator multiplied back in."""
-    p, f = _split_prime_power(q)
-    _check_assumption(params, q)
-    field = make_field(p, f)
-    qbar = q - 1
-    table = _gauss_table(field, 1)
-    factor = CycloNum.one(1)
-    for x in params.alpha:
-        factor = factor * table[int(qbar * x) % qbar]
-    for x in params.beta:
-        factor = factor * table[(-int(qbar * x)) % qbar]
-    return classic_sum(params, q, t) * factor
+    return classic_sum(params, q, t) * _gauss_denominator(split_instance(params, q), 1)

@@ -7,15 +7,17 @@ the inputs support.
 
 Gamma_p of a p-adic integer x is (-1)^r * prod of j < r, p not dividing
 j, modulo p^N, where r is the representative of x in [1, p^N].  The
-product is evaluated by polynomial doubling (see _gamma_compute), so one
-value costs O(pN + N^2 log p^N) integer operations; values are cached per
-(p, N).  The max_pn cap (default 10^7, callers may override it) is checked
-before any work and bounds, for each uncached argument, the smaller of the
+product is evaluated from doubling blocks (see _gamma_compute): the blocks
+cost O(pN + N^2 log p^N) integer operations once per (p, N), and each value
+then costs O(N log p^N); blocks and values are cached per (p, N).  The
+max_pn cap (default 10^7, callers may override it) is checked before any
+work and bounds, for each uncached argument, the smaller of the
 representatives of x and 1 - x in [1, p^N] (of x alone for p = 2).
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclo import CycloNum
 from .errors import (
@@ -320,6 +322,7 @@ def teichmuller(a, p, prec):
 
 
 _gamma_cache = {}
+_gamma_blocks = {}
 
 
 def _check_prec(prec):
@@ -348,31 +351,47 @@ def _shift(g, c, m):
     return g
 
 
+def _blocks(p, n, count):
+    """The first count doubling blocks B_j(y) = prod_{i < 2^j} f(y + ip),
+    f(y) = prod_{t<p}(y + t), as coefficient lists of degree < n mod p^n.
+
+    B_0 = f and B_j+1(y) = B_j(y) B_j(y + 2^j p).  Every shift is by a
+    multiple of p, so the dropped terms reach the coefficient of y^i only in
+    multiples of p^(n-i): the kept coefficient of y^i is right mod p^(n-i),
+    which is all an evaluation at a multiple of p needs.
+    """
+    m = p**n
+    blocks = _gamma_blocks.get((p, n))
+    if blocks is None:
+        f = [1] + [0] * (n - 1)
+        for t in range(1, p):
+            f = [(f[0] * t) % m] + [(f[i] * t + f[i - 1]) % m for i in range(1, n)]
+        blocks = _gamma_blocks[(p, n)] = [f]
+    while len(blocks) < count:
+        b = blocks[-1]
+        blocks.append(_mul_trunc(b, _shift(b, p << (len(blocks) - 1), m), m))
+    return blocks
+
+
 def _gamma_compute(r, p, n):
     """(-1)^r * prod of j in [1, r) with p not dividing j, modulo p^n.
 
-    With r - 1 = kp + s the product is G_k(0) * prod_{t<=s}(kp + t), where
-    f(y) = prod_{t<p}(y + t) and G_k(y) = prod_{i<k} f(y + ip).  G_k is
-    built by doubling on the bits of k: G_2a(y) = G_a(y) G_a(y + ap) and
-    G_2a+1(y) = G_2a(y) f(y + 2ap).  Keeping degree < n and coefficients
-    mod p^n is exact: every shift is by a multiple of p, so the dropped
-    terms reach the coefficient of y^i only in multiples of p^(n-i).
+    With r - 1 = kp + s the product is prod_{i<k} f(ip) * prod_{t<=s}(kp + t).
+    The first factor splits along the bits of k into runs of 2^j consecutive
+    i, each a block B_j evaluated at ap, where a is k with bits j and up
+    cleared.
     """
     m = p**n
     k, s = divmod(r - 1, p)
-    f = [1] + [0] * (n - 1)
-    for t in range(1, p):
-        f = [(f[0] * t) % m] + [(f[i] * t + f[i - 1]) % m for i in range(1, n)]
-    g = [1] + [0] * (n - 1)
-    a = 0
-    for bit in bin(k)[2:]:
-        if a:
-            g = _mul_trunc(g, _shift(g, a * p, m), m)
-        a *= 2
-        if bit == "1":
-            g = _mul_trunc(g, _shift(f, a * p, m), m)
-            a += 1
-    prod = g[0]
+    blocks = _blocks(p, n, k.bit_length())
+    prod = 1
+    for j in range(k.bit_length()):
+        if k >> j & 1:
+            c = (k & ((1 << j) - 1)) * p % m
+            v = 0
+            for coeff in reversed(blocks[j]):
+                v = (v * c + coeff) % m
+            prod = prod * v % m
     for t in range(1, s + 1):
         prod = prod * (k * p + t) % m
     return (m - prod) % m if r & 1 else prod
@@ -412,7 +431,8 @@ def _gamma_residue(x, p, prec):
                 raise NotPAdicInteger("argument has negative valuation")
             r = x.u * p**x.v % mod
     else:
-        x = Fraction(x)
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
         if x.denominator % p == 0:
             raise NotPAdicInteger(f"denominator of {x} is divisible by {p}")
         r = x.numerator * pow(x.denominator, -1, mod) % mod
@@ -420,23 +440,21 @@ def _gamma_residue(x, p, prec):
 
 
 def prefetch_gamma_p(args, p, prec, max_pn=None):
-    """Compute and cache Gamma_p for many arguments, checking the cap once."""
+    """Gamma_p of each argument as a unit integer mod p^prec.  The values
+    not yet cached are computed together, after one check of the cap."""
     _check_prec(prec)
-    _gamma_fill(p, prec, [_gamma_residue(x, p, prec) for x in args], max_pn)
-
-
-def _gamma_unit(x, p, prec, max_pn=None):
-    """Gamma_p(x) as a unit integer mod p^prec."""
-    _check_prec(prec)
-    r = _gamma_residue(x, p, prec)
-    return _gamma_fill(p, prec, [r], max_pn)[r]
+    rs = [_gamma_residue(x, p, prec) for x in args]
+    cache = _gamma_fill(p, prec, rs, max_pn)
+    return [cache[r] for r in rs]
 
 
 def gamma_p(x, p, prec, max_pn=None):
     """Morita's p-adic Gamma function modulo p^prec."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    return PadicNum(p, 0, _gamma_unit(x, p, prec, max_pn), prec)
+    _check_prec(prec)
+    r = _gamma_residue(x, p, prec)
+    return PadicNum(p, 0, _gamma_fill(p, prec, [r], max_pn)[r], prec)
 
 
 # ------------------------------------------------------------ Gauss sums
@@ -493,13 +511,8 @@ def gauss_sum_padic(p, f, m, prec, max_pn=None):
     q = p**f
     qbar = q - 1
     fracs = [Fraction((p**i * m) % qbar, qbar) for i in range(f)]
-    prefetch_gamma_p(fracs, p, prec, max_pn)
-    e = (p - 1) * sum(fracs)
-    u = 1
-    mod = p**prec
-    for x in fracs:
-        u = u * _gamma_unit(x, p, prec, max_pn) % mod
-    return PiExp(p, prec, e, -u)
+    u = math.prod(prefetch_gamma_p(fracs, p, prec, max_pn))
+    return PiExp(p, prec, (p - 1) * sum(fracs), -u)
 
 
 # ------------------------------------------------- p-adic hypergeometric sum
@@ -519,61 +532,56 @@ def _validate_args(params, p, t):
     return tt
 
 
-def _series_total(params, p, prec, unit_terms):
-    """Assemble sum(unit_m * (-p)^Lambda(m)) / (1 - p) from unit terms.
+def _series_total(params, p, tt, prec, unit_terms):
+    """Assemble sum(unit_m * omega(a0)^-m * (-p)^Lambda(m)) / (1 - p).
 
-    unit_terms maps m to an integer unit mod p^prec.  The p-power bookkeeping
-    uses the largest realized drop, so no precision is given away.
+    unit_terms maps m to an integer unit mod p^prec; omega(a0) is the
+    Teichmuller lift of a0 = (-1)^d t.  The p-power bookkeeping uses the
+    largest realized drop, so no precision is given away.
     """
-    exponents = [params.term_exponent(p, m) for m in range(p - 1)]
+    exponents = _term_exponents(params, p)
     drop = max(0, max(-lam for lam in exponents))
     mod = p**prec
+    a0 = (tt if params.d % 2 == 0 else (-tt)) % p
+    tau_inv = pow(teichmuller(a0, p, prec).u, -1, mod)
     s = 0
+    omega = 1
     for m, lam in enumerate(exponents):
-        term = unit_terms[m] * pow(p, drop + lam, mod) % mod
+        term = unit_terms[m] * omega * pow(p, drop + lam, mod) % mod
         if lam & 1:
             term = mod - term
         s = (s + term) % mod
+        omega = omega * tau_inv % mod
     out = PadicNum.from_int_mod(s, p, prec)
     inv = PadicNum(p, 0, pow(1 - p, -1, mod), prec)
     return out * inv * PadicNum(p, -drop, 1, prec)
+
+
+@lru_cache(maxsize=None)
+def _term_exponents(params, p):
+    """Lambda(m) for m < p-1: the exponent of -p in the m-th series term."""
+    return tuple(params.term_exponent(p, m) for m in range(p - 1))
+
+
+def gamma_args(params, p):
+    """The Gamma_p arguments of the series, one row per m < p-1: alpha_i + m/(p-1)
+    and -beta_j - m/(p-1), mod 1.  Row 0 is the denominator's."""
+    rows = []
+    for m in range(p - 1):
+        x = Fraction(m, p - 1)
+        rows.append([(a + x) % 1 for a in params.alpha] + [(-b - x) % 1 for b in params.beta])
+    return rows
 
 
 def padic_sum_direct(params, p, t, prec, max_pn=None):
     """The p-adic hypergeometric sum from its Gamma-quotient series."""
     tt = _validate_args(params, p, t)
     mod = p**prec
-    args = []
-    for m in range(p - 1):
-        x = Fraction(m, p - 1)
-        for a in params.alpha:
-            args.append((a + x) % 1)
-        for b in params.beta:
-            args.append((-b - x) % 1)
-    prefetch_gamma_p(args, p, prec, max_pn)
-
-    den = 1
-    for a in params.alpha:
-        den = den * _gamma_unit(a % 1, p, prec, max_pn) % mod
-    for b in params.beta:
-        den = den * _gamma_unit((-b) % 1, p, prec, max_pn) % mod
-    den_inv = pow(den, -1, mod)
-
-    a0 = (tt if params.d % 2 == 0 else (-tt)) % p
-    tau_inv = pow(teichmuller(a0, p, prec).u, -1, mod)
-
-    unit_terms = []
-    omega = 1
-    for m in range(p - 1):
-        x = Fraction(m, p - 1)
-        u = den_inv * omega % mod
-        for a in params.alpha:
-            u = u * _gamma_unit((a + x) % 1, p, prec, max_pn) % mod
-        for b in params.beta:
-            u = u * _gamma_unit((-b - x) % 1, p, prec, max_pn) % mod
-        unit_terms.append(u)
-        omega = omega * tau_inv % mod
-    return _series_total(params, p, prec, unit_terms)
+    units = prefetch_gamma_p([x for row in gamma_args(params, p) for x in row], p, prec, max_pn)
+    w = 2 * params.d
+    prods = [math.prod(units[i:i + w]) % mod for i in range(0, len(units), w)]
+    den_inv = pow(prods[0], -1, mod)
+    return _series_total(params, p, tt, prec, [u * den_inv % mod for u in prods])
 
 
 def padic_sum_via_orbits(params, p, t, prec, max_pn=None):
@@ -586,7 +594,6 @@ def padic_sum_via_orbits(params, p, t, prec, max_pn=None):
     if not params.splits_at(p):
         raise DoesNotSplit(f"multiplication by {p} does not fix the parameters")
     alpha_orbits, beta_orbits = params.p_orbits(p)
-    mod = p**prec
 
     specs = []
     for o in alpha_orbits:
@@ -611,18 +618,13 @@ def padic_sum_via_orbits(params, p, t, prec, max_pn=None):
         g = gauss_sum_padic(p, ln, sgn * base_e, prec, max_pn)
         den = g if den is None else den * g
 
-    a0 = (tt if params.d % 2 == 0 else (-tt)) % p
-    tau_inv = pow(teichmuller(a0, p, prec).u, -1, mod)
-
     unit_terms = []
-    omega = 1
-    for m in range(p - 1):
+    for m, lam in enumerate(_term_exponents(params, p)):
         num = None
         for ln, base_e, step, sgn in specs:
             g = gauss_sum_padic(p, ln, sgn * (base_e + step * m), prec, max_pn)
             num = g if num is None else num * g
         coeff = num / den
-        lam = params.term_exponent(p, m)
         if coeff.e != (p - 1) * lam:
             if (coeff.e / (p - 1)).denominator != 1:
                 raise ExponentNotIntegral(
@@ -631,9 +633,8 @@ def padic_sum_via_orbits(params, p, t, prec, max_pn=None):
             raise InternalInconsistency(
                 f"pi-exponent {coeff.e} != (p-1)*Lambda = {(p - 1) * lam} at m={m}"
             )
-        unit_terms.append(coeff.u * omega % mod)
-        omega = omega * tau_inv % mod
-    return _series_total(params, p, prec, unit_terms)
+        unit_terms.append(coeff.u)
+    return _series_total(params, p, tt, prec, unit_terms)
 
 
 # ------------------------------------------------------------- embeddings

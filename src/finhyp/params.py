@@ -112,14 +112,8 @@ class HGParams:
     def term_exponent(self, p, m):
         """Integer exponent of -p carried by the m-th series term."""
         x = Fraction(m, p - 1)
-        total = Fraction(0)
-        for a in self.alpha:
-            total += -floor(a + x) + floor(a)
-        for b in self.beta:
-            total += -floor(-b - x) + floor(-b)
-        if total.denominator != 1:
-            raise InternalInconsistency("term exponent must be an integer")
-        return int(total)
+        return (sum(floor(a) - floor(a + x) for a in self.alpha)
+                + sum(floor(-b) - floor(-b - x) for b in self.beta))
 
     def _drop(self, x):
         """Step function whose maximum over [0, 1] is the denominator exponent."""

@@ -13,10 +13,12 @@ from finhyp.charsums import (
     algebra_norm_to_base,
     algebra_trace,
     gauss_norm_exponent,
+    gauss_product,
     gauss_sum,
+    invert_gauss_product,
 )
 from finhyp.cyclo import CycloNum, root_of_unity
-from finhyp.errors import NotUnit, ZeroElement
+from finhyp.errors import InternalInconsistency, NotUnit, ZeroElement
 from finhyp.finfield import make_field
 
 
@@ -164,3 +166,18 @@ def test_trivial_algebra_gauss_sum():
     assert algebra_gauss_sum(AlgebraChar.from_exponents(A, [0, 0])) == 1  # (-1)^2
     B = SemisimpleAlgebra(F3, [F3, F3, F3])
     assert algebra_gauss_sum(AlgebraChar.from_exponents(B, [0, 0, 0])) == -1
+
+
+def test_gauss_product_and_inverse():
+    F7 = make_field(7)
+    chars = [MultChar(F7, e) for e in (0, 1, 3, 3)]
+    g = gauss_product(chars, 2)
+    assert g == gauss_sum(chars[0], 2) * gauss_sum(chars[1], 2) * gauss_sum(chars[2], 2) ** 2
+    assert g * invert_gauss_product(g) == 1
+    assert invert_gauss_product(g) == g.inverse()
+
+
+def test_invert_gauss_product_rejects_irrational_norm():
+    # |1 + zeta_5|^2 is irrational, so this is no product of Gauss sums
+    with pytest.raises(InternalInconsistency):
+        invert_gauss_product(1 + root_of_unity(5, 1))

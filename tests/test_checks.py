@@ -113,6 +113,13 @@ def test_gp_equals_hp_both_modes():
     assert r2.passed and "orbit-route" in r2.instance
 
 
+def test_gp_equals_hp_without_precision_is_inconclusive():
+    # delta = 1 at prec 1: the comparison would be modulo p^0
+    r = check_gp_equals_hp(HGParams.parse("1/3,2/3", "1/2,1/2"), 13, prec=1)
+    assert r.verdict == "inconclusive" and not r.passed
+    assert r.witness == {"prec": 1, "delta": 1}
+
+
 def test_integrality_check():
     r = check_integrality_delta(HGParams([F(1, 3), F(2, 3)], [F(1, 2), F(1, 2)]), 7, prec=5)
     assert r.passed and "delta=1" in r.instance

@@ -1,9 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import finhyp.cli as cli
+from finhyp.checks import CheckReport
 from finhyp.cli import main
 from finhyp.cyclo import CycloNum
+
+GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_seed1.jsonl"
 
 
 def run_cli(capsys, *argv):
@@ -153,3 +158,46 @@ def test_prec_env_sets_default(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["prec"] == 3
+
+
+def test_verify_output_matches_golden(capsys):
+    # every line of the default suite, timings removed; a change to any
+    # verdict, instance or witness shows up here
+    code, out = run_cli(capsys, "verify", "--check", "all", "--json", "--seed", "1")
+    assert code == 0
+    lines = []
+    for line in out.splitlines():
+        report = json.loads(line)
+        del report["millis"]
+        lines.append(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    assert lines == GOLDEN_VERIFY.read_text().splitlines()
+
+
+def test_gp_both_without_precision_is_inconclusive(capsys):
+    # delta = 1 at prec 1: both sides are O(13^0), nothing is compared
+    code, out = run_cli(
+        capsys, "gp", "--alpha", "1/3,2/3", "--beta", "1/2,1/2", "--p", "13",
+        "--t", "2", "--prec", "1", "--route", "both", "--json",
+    )
+    assert code == 1
+    assert json.loads(out)["results"][0]["agree"] is None
+
+
+def test_verify_prints_inconclusive(capsys, monkeypatch):
+    report = CheckReport("gp_equals_hp", "instance", "inconclusive", {"prec": 1, "delta": 1})
+    monkeypatch.setattr(cli, "run_full_suite", lambda **kwargs: [report])
+    code, out = run_cli(capsys, "verify")
+    assert code == 1
+    assert out.startswith("INCONCLUSIVE gp_equals_hp")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hq", "--alpha", "abc", "--beta", "0", "--q", "5", "--t", "1"],
+    ["gauss", "--p", "5", "--f", "0", "--m", "1"],
+    ["verify", "--check", "fourier", "--prec-list", "a"],
+])
+def test_malformed_input_is_usage_error(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finhyp.errors import FieldTooLarge, NotPrime, NotSubfield, ZeroElement
-from finhyp.finfield import factorize, is_prime, make_field
+from finhyp.finfield import factorize, is_prime, make_field, prime_power
 
 
 def test_is_prime():
@@ -37,6 +37,14 @@ def test_f4_modulus_unique():
 def test_not_prime():
     with pytest.raises(NotPrime):
         make_field(4)
+
+
+def test_prime_power():
+    assert prime_power(7) == (7, 1)
+    assert prime_power(81) == (3, 4)
+    for q in (12, 1, 0):
+        with pytest.raises(NotPrime):
+            prime_power(q)
 
 
 def test_field_too_large():

@@ -11,8 +11,8 @@ from finhyp.charsums import (
     algebra_gauss_sum,
     algebra_norm_to_base,
 )
-from finhyp.cyclo import CycloNum
-from finhyp.errors import AssumptionFails, ZeroArgument
+from finhyp.cyclo import CycloNum, root_of_unity
+from finhyp.errors import AssumptionFails, NotPrime, ZeroArgument
 from finhyp.finfield import make_field
 from finhyp.hypergeometric import (
     HGAlgebraInstance,
@@ -216,6 +216,40 @@ def test_greene_factor_example():
     # alpha=(1/2), beta=(0), q=5: omega(-1)^0 * 5^-1 * g(2)g(0)/g(2) = -1/5
     gf = greene_factor(HGParams([F(1, 2)], [0]), 5)
     assert gf.as_rational() == F(-1, 5)
+
+
+def _greene_reference(params, q):
+    """The Jacobi-sum normalisation with a generic inverse of prod g(a_i - b_i)."""
+    field = make_field(q)
+    qbar = q - 1
+    a_exps = [int(qbar * x) for x in params.alpha]
+    b_exps = [int(qbar * x) for x in params.beta]
+    num = CycloNum.one(1)
+    den = CycloNum.one(1)
+    for a, b in zip(a_exps, b_exps):
+        num = num * _gauss_bruteforce(field, a) * _gauss_bruteforce(field, -b)
+        den = den * _gauss_bruteforce(field, a - b)
+    sign = root_of_unity(qbar, field.minus_one_dlog * sum(b_exps))
+    return sign * F(1, q**params.d) * num * den.inverse()
+
+
+@pytest.mark.parametrize("alpha,beta,q", [
+    ("1/8,3/8", "0,1/2", 17),
+    ("1/3,2/3", "1/2,1/2", 7),
+])
+def test_greene_factor_against_generic_inverse(alpha, beta, q):
+    params = HGParams.parse(alpha, beta)
+    assert greene_factor(params, q) == _greene_reference(params, q)
+
+
+def test_split_instance_is_cached():
+    params = HGParams.parse("1/4,3/4", "0,1/2")
+    assert split_instance(params, 5) is split_instance(params, 5)
+
+
+def test_non_prime_power_q():
+    with pytest.raises(NotPrime):
+        classic_sum(HGParams.parse("1/2", "0"), 12, 1)
 
 
 def test_greene_factor_modulus_is_power_of_q():

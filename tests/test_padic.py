@@ -202,6 +202,14 @@ def test_gamma_doubling_matches_bruteforce():
             assert gamma_p(r % mod, p, n, max_pn=mod).u == _gamma_bruteforce(r, p, n), (p, n, r)
 
 
+def test_gamma_every_residue_matches_bruteforce():
+    # every bit pattern of k = (r - 1) // p below 2^7, so every block offset
+    for p, n in ((2, 8), (3, 5), (7, 3)):
+        mod = p**n
+        for r in range(1, mod + 1):
+            assert gamma_p(r % mod, p, n, max_pn=mod).u == _gamma_bruteforce(r, p, n), (p, n, r)
+
+
 def test_gamma_identities_at_large_precision():
     p, n = 101, 20
     mod = p**n
@@ -227,6 +235,14 @@ def test_gamma_rejects_nonpositive_precision():
             gamma_p(2, 5, prec)
         with pytest.raises(BadPrecision):
             prefetch_gamma_p([2], 5, prec)
+
+
+def test_prefetch_returns_units_in_argument_order():
+    p, n = 5, 3
+    args = [7, 3, 7, F(1, 2), p**n]
+    residues = [7, 3, 7, pow(2, -1, p**n), p**n]
+    assert prefetch_gamma_p(args, p, n) == [_gamma_bruteforce(r, p, n) for r in residues]
+    assert prefetch_gamma_p([], p, n) == []
 
 
 # --------------------------------------------------------- Gauss sums
