@@ -60,28 +60,26 @@ def add_char(field, x, a=1):
 
 def gauss_sum(chi, a=1):
     """Exact Gauss sum of chi against the a-twisted trace character."""
-    return _gauss_table(chi.field, a % chi.field.p)[chi.e]
+    return _gauss_entry(chi.field, chi.e, a % chi.field.p)
+
+
+@lru_cache(maxsize=None)
+def _gauss_entry(field, e, a):
+    """One Gauss sum, computed on first use: an O(q) tally of root-of-unity
+    exponents and one reduction at conductor p(q-1)."""
+    p, qbar = field.p, field.q - 1
+    n = p * qbar
+    weights = {}
+    for j in range(qbar):
+        # zeta_(q-1)^(e j) * zeta_p^(a tr(g^j)) as a power of zeta_n
+        c = ((e * j % qbar) * p + (a * field.trace_of_unit(j) % p) * qbar) % n
+        weights[c] = weights.get(c, 0) + 1
+    return CycloNum.from_powers(n, weights)
 
 
 def gauss_product(chars, a=1):
     """Product of the Gauss sums of chars against the a-twisted trace."""
     return prod(gauss_sum(chi, a) for chi in chars)
-
-
-@lru_cache(maxsize=None)
-def _gauss_table(field, a):
-    """All Gauss sums g(m), m = 0..q-2, for one field and twist."""
-    p, qbar = field.p, field.q - 1
-    n = p * qbar
-    table = []
-    for m in range(qbar):
-        weights = {}
-        for j in range(qbar):
-            # zeta_(q-1)^(m j) * zeta_p^(a tr(g^j)) as a power of zeta_n
-            c = ((m * j % qbar) * p + (a * field.trace_of_unit(j) % p) * qbar) % n
-            weights[c] = weights.get(c, 0) + 1
-        table.append(CycloNum.from_powers(n, weights))
-    return table
 
 
 # --------------------------------------------------------------- algebras

@@ -252,8 +252,9 @@ def cmd_verify(args):
             if r.witness:
                 print(f"  witness: {json.dumps(r.witness)[:400]}")
     if not args.as_json:
-        n_bad = sum(1 for r in reports if not r.passed)
-        print(f"{len(reports)} checks, {n_bad} failures")
+        n_inconclusive = sum(1 for r in reports if r.verdict == "inconclusive")
+        n_bad = sum(1 for r in reports if not r.passed) - n_inconclusive
+        print(f"{len(reports)} checks, {n_bad} failures, {n_inconclusive} inconclusive")
     return 0 if ok else CHECK_FAILURE
 
 
@@ -276,8 +277,7 @@ def main(argv=None):
         print(f"resource bound: {e}", file=sys.stderr)
         return RESOURCE_ERROR
     except (FinHypError, ValueError) as e:
-        # ValueError: a malformed value that a constructor or int() rejected
-        # (a fraction, a field degree, a precision list)
+        # ValueError: int() rejected a --prec-list item
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

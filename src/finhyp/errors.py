@@ -5,6 +5,10 @@ class FinHypError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class MalformedValue(FinHypError):
+    """A value is not well formed, such as a fraction "1/0" or a degree 0."""
+
+
 class LengthMismatch(FinHypError):
     """Parameter lists have different lengths or are empty."""
 

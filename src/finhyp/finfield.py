@@ -16,6 +16,7 @@ from math import gcd
 
 from .errors import (
     FieldTooLarge,
+    MalformedValue,
     NotPrime,
     NotSubfield,
     ZeroElement,
@@ -459,7 +460,7 @@ def make_field(p, f=1, max_size=DEFAULT_MAX_FIELD):
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if f < 1:
-        raise ValueError("extension degree must be positive")
+        raise MalformedValue(f"extension degree must be positive, not {f}")
     if p**f > max_size:
         raise FieldTooLarge(f"p^f = {p**f} exceeds the bound {max_size}")
     return _make_field_cached(p, f)

@@ -17,7 +17,8 @@ representatives of x and 1 - x in [1, p^N] (of x alone for p = 2).
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from .cyclo import CycloNum
 from .errors import (
@@ -502,15 +503,19 @@ class PiExp:
         return f"pi^({self.e}) * ({self.u} mod {self.p}^{self.prec})"
 
 
+def _orbit_fractions(p, f, m):
+    """The Frobenius orbit {p^i m/(q-1)}, i < f, of exponent m over F_{p^f}."""
+    qbar = p**f - 1
+    return [Fraction((p**i * m) % qbar, qbar) for i in range(f)]
+
+
 def gauss_sum_padic(p, f, m, prec, max_pn=None):
     """The Gauss sum over F_{p^f} with character exponent m, evaluated
     p-adically: minus the product over the Frobenius orbit of
     pi^((p-1){p^i m/(q-1)}) * Gamma_p({p^i m/(q-1)})."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    q = p**f
-    qbar = q - 1
-    fracs = [Fraction((p**i * m) % qbar, qbar) for i in range(f)]
+    fracs = _orbit_fractions(p, f, m)
     u = math.prod(prefetch_gamma_p(fracs, p, prec, max_pn))
     return PiExp(p, prec, (p - 1) * sum(fracs), -u)
 
@@ -587,44 +592,30 @@ def padic_sum_direct(params, p, t, prec, max_pn=None):
 def padic_sum_via_orbits(params, p, t, prec, max_pn=None):
     """The same sum assembled from Gauss sums over the orbit fields.
 
-    The pi-exponent of every series coefficient must cancel to
-    (p-1) * Lambda(m); any other outcome is raised loudly.
+    Row m < p-1 holds one Gauss sum over F_{p^l} per p-orbit of length l,
+    at exponent sgn * (rep + m/(p-1)) * (p^l - 1), sgn = -1 on beta; row 0
+    is the denominator.  The pi-exponent of every coefficient must cancel
+    to (p-1) * Lambda(m); any other outcome is raised loudly.
     """
     tt = _validate_args(params, p, t)
     if not params.splits_at(p):
         raise DoesNotSplit(f"multiplication by {p} does not fix the parameters")
     alpha_orbits, beta_orbits = params.p_orbits(p)
-
-    specs = []
-    for o in alpha_orbits:
-        q_i = p**o.length
-        specs.append((o.length, int(o.rep * (q_i - 1)), (q_i - 1) // (p - 1), 1))
-    for o in beta_orbits:
-        q_i = p**o.length
-        specs.append((o.length, int(o.rep * (q_i - 1)), (q_i - 1) // (p - 1), -1))
-
-    fracs = []
-    for m in range(p - 1):
-        for ln, base_e, step, sgn in specs:
-            qbar_i = p**ln - 1
-            for i in range(ln):
-                fracs.append(
-                    Fraction((p**i * sgn * (base_e + step * m)) % qbar_i, qbar_i)
-                )
+    specs = []  # (l, e, step) with row m's exponent e + m * step
+    for orbits, sgn in ((alpha_orbits, 1), (beta_orbits, -1)):
+        for o in orbits:
+            qbar = p**o.length - 1
+            specs.append((o.length, sgn * int(o.rep * qbar), sgn * (qbar // (p - 1))))
+    rows = [[(ln, e + m * step) for ln, e, step in specs] for m in range(p - 1)]
+    # one batch of Gamma_p values, so the cap is checked before any work
+    fracs = [x for row in rows for ln, e in row for x in _orbit_fractions(p, ln, e)]
     prefetch_gamma_p(fracs, p, prec, max_pn)
-
-    den = None
-    for ln, base_e, step, sgn in specs:
-        g = gauss_sum_padic(p, ln, sgn * base_e, prec, max_pn)
-        den = g if den is None else den * g
+    prods = [reduce(mul, (gauss_sum_padic(p, ln, e, prec, max_pn) for ln, e in row))
+             for row in rows]
 
     unit_terms = []
     for m, lam in enumerate(_term_exponents(params, p)):
-        num = None
-        for ln, base_e, step, sgn in specs:
-            g = gauss_sum_padic(p, ln, sgn * (base_e + step * m), prec, max_pn)
-            num = g if num is None else num * g
-        coeff = num / den
+        coeff = prods[m] / prods[0]
         if coeff.e != (p - 1) * lam:
             if (coeff.e / (p - 1)).denominator != 1:
                 raise ExponentNotIntegral(

@@ -15,6 +15,7 @@ from .errors import (
     DoesNotSplit,
     InternalInconsistency,
     LengthMismatch,
+    MalformedValue,
     NotCoprime,
     NotDisjointModZ,
 )
@@ -25,7 +26,10 @@ def parse_fraction_list(text):
     items = [s.strip() for s in text.split(",") if s.strip()]
     if not items:
         raise LengthMismatch("empty parameter list")
-    return [Fraction(s) for s in items]
+    try:
+        return [Fraction(s) for s in items]
+    except (ValueError, ZeroDivisionError):
+        raise MalformedValue(f"not a list of fractions: {text!r}") from None
 
 
 @dataclass(frozen=True)

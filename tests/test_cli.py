@@ -189,10 +189,12 @@ def test_verify_prints_inconclusive(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify")
     assert code == 1
     assert out.startswith("INCONCLUSIVE gp_equals_hp")
+    assert out.splitlines()[-1] == "1 checks, 0 failures, 1 inconclusive"
 
 
 @pytest.mark.parametrize("argv", [
     ["hq", "--alpha", "abc", "--beta", "0", "--q", "5", "--t", "1"],
+    ["hq", "--alpha", "1/0", "--beta", "0", "--q", "5", "--t", "1"],
     ["gauss", "--p", "5", "--f", "0", "--m", "1"],
     ["verify", "--check", "fourier", "--prec-list", "a"],
 ])

@@ -7,9 +7,11 @@ from finhyp.charsums import (
     AlgebraChar,
     MultChar,
     SemisimpleAlgebra,
+    _gauss_entry,
     add_char,
     algebra_gauss_sum,
     algebra_norm_to_base,
+    gauss_sum,
 )
 from finhyp.cyclo import CycloNum, root_of_unity
 from finhyp.errors import AssumptionFails, NotPrime, ZeroArgument
@@ -24,6 +26,7 @@ from finhyp.hypergeometric import (
     orbit_instance,
     split_instance,
 )
+from finhyp.padic import PadicNum, padic_sum_direct
 from finhyp.params import HGParams
 
 F = Fraction
@@ -174,6 +177,21 @@ def test_orbits_structure():
     assert inst2.chiA.exponents == (2, 2)
 
 
+def test_orbit_instance_with_degree_four_component():
+    # 5 does not divide 6: the algebra A is F_{7^4}, and no split instance exists
+    params = HGParams([F(1, 5), F(2, 5), F(3, 5), F(4, 5)], [0, 0, 0, 0])
+    inst = orbit_instance(params, 7)
+    assert params.denominator_exponent() == 0
+    computed = _gauss_entry.cache_info().misses
+    for t, expected in zip(range(1, 7), (-1, -10, -5, 35, 5, -25)):
+        direct = algebra_sum_direct(inst, t)
+        assert direct == algebra_sum_fourier(inst, t) == expected
+        padic = padic_sum_direct(params, 7, t, 8)
+        assert padic.eq_mod(PadicNum.from_rational(expected, 7, 8), 8)
+    # one sum per character used, never a whole table of 2400
+    assert _gauss_entry.cache_info().misses - computed < 50
+
+
 def test_orbit_representative_swap_changes_nothing():
     # replacing the representative by p times it is a Frobenius twist
     params = HGParams([F(1, 8), F(3, 8)], [0, 0])
@@ -199,15 +217,12 @@ def test_values_descend_to_omega_field():
 def test_katz_identity():
     params = HGParams([F(1, 2), F(1, 2)], [0, 0])
     q = 13
-    from finhyp.charsums import _gauss_table
-
     field = make_field(13)
-    table = _gauss_table(field, 1)
     prod = CycloNum.one(1)
     for a in params.alpha:
-        prod = prod * table[int(12 * a) % 12]
+        prod = prod * gauss_sum(MultChar(field, int(12 * a)))
     for b in params.beta:
-        prod = prod * table[(-int(12 * b)) % 12]
+        prod = prod * gauss_sum(MultChar(field, -int(12 * b)))
     for t in (2, 7):
         assert katz_unnormalized(params, q, t) == classic_sum(params, q, t) * prod
 

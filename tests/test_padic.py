@@ -21,6 +21,7 @@ from finhyp.hypergeometric import classic_sum
 from finhyp.padic import (
     PadicNum,
     PiExp,
+    _gamma_cache,
     embed_cyclotomic,
     gamma_p,
     gauss_sum_padic,
@@ -326,6 +327,21 @@ def test_orbit_route_matches_direct():
         d = padic_sum_direct(params, 7, t, 6)
         o = padic_sum_via_orbits(params, 7, t, 6)
         assert d.eq_mod(o, 6 - delta)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    ([F(1, 3), F(2, 3)], [0, 0]),
+    # the first Gauss sum of row 0 (exponent 0) is within the cap on its own
+    ([0, F(1, 2)], [F(1, 3), F(2, 3)]),
+])
+def test_orbit_route_checks_cap_before_work(alpha, beta):
+    def cached():
+        return {key: len(values) for key, values in _gamma_cache.items() if values}
+
+    before = cached()
+    with pytest.raises(BoundExceeded):
+        padic_sum_via_orbits(HGParams(alpha, beta), 13, 2, 9, max_pn=10)
+    assert cached() == before
 
 
 def test_orbit_route_with_denominators():

@@ -4,7 +4,14 @@ from math import floor, gcd, lcm
 import pytest
 
 from finhyp.cyclo import root_of_unity
-from finhyp.errors import DoesNotSplit, LengthMismatch, NotCoprime, NotDisjointModZ
+from finhyp.errors import (
+    DoesNotSplit,
+    FinHypError,
+    LengthMismatch,
+    NotCoprime,
+    NotDisjointModZ,
+)
+from finhyp.finfield import make_field
 from finhyp.params import HGParams, parse_fraction_list
 
 F = Fraction
@@ -36,6 +43,16 @@ def test_parse():
     assert p.alpha == (F(1, 5), F(2, 5), F(3, 5), F(4, 5))
     assert p.beta == (F(0), F(0), F(0), F(1, 2))
     assert parse_fraction_list("3/4, 1") == [F(3, 4), F(1)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: parse_fraction_list("abc"),
+    lambda: parse_fraction_list("1/0"),
+    lambda: make_field(5, 0),
+])
+def test_malformed_values_raise_typed_error(call):
+    with pytest.raises(FinHypError):
+        call()
 
 
 def test_common_denominator():
