@@ -14,8 +14,8 @@ import sys
 
 from .charsums import MultChar, gauss_sum
 from .checks import CHECK_NAMES, run_full_suite
-from .errors import BadPrecision, BoundExceeded, FieldTooLarge, FinHypError
-from .finfield import make_field, prime_power
+from .errors import BadPrecision, BoundExceeded, FieldTooLarge, FinHypError, NotPrime
+from .finfield import is_prime, make_field, prime_power
 from .hypergeometric import (
     algebra_sum_direct,
     algebra_sum_fourier,
@@ -33,15 +33,14 @@ CHECK_FAILURE = 1
 RESOURCE_ERROR = 3
 
 
-def _precision(arg):
-    """--prec if given, else FINHYP_PREC, else 6; a positive integer."""
-    raw = os.environ.get("FINHYP_PREC", "6") if arg is None else arg
+def _precision(raw, source):
+    """raw, read from `source`, as a positive integer precision."""
     try:
         prec = int(raw)
     except ValueError:
-        raise BadPrecision(f"FINHYP_PREC must be an integer, not {raw!r}") from None
+        raise BadPrecision(f"{source}: precision must be an integer, not {raw!r}") from None
     if prec < 1:
-        raise BadPrecision(f"precision must be a positive integer, not {prec}")
+        raise BadPrecision(f"{source}: precision must be a positive integer, not {prec}")
     return prec
 
 
@@ -62,7 +61,6 @@ def _build_parser():
     sp.add_argument("--t", type=int, help="argument, as a base-p digit code")
     sp.add_argument("--all-t", action="store_true")
     sp.add_argument("--algebra", choices=["split", "orbits"])
-    sp.add_argument("--p", type=int, help="prime for --algebra orbits")
     add_json(sp)
 
     sp = sub.add_parser("gp", help="p-adic hypergeometric sum")
@@ -148,7 +146,7 @@ def cmd_hq(args):
         inst = split_instance(args.params, args.q)
         values = (algebra_sum_direct(inst, field.elem(t)) for t in ts)
     elif args.algebra == "orbits":
-        inst = orbit_instance(args.params, args.p or args.q)
+        inst = orbit_instance(args.params, args.q)
         values = (algebra_sum_fourier(inst, inst.base.elem(t)) for t in ts)
     else:
         values = (classic_sum(args.params, args.q, field.elem(t)) for t in ts)
@@ -218,8 +216,10 @@ def cmd_delta(args):
         "delta": params.denominator_exponent(),
         "Delta": params.global_denominator_exponent(),
     }
-    if args.p:
+    if args.p is not None:
         p = args.p
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
         payload["p"] = p
         payload["splits"] = params.splits_at(p)
         if d % p != 0:
@@ -237,7 +237,7 @@ def cmd_delta(args):
 
 
 def cmd_verify(args):
-    prec_list = tuple(int(s) for s in args.prec_list.split(",") if s)
+    prec_list = tuple(_precision(s, "--prec-list") for s in args.prec_list.split(","))
     reports = run_full_suite(
         max_q=args.max_q, max_p=args.max_p, prec_list=prec_list,
         seed=args.seed, checks=[args.check],
@@ -264,7 +264,10 @@ def main(argv=None):
         if hasattr(args, "alpha"):
             args.params = HGParams.parse(args.alpha, args.beta)
         if hasattr(args, "prec"):
-            args.prec = _precision(args.prec)
+            if args.prec is None:
+                args.prec = _precision(os.environ.get("FINHYP_PREC", "6"), "FINHYP_PREC")
+            else:
+                args.prec = _precision(args.prec, "--prec")
         handler = {
             "hq": cmd_hq,
             "gp": cmd_gp,
@@ -277,7 +280,7 @@ def main(argv=None):
         print(f"resource bound: {e}", file=sys.stderr)
         return RESOURCE_ERROR
     except (FinHypError, ValueError) as e:
-        # ValueError: int() rejected a --prec-list item
+        # ValueError: an input the library rejects without a typed error
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -351,44 +351,32 @@ class CycloNum:
         return self.galois(self.conductor - 1)
 
     def is_in_subfield(self, conductor):
-        """Re-express over Q(zeta_M) for M | N, or None if not possible.
+        """The element of Q(zeta_M), M = conductor, equal to self, or None.
 
-        Solves the linear system expressing the element in the embedded
-        power basis of the subfield; solvability is exactly membership.
+        Any M is allowed: Q(zeta_N) meets Q(zeta_M) in Q(zeta_g), g = gcd(N, M).
+        Split N = a*b with a the part of N on the primes of g, so that b is
+        coprime to a and z_N = z_a^s * z_b^r for s = 1/b mod a, r = 1/a mod b.
+        In reduced coordinates over the basis z_a^i * z_b^j the element lies
+        in Q(zeta_a) iff every row j >= 1 vanishes; as Phi_a(x) =
+        Phi_g(x^(a/g)), row 0 lies in Q(zeta_g) iff it vanishes off the
+        multiples of a/g, and those entries are its coordinates there.
         """
         n = self.conductor
-        if n % conductor != 0:
-            raise NotDivisor(f"{conductor} does not divide {n}")
-        if conductor == n:
-            return self
-        sub_degree = _structure(conductor)[0]
-        step = n // conductor
-        cols = [_scatter(n, [(j * step, 1)]) for j in range(sub_degree)]
-        # Gaussian elimination on the (phi(N) x phi(M)) system.
-        rows = len(self.num)
-        mat = [[Fraction(cols[c][r]) for c in range(sub_degree)]
-               + [Fraction(self.num[r], self.den)] for r in range(rows)]
-        piv_cols = []
-        r = 0
-        for c in range(sub_degree):
-            piv = next((i for i in range(r, rows) if mat[i][c] != 0), None)
-            if piv is None:
-                continue
-            mat[r], mat[piv] = mat[piv], mat[r]
-            inv = _ONE / mat[r][c]
-            mat[r] = [v * inv for v in mat[r]]
-            for i in range(rows):
-                if i != r and mat[i][c] != 0:
-                    f = mat[i][c]
-                    mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
-            piv_cols.append(c)
-            r += 1
-        if any(row[-1] != 0 for row in mat[r:]):
+        g = a = gcd(n, conductor)
+        while (c := gcd(n // a, a)) > 1:
+            a *= c
+        b = n // a
+        s, r = pow(b, -1, a), pow(a, -1, b)
+        cols = [[0] * b for _ in range(a)]
+        for e, x in enumerate(self.num):
+            if x:
+                cols[e * s % a][e * r % b] += x
+        cols = [_reduce(b, col) for col in cols]
+        rows = [_reduce(a, list(row)) for row in zip(*cols)]
+        step = a // g
+        if any(map(any, rows[1:])) or any(x for i, x in enumerate(rows[0]) if i % step):
             return None
-        sol = [_ZERO] * sub_degree
-        for i, c in enumerate(piv_cols):
-            sol[c] = mat[i][-1]
-        return CycloNum(conductor, sol)
+        return _make(g, rows[0][::step], self.den).embed(conductor)
 
     # ------------------------------------------------------------------- io
 

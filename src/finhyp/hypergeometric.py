@@ -67,11 +67,9 @@ class HGAlgebraInstance:
 
 
 def _check_assumption(params, q):
-    for x in params.alpha + params.beta:
-        if ((q - 1) * x).denominator != 1:
-            raise AssumptionFails(
-                f"q-1 = {q - 1} is not divisible by the denominator of {x}"
-            )
+    d = params.common_denominator()
+    if (q - 1) % d != 0:
+        raise AssumptionFails(f"q-1 = {q - 1} is not divisible by the denominator {d}")
 
 
 def _unit_arg(field, t):
@@ -246,23 +244,20 @@ def split_instance(params, q):
     return HGAlgebraInstance(A, B, chiA, chiB)
 
 
-def orbit_instance(params, p, max_size=None):
+def orbit_instance(params, p):
     """Algebras assembled from the orbits of multiplication by p.
 
     Each orbit of length l contributes one component F_{p^l} whose
     character exponent is rep * (p^l - 1); that exponent is an integer
     precisely because l is the orbit length.
     """
-    from .finfield import DEFAULT_MAX_FIELD
-
-    max_size = max_size or DEFAULT_MAX_FIELD
-    alpha_orbits, beta_orbits = params.p_orbits(p)
     base = make_field(p)
+    alpha_orbits, beta_orbits = params.p_orbits(p)
 
     def build(orbits):
         comps, exps = [], []
         for o in orbits:
-            comp = make_field(p, o.length, max_size=max_size)
+            comp = make_field(p, o.length)
             comps.append(comp)
             e = o.rep * (comp.q - 1)
             assert e.denominator == 1

@@ -631,7 +631,7 @@ def padic_sum_via_orbits(params, p, t, prec, max_pn=None):
 # ------------------------------------------------------------- embeddings
 
 
-def embed_cyclotomic(value, p, prec, generator=None):
+def embed_cyclotomic(value, p, prec):
     """Image of a Q(zeta_M) element in Z_p, M | p-1, sending the root of
     unity attached to the field generator g to teichmuller(g)^(-1).
 
@@ -644,9 +644,7 @@ def embed_cyclotomic(value, p, prec, generator=None):
     m = value.conductor
     if (p - 1) % m != 0:
         raise ConductorNotDividing(f"conductor {m} does not divide {p - 1}")
-    if generator is None:
-        generator = make_field(p).generator.to_int()
-    g = generator if isinstance(generator, int) else generator.to_int()
+    g = make_field(p).generator.to_int()
     guard = 0
     for c in value.coeffs:
         den = c.denominator

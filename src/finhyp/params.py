@@ -93,18 +93,14 @@ class HGParams:
     def stabilizer(self):
         """Sorted residues k mod D with (k*alpha, k*beta) = (alpha, beta)."""
         dd = self.common_denominator()
-        out = []
-        for k in range(1, dd + 1):
-            if gcd(k, dd) == 1 and self.conjugate(k) == self:
-                out.append(k % dd if dd > 1 else 1)
-        return tuple(sorted(set(out)))
+        return tuple(
+            k for k in range(1, dd + 1) if gcd(k, dd) == 1 and self.conjugate(k) == self
+        )
 
     def is_defined_over_q(self):
+        """Whether the stabilizer is all of (Z/D)^x."""
         dd = self.common_denominator()
-        full = tuple(k for k in range(1, dd + 1) if gcd(k, dd) == 1)
-        if dd == 1:
-            full = (1,)
-        return self.stabilizer() == tuple(sorted(k % dd if dd > 1 else 1 for k in full))
+        return len(self.stabilizer()) == sum(1 for k in range(1, dd + 1) if gcd(k, dd) == 1)
 
     def splits_at(self, p):
         """Whether multiplication by p fixes both multisets mod Z."""
@@ -115,9 +111,7 @@ class HGParams:
 
     def term_exponent(self, p, m):
         """Integer exponent of -p carried by the m-th series term."""
-        x = Fraction(m, p - 1)
-        return (sum(floor(a) - floor(a + x) for a in self.alpha)
-                + sum(floor(-b) - floor(-b - x) for b in self.beta))
+        return -self._drop(Fraction(m, p - 1))
 
     def _drop(self, x):
         """Step function whose maximum over [0, 1] is the denominator exponent."""

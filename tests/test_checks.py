@@ -91,6 +91,12 @@ def test_fixed_field_check_and_control():
     assert r2.passed
 
 
+def test_fixed_field_with_degree_four_component():
+    # 5 does not divide 7 - 1: the values come from the F_{7^4} orbit instance
+    r = check_fixed_field(HGParams.parse("1/5,2/5,3/5,4/5", "0,0,0,0"), 7)
+    assert r.passed
+
+
 def test_fixed_field_negative_control_fires(monkeypatch):
     # if values were rational for a pair with K != Q the check must fail
     import finhyp.hypergeometric as hg

@@ -7,6 +7,8 @@ import finhyp.cli as cli
 from finhyp.checks import CheckReport
 from finhyp.cli import main
 from finhyp.cyclo import CycloNum
+from finhyp.hypergeometric import algebra_sum_fourier, orbit_instance
+from finhyp.params import HGParams
 
 GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_seed1.jsonl"
 
@@ -48,6 +50,18 @@ def test_hq_split_agrees_with_classic(capsys):
     code2, out2 = run_cli(capsys, *base, "--algebra", "split")
     assert code1 == code2 == 0
     assert json.loads(out1)["results"] == json.loads(out2)["results"]
+
+
+def test_hq_orbits_sums_over_f_q(capsys):
+    code, out = run_cli(
+        capsys, "hq", "--alpha", "1/2,1/2", "--beta", "0,0", "--q", "7",
+        "--algebra", "orbits", "--t", "3", "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    expected = algebra_sum_fourier(orbit_instance(HGParams.parse("1/2,1/2", "0,0"), 7), 3)
+    assert payload["q"] == 7
+    assert CycloNum.from_json(payload["results"][0]["value"]) == expected
 
 
 def test_byte_identical_output(capsys):
@@ -197,6 +211,13 @@ def test_verify_prints_inconclusive(capsys, monkeypatch):
     ["hq", "--alpha", "1/0", "--beta", "0", "--q", "5", "--t", "1"],
     ["gauss", "--p", "5", "--f", "0", "--m", "1"],
     ["verify", "--check", "fourier", "--prec-list", "a"],
+    ["verify", "--check", "fourier", "--prec-list", ","],
+    ["verify", "--check", "gp_equals_hp", "--prec-list", "0"],
+    ["delta", "--alpha", "1/2", "--beta", "0", "--p", "4"],
+    ["delta", "--alpha", "1/2", "--beta", "0", "--p", "1"],
+    ["delta", "--alpha", "1/2", "--beta", "0", "--p", "-5"],
+    ["hq", "--alpha", "1/2,1/2", "--beta", "0,0", "--q", "9", "--algebra", "orbits",
+     "--t", "1"],
 ])
 def test_malformed_input_is_usage_error(capsys, argv):
     code = main(argv)

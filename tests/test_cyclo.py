@@ -68,11 +68,27 @@ def test_galois_and_conj():
         root_of_unity(6, 1).galois(3)
 
 
+def _same(x, y):
+    """Equal as written: the same conductor and the same coordinates."""
+    return (x.conductor, x.num, x.den) == (y.conductor, y.num, y.den)
+
+
 def test_subfield_membership():
     assert root_of_unity(15, 5).is_in_subfield(3) == root_of_unity(3, 1)
     assert root_of_unity(15, 1).is_in_subfield(3) is None
     w = root_of_unity(15, 3) + root_of_unity(15, 12)
     assert w.is_in_subfield(5) == root_of_unity(5, 1) + root_of_unity(5, 4)
+    # M need not divide N: the answer is the element of Q(zeta_M) itself
+    assert _same(root_of_unity(15, 5).is_in_subfield(6), root_of_unity(6, 2))
+    assert root_of_unity(15, 1).is_in_subfield(6) is None
+    assert _same(root_of_unity(3, 1).is_in_subfield(6), root_of_unity(6, 2))
+    x = root_of_unity(12, 1) + Fraction(2, 3)
+    assert _same(x.is_in_subfield(12), x)
+    assert x.is_in_subfield(1) is None
+    s = sum((root_of_unity(5, k) for k in range(1, 5)), CycloNum.zero(5))
+    assert _same(s.is_in_subfield(1), CycloNum.from_rational(-1))
+    r = CycloNum.from_rational(Fraction(3, 2))
+    assert _same(r.is_in_subfield(7), CycloNum.from_rational(Fraction(3, 2), 7))
 
 
 def test_division_by_zero():
@@ -149,6 +165,38 @@ def test_rational_detection():
     s = z + z.galois(2) + z.galois(3) + z.galois(4)
     assert s.as_rational() == -1
     assert z.as_rational() is None
+
+
+SUBFIELD_PAIRS = [(15, 6), (3, 6), (12, 12), (12, 1), (1, 7), (60, 18), (36, 8),
+                  (30, 20), (45, 15), (8, 4), (84, 63), (40, 50)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SUBFIELD_PAIRS).flatmap(
+    lambda nm: st.tuples(st.just(nm), _elements(gcd(*nm), 20, 6))
+))
+def test_subfield_recovers_embedded_element(case):
+    # Q(zeta_N) meets Q(zeta_M) in Q(zeta_g), g = gcd(N, M)
+    (n, m), y = case
+    assert _same(y.embed(n).is_in_subfield(m), y.embed(m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SUBFIELD_PAIRS).flatmap(
+    lambda nm: st.tuples(
+        st.just(nm),
+        st.sampled_from([h for h in range(1, nm[0] + 1) if nm[0] % h == 0]).flatmap(
+            lambda h: _elements(h, 20, 6)
+        ),
+    )
+))
+def test_subfield_membership_is_the_fixed_field(case):
+    # x lies in Q(zeta_g) iff every z -> z^k with k = 1 mod g fixes it
+    (n, m), x = case
+    x = x.embed(n)
+    g = gcd(n, m)
+    fixed = all(x.galois(k) == x for k in range(1, n + 1, g) if gcd(k, n) == 1)
+    assert (x.is_in_subfield(m) is None) == (not fixed)
 
 
 # ------------------------------------------- dense schoolbook reference
