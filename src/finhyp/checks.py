@@ -225,7 +225,7 @@ def check_fixed_field(params, p, ts=None):
     return _report("fixed_field", f"{params!r} p={p} stabilizer={sorted(stab)}", start, failures)
 
 
-def check_gp_equals_hp(params, p, ts=None, prec=6, max_pn=None):
+def check_gp_equals_hp(params, p, ts=None, prec=6):
     """p-adic sum against the embedded complex sum, or against the orbit
     route when the divisibility assumption fails at q = p.  Both sides are
     known modulo p^(prec - delta); at prec <= delta that says nothing and
@@ -242,7 +242,7 @@ def check_gp_equals_hp(params, p, ts=None, prec=6, max_pn=None):
     ts = list(ts) if ts is not None else list(range(1, p))
     failures = []
     for t in ts:
-        gp = padic_sum_direct(params, p, t, prec, max_pn)
+        gp = padic_sum_direct(params, p, t, prec)
         if assumption:
             v = classic_sum(params, p, t).is_in_subfield(p - 1)
             if v is None:
@@ -250,26 +250,26 @@ def check_gp_equals_hp(params, p, ts=None, prec=6, max_pn=None):
                 continue
             other = embed_cyclotomic(v, p, prec)
         else:
-            other = padic_sum_via_orbits(params, p, t, prec, max_pn)
+            other = padic_sum_via_orbits(params, p, t, prec)
         if not gp.eq_mod(other, k):
             failures.append({"t": t, "direct": repr(gp), "other": repr(other)})
     return _report("gp_equals_hp", instance, start, failures)
 
 
-def check_integrality_delta(params, p, ts=None, prec=6, max_pn=None):
+def check_integrality_delta(params, p, ts=None, prec=6):
     """p^delta times the p-adic sum is provably a p-adic integer."""
     start = time.perf_counter()
     delta = params.denominator_exponent()
     ts = list(ts) if ts is not None else list(range(1, p))
     failures = []
     for t in ts:
-        v = padic_sum_direct(params, p, t, prec, max_pn)
+        v = padic_sum_direct(params, p, t, prec)
         if v.valuation_lower_bound() < -delta:
             failures.append({"t": t, "valuation": v.valuation, "delta": delta})
     return _report("integrality_delta", f"{params!r} p={p} delta={delta}", start, failures)
 
 
-def check_main_theorem(params, p, t, prec_list=(6, 8), max_pn=None):
+def check_main_theorem(params, p, t, prec_list=(6, 8)):
     """Certificate that p^Delta times the sum is an algebraic integer:
     the characteristic polynomial over the stabilizer cosets has integer
     coefficient lifts that are stable across working precisions."""
@@ -290,9 +290,9 @@ def check_main_theorem(params, p, t, prec_list=(6, 8), max_pn=None):
     lifts_per_prec = {}
     for prec in prec_list:
         args = [x for pk in conj_params for row in gamma_args(pk, p) for x in row]
-        prefetch_gamma_p(args, p, prec, max_pn)
+        prefetch_gamma_p(args, p, prec)
         roots = [
-            PadicNum.from_rational(p**cap, p, prec) * padic_sum_direct(pk, p, t, prec, max_pn)
+            PadicNum.from_rational(p**cap, p, prec) * padic_sum_direct(pk, p, t, prec)
             for pk in conj_params
         ]
         poly = [PadicNum.from_rational(1, p, prec)]
@@ -409,8 +409,6 @@ def run_full_suite(max_q=9, max_p=13, prec_list=(6, 8), seed=1, checks=None):
     def due(name):
         return want is None or name in want
 
-    max_pn = max(max_p ** max(max(prec_list), 6), 10**7)
-
     if due("fourier"):
         for q in (3, 5, 7, 9):
             if q > max_q:
@@ -446,40 +444,27 @@ def run_full_suite(max_q=9, max_p=13, prec_list=(6, 8), seed=1, checks=None):
         for params in fixed_params():
             for p in (5, 13):
                 if p <= max_p and (p - 1) % params.common_denominator() == 0:
-                    reports.append(
-                        check_gp_equals_hp(params, p, prec=min(prec_list), max_pn=max_pn)
-                    )
+                    reports.append(check_gp_equals_hp(params, p, prec=min(prec_list)))
         if max_p >= 7:
-            reports.append(
-                check_gp_equals_hp(
-                    HGParams.parse("1/5,2/5,3/5,4/5", "0,0,0,0"), 7,
-                    prec=min(prec_list), max_pn=max_pn,
-                )
-            )
+            reports.append(check_gp_equals_hp(
+                HGParams.parse("1/5,2/5,3/5,4/5", "0,0,0,0"), 7, prec=min(prec_list)
+            ))
     if due("integrality_delta"):
         for _ in range(10):
             p = rng.choice([p for p in (3, 5, 7, 11, 13) if p <= max_p] or [3])
             params = random_params(rng)
             while params.common_denominator() % p == 0:
                 params = random_params(rng)
-            reports.append(
-                check_integrality_delta(params, p, ts=[1, 2], prec=4, max_pn=max_pn)
-            )
+            reports.append(check_integrality_delta(params, p, ts=[1, 2], prec=4))
     if due("main_theorem"):
         if max_p >= 11:
-            reports.append(
-                check_main_theorem(
-                    HGParams.parse("1/5,4/5", "0,0"), 11, 1,
-                    prec_list=prec_list, max_pn=max_pn,
-                )
-            )
+            reports.append(check_main_theorem(
+                HGParams.parse("1/5,4/5", "0,0"), 11, 1, prec_list=prec_list
+            ))
         if max_p >= 13:
-            reports.append(
-                check_main_theorem(
-                    HGParams.parse("1/2,1/2", "0,0"), 13, 2,
-                    prec_list=prec_list, max_pn=max_pn,
-                )
-            )
+            reports.append(check_main_theorem(
+                HGParams.parse("1/2,1/2", "0,0"), 13, 2, prec_list=prec_list
+            ))
     return reports
 
 

@@ -70,7 +70,6 @@ def _build_parser():
     sp.add_argument("--all-t", action="store_true")
     sp.add_argument("--prec", type=int)
     sp.add_argument("--route", choices=["direct", "algebra", "both"], default="direct")
-    sp.add_argument("--max-pn", type=int)
     add_json(sp)
 
     sp = sub.add_parser("gauss", help="Gauss sums, exact and via p-adic Gamma")
@@ -78,7 +77,6 @@ def _build_parser():
     sp.add_argument("--f", type=int, default=1)
     sp.add_argument("--m", type=int, required=True, help="character exponent")
     sp.add_argument("--prec", type=int)
-    sp.add_argument("--max-pn", type=int)
     add_json(sp)
 
     sp = sub.add_parser("delta", help="parameter combinatorics report")
@@ -162,10 +160,10 @@ def cmd_gp(args):
     for t in _t_values(args, make_field(args.p)):
         entry = {"t": t}
         if args.route in ("direct", "both"):
-            v = padic_sum_direct(args.params, args.p, t, args.prec, args.max_pn)
+            v = padic_sum_direct(args.params, args.p, t, args.prec)
             entry["direct"] = v.to_json() | {"expansion": repr(v)}
         if args.route in ("algebra", "both"):
-            w = padic_sum_via_orbits(args.params, args.p, t, args.prec, args.max_pn)
+            w = padic_sum_via_orbits(args.params, args.p, t, args.prec)
             entry["algebra"] = w.to_json() | {"expansion": repr(w)}
         if args.route == "both":
             # at prec <= delta both sides are O(p^0): nothing to compare
@@ -185,7 +183,7 @@ def cmd_gp(args):
 def cmd_gauss(args):
     field = make_field(args.p, args.f)
     exact = gauss_sum(MultChar(field, args.m))
-    pi = gauss_sum_padic(args.p, args.f, args.m, args.prec, args.max_pn)
+    pi = gauss_sum_padic(args.p, args.f, args.m, args.prec)
     payload = {
         "schema": SCHEMA,
         "command": "gauss",

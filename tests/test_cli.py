@@ -131,11 +131,22 @@ def test_semantic_error_exit_code(capsys):
 
 
 def test_resource_bound_exit_code(capsys):
-    code = main([
-        "gp", "--alpha", "1/2", "--beta", "0", "--p", "13",
-        "--t", "1", "--prec", "9", "--max-pn", "1000",
-    ])
+    # 8196 Gamma_p values mod 4099^6: W is about 3.7 * 10^7
+    code = main(["gp", "--alpha", "1/2", "--beta", "0", "--p", "4099", "--t", "1"])
     assert code == 3
+
+
+def test_gp_cheap_gamma_request_runs(capsys):
+    code, out = run_cli(
+        capsys, "gp", "--alpha", "1/2,1/2", "--beta", "0,0", "--p", "13",
+        "--t", "1", "--prec", "8", "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["results"][0]["direct"]["digits"] == [1, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_gauss_cheap_gamma_request_runs(capsys):
+    assert main(["gauss", "--p", "19", "--m", "3", "--prec", "7"]) == 0
 
 
 def test_missing_t_is_usage_error(capsys):

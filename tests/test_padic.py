@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,9 @@ from finhyp.hypergeometric import classic_sum
 from finhyp.padic import (
     PadicNum,
     PiExp,
+    _gamma_blocks,
     _gamma_cache,
+    _gamma_work,
     embed_cyclotomic,
     gamma_p,
     gauss_sum_padic,
@@ -188,8 +191,43 @@ def test_gamma_rejects_non_integer():
 
 
 def test_gamma_cost_cap():
+    # W = 117 for f, 2916 for the blocks, 337 for the one value
+    assert _gamma_work(13, 9, 1) == 3370
     with pytest.raises(BoundExceeded):
-        gamma_p(F(1, 3), 13, 9, max_pn=10**4)
+        gamma_p(F(1, 3), 13, 9, max_pn=3369)
+
+
+def test_gamma_cheap_request_passes_default_cap():
+    # W = 3370, although its representative in [1, 13^9] is 3534833125
+    x = F(1, 3)
+    assert (gamma_p(x + 1, 13, 9) + gamma_p(x, 13, 9) * x).is_zero_mod(9)
+
+
+def test_gamma_costly_request_refused_before_work():
+    # representative 2 (of 1 - x), but the tail loop alone is p steps
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded):
+        gamma_p(-1, 10000019, 1)
+    assert time.perf_counter() - start < 0.5
+    assert (10000019, 1) not in _gamma_cache and (10000019, 1) not in _gamma_blocks
+
+
+def test_benchmark_call_interface():
+    # the benchmark passes max_pn positionally, as p^N
+    p, n = 11, 7
+    params = HGParams([F(1, 2), F(1, 2)], [0, 0])
+    calls = [
+        lambda cap: gamma_p(F(3, 10), p, n, cap),
+        lambda cap: gauss_sum_padic(p, 1, 3, n, cap),
+        lambda cap: padic_sum_direct(params, p, 2, n, cap),
+        lambda cap: padic_sum_via_orbits(params, p, 2, n, cap),
+    ]
+    _gamma_cache.pop((p, n), None)  # a cached value skips the check
+    for call in calls:
+        with pytest.raises(BoundExceeded):
+            call(10)
+    for call in calls:
+        assert call(p**n) is not None
 
 
 def test_gamma_doubling_matches_bruteforce():
@@ -200,7 +238,7 @@ def test_gamma_doubling_matches_bruteforce():
         ks = {0, 1, mod // p - 1} | {rng.randrange(mod // p) for _ in range(3)}
         residues = {1, 2, mod - 1, mod} | {k * p for k in ks if k} | {k * p + 1 for k in ks}
         for r in sorted(x for x in residues if 1 <= x <= mod):
-            assert gamma_p(r % mod, p, n, max_pn=mod).u == _gamma_bruteforce(r, p, n), (p, n, r)
+            assert gamma_p(r % mod, p, n).u == _gamma_bruteforce(r, p, n), (p, n, r)
 
 
 def test_gamma_every_residue_matches_bruteforce():
@@ -208,7 +246,7 @@ def test_gamma_every_residue_matches_bruteforce():
     for p, n in ((2, 8), (3, 5), (7, 3)):
         mod = p**n
         for r in range(1, mod + 1):
-            assert gamma_p(r % mod, p, n, max_pn=mod).u == _gamma_bruteforce(r, p, n), (p, n, r)
+            assert gamma_p(r % mod, p, n).u == _gamma_bruteforce(r, p, n), (p, n, r)
 
 
 def test_gamma_identities_at_large_precision():
@@ -216,7 +254,7 @@ def test_gamma_identities_at_large_precision():
     mod = p**n
 
     def g(x):
-        return gamma_p(x, p, n, max_pn=mod)
+        return gamma_p(x, p, n)
 
     assert g(0).u == 1
     assert g(1).u == mod - 1
@@ -331,7 +369,6 @@ def test_orbit_route_matches_direct():
 
 @pytest.mark.parametrize("alpha, beta", [
     ([F(1, 3), F(2, 3)], [0, 0]),
-    # the first Gauss sum of row 0 (exponent 0) is within the cap on its own
     ([0, F(1, 2)], [F(1, 3), F(2, 3)]),
 ])
 def test_orbit_route_checks_cap_before_work(alpha, beta):
@@ -339,8 +376,9 @@ def test_orbit_route_checks_cap_before_work(alpha, beta):
         return {key: len(values) for key, values in _gamma_cache.items() if values}
 
     before = cached()
+    # every Gauss sum over F_13 is within the cap on its own, the route is not
     with pytest.raises(BoundExceeded):
-        padic_sum_via_orbits(HGParams(alpha, beta), 13, 2, 9, max_pn=10)
+        padic_sum_via_orbits(HGParams(alpha, beta), 13, 2, 9, _gamma_work(13, 9, 1))
     assert cached() == before
 
 
