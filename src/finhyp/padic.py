@@ -18,6 +18,7 @@ the default admits about 1-5 s of work.
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import islice
 from operator import mul
 
 from .cyclo import CycloNum
@@ -527,11 +528,15 @@ def gauss_sum_padic(p, f, m, prec, max_pn=None):
     base-p digit sum of m mod q-1, comes from the numerators p^i m mod q-1."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    fracs = _orbit_fractions(p, f, m)
-    u = math.prod(prefetch_gamma_p(fracs, p, prec, max_pn))
+    units = prefetch_gamma_p(_orbit_fractions(p, f, m), p, prec, max_pn)
+    return _gauss_from_units(p, f, m, prec, units)
+
+
+def _gauss_from_units(p, f, m, prec, units):
+    """gauss_sum_padic from the Gamma_p units of the orbit fractions of m."""
     qbar = p**f - 1
     e = (p - 1) * sum(p**i * m % qbar for i in range(f)) // qbar
-    return PiExp(p, prec, e, -u)
+    return PiExp(p, prec, e, -math.prod(units))
 
 
 # ------------------------------------------------- p-adic hypergeometric sum
@@ -623,8 +628,8 @@ def padic_sum_via_orbits(params, p, t, prec, max_pn=None):
     rows = [[(ln, e + m * step) for ln, e, step in specs] for m in range(p - 1)]
     # one batch of Gamma_p values, so the cap is checked before any work
     fracs = [x for row in rows for ln, e in row for x in _orbit_fractions(p, ln, e)]
-    prefetch_gamma_p(fracs, p, prec, max_pn)
-    prods = [reduce(mul, (gauss_sum_padic(p, ln, e, prec, max_pn) for ln, e in row))
+    units = iter(prefetch_gamma_p(fracs, p, prec, max_pn))  # ln at a time, as in fracs
+    prods = [reduce(mul, (_gauss_from_units(p, ln, e, prec, islice(units, ln)) for ln, e in row))
              for row in rows]
 
     unit_terms = []

@@ -11,6 +11,7 @@ from finhyp.charsums import (
     add_char,
     algebra_gauss_sum,
     algebra_norm_to_base,
+    gauss_product,
     gauss_sum,
 )
 from finhyp.cyclo import CycloNum, root_of_unity
@@ -137,7 +138,7 @@ def test_fourier_equals_direct_mixed():
 
 
 def test_fourier_coefficient_at_zero_is_one():
-    from finhyp.hypergeometric import _fourier_coefficients
+    from finhyp.hypergeometric import _denominator_inverse, _fourier_coefficients
 
     F5 = make_field(5)
     A = SemisimpleAlgebra(F5, [F5, make_field(5, 2)])
@@ -147,7 +148,75 @@ def test_fourier_coefficient_at_zero_is_one():
         AlgebraChar.from_exponents(A, [3, 7]),
         AlgebraChar.from_exponents(B, [1, 0, 2]),
     )
-    assert _fourier_coefficients(inst, 1)[0] == 1
+    # row 0 is the denominator itself, kept unnormalised
+    n, rows = _fourier_coefficients(inst, 1)
+    assert CycloNum(n, rows[0]) * _denominator_inverse(inst, 1) == 1
+
+
+def _fourier_per_term(inst, t, twist=1):
+    """The character expansion term by term: the sum over m of
+    c_m * chi(arg)^m, with c_m the m-th Gauss product over the m = 0 one and
+    arg = N(-1_B) t, all in generic CycloNum arithmetic."""
+    base = inst.base
+    qbar = base.q - 1
+    chiB_bar = inst.chiB.conj()
+    den = gauss_product(inst.chiA.chars + chiB_bar.chars, twist)
+    arg_dlog = base.dlog(algebra_norm_to_base(inst.B.minus_one()) * base.elem(t))
+    total = CycloNum.zero(1)
+    for m in range(qbar):
+        c_m = gauss_product(
+            inst.chiA.twist_by_norm_power(m).chars
+            + chiB_bar.twist_by_norm_power(-m).chars,
+            twist,
+        ) / den
+        total = total + c_m * root_of_unity(qbar, arg_dlog * m)
+    return total * F(1, 1 - base.q)
+
+
+def _same_value(a, b):
+    return (a.conductor, a.num, a.den) == (b.conductor, b.num, b.den)
+
+
+@pytest.mark.parametrize("case", ["orbit_q2", "split_q9", "split_q27", "orbit_mixed_twist2"])
+def test_fourier_against_per_term_expansion(case):
+    if case == "orbit_q2":  # q - 1 = 1: the expansion has one term
+        inst, twist = orbit_instance(HGParams.parse("1/3,2/3", "0,0"), 2), 1
+        assert inst.base.q == 2
+    elif case == "split_q9":
+        inst, twist = split_instance(HGParams.parse("1/4,3/4", "0,1/2"), 9), 1
+    elif case == "split_q27":
+        inst, twist = split_instance(HGParams.parse("1/2,1/13", "0,1/26"), 27), 1
+    else:  # components of degree 1, 2 and 3 over F_3
+        params = HGParams.parse("1/2,1/13,3/13,9/13", "0,1/4,3/4,0")
+        inst, twist = orbit_instance(params, 3), 2
+        assert sorted(c.f for c in inst.A.components + inst.B.components) == [1, 1, 1, 2, 3]
+    qbar = inst.base.q - 1
+    for j in {0, 1 % qbar, qbar // 2, qbar - 1}:
+        t = inst.base.unit(j)
+        assert _same_value(algebra_sum_fourier(inst, t, twist), _fourier_per_term(inst, t, twist))
+
+
+def test_classic_sum_with_generator_against_per_term_expansion():
+    params = HGParams.parse("1/4,3/4", "0,1/2")
+    field = make_field(13)
+    gen = field.unit(5)  # 5 is coprime to 12, so g^5 generates the units
+    for t in (2, 7):
+        ref = _fourier_per_term(split_instance(params, 13), t)
+        assert _same_value(classic_sum(params, 13, t, generator=gen), ref)
+
+
+def test_warm_fourier_value_costs_one_product(monkeypatch):
+    from finhyp import cyclo
+
+    inst = split_instance(HGParams.parse("1/4,3/4", "0,1/2"), 13)
+    algebra_sum_fourier(inst, 2)  # fills the coefficient and denominator caches
+    calls = []
+    convolve = cyclo._convolve
+    monkeypatch.setattr(cyclo, "_convolve", lambda a, b: calls.append(1) or convolve(a, b))
+    for t in range(1, 13):
+        calls.clear()
+        algebra_sum_fourier(inst, t)
+        assert len(calls) <= 1
 
 
 def test_twist_invariance_equidimensional():
