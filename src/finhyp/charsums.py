@@ -3,15 +3,16 @@ algebras, with their exact Gauss sums.
 
 A character is an exponent relative to the field's fixed generator, so
 conjugating or twisting a character is integer arithmetic on exponents.
-Gauss sums are assembled exactly: every summand is a root of unity, so we
-tally exponents first and convert the tally to a cyclotomic number once.
+Every summand of a Gauss sum is a root of unity, so a Gauss sum is kept as
+a tally of exponents; a product of Gauss sums multiplies the tallies in
+packed form and reduces the result once, when it is read.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
 
-from .cyclo import CycloNum, root_of_unity
+from .cyclo import CycloNum, _Packed, root_of_unity
 from .errors import InternalInconsistency, NotUnit, ZeroElement
 
 
@@ -60,13 +61,13 @@ def add_char(field, x, a=1):
 
 def gauss_sum(chi, a=1):
     """Exact Gauss sum of chi against the a-twisted trace character."""
-    return _gauss_entry(chi.field, chi.e, a % chi.field.p)
+    return gauss_product((chi,), a)
 
 
 @lru_cache(maxsize=None)
 def _gauss_entry(field, e, a):
-    """One Gauss sum, computed on first use: an O(q) tally of root-of-unity
-    exponents and one reduction at conductor p(q-1)."""
+    """One Gauss sum, computed on first use as an O(q) tally: n = p(q-1)
+    and the pairs (c, count) of the sum of count * zeta_n^c."""
     p, qbar = field.p, field.q - 1
     n = p * qbar
     weights = {}
@@ -74,12 +75,26 @@ def _gauss_entry(field, e, a):
         # zeta_(q-1)^(e j) * zeta_p^(a tr(g^j)) as a power of zeta_n
         c = ((e * j % qbar) * p + (a * field.trace_of_unit(j) % p) * qbar) % n
         weights[c] = weights.get(c, 0) + 1
-    return CycloNum.from_powers(n, weights)
+    return n, tuple(weights.items())
+
+
+def _packed_gauss_product(chars, a, bound, n=1):
+    """The product of the Gauss sums of chars against the a-twisted trace,
+    packed for coefficients up to bound at the lcm of n and the conductors
+    of their tallies."""
+    tallies = [_gauss_entry(chi.field, chi.e, a % chi.field.p) for chi in chars]
+    n = lcm(n, *(m for m, _ in tallies))
+    out = _Packed.tally(n, bound, [(0, 1)])
+    for m, tally in tallies:
+        out = _Packed.dot([out], [_Packed.tally(n, bound, ((c * (n // m), w) for c, w in tally))])
+    return out
 
 
 def gauss_product(chars, a=1):
-    """Product of the Gauss sums of chars against the a-twisted trace."""
-    return prod(gauss_sum(chi, a) for chi in chars)
+    """Product of the Gauss sums of chars against the a-twisted trace: their
+    tallies multiplied in packed form and reduced once."""
+    chars = tuple(chars)
+    return _packed_gauss_product(chars, a, prod(chi.field.q - 1 for chi in chars)).read()
 
 
 # --------------------------------------------------------------- algebras

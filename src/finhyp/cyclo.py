@@ -15,12 +15,16 @@ reduced form by one routine: fold it modulo x^N - 1, then divide by the
 monic Phi_N, touching only the nonzero low terms of Phi_N.  Sums of powers
 of z (from_powers, embed, galois, root_of_unity) scatter their exponents
 into a length-N vector and reduce it the same way, so no table of powers
-is kept per conductor.
+is kept per conductor.  The nonnegative tallies behind character sums are
+multiplied and summed unreduced, as vectors mod x^N - 1 packed into one
+int each (_Packed), and reduced once when read: Phi_N divides x^N - 1.
 
 Binary operations on elements with different conductors silently promote
 both sides into Q(zeta_lcm).
 """
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -421,3 +425,61 @@ class CycloNum:
 def root_of_unity(conductor, k=1):
     """zeta_N^k as a CycloNum."""
     return _make(conductor, _scatter(conductor, [(k, 1)]))
+
+
+# --------------------------------------------------------- packed tallies
+
+# slot width -> array typecode, to pack and unpack little-endian slots at C speed
+_ARRAY_CODES = {array(c).itemsize: c for c in "BHILQ"} if sys.byteorder == "little" else {}
+
+
+class _Packed:
+    """A nonnegative integer vector mod x^n - 1 as one int, coefficient j in
+    the `width`-byte slot at byte j*width; each result below is folded once,
+    slots j >= n added onto j - n.  The width holds the caller's bound on
+    every coefficient, which the exactly tracked coefficient sum `total`
+    must not exceed, so no slot overflows."""
+
+    __slots__ = ("n", "bound", "width", "value", "total")
+
+    def __init__(self, n, bound, width, value, total):
+        if total > bound:
+            raise InternalInconsistency(f"coefficient sum {total} exceeds the bound {bound}")
+        bits = 8 * width * n  # every value below has fewer than 2n slots
+        value = (value & ((1 << bits) - 1)) + (value >> bits)
+        self.n, self.bound, self.width, self.value, self.total = n, bound, width, value, total
+
+    @staticmethod
+    def tally(n, bound, weights):
+        """The sum of w * x^e over the (e, w) pairs of weights, w >= 0."""
+        v = [0] * n
+        for e, w in weights:
+            v[e % n] += w
+        need = (bound.bit_length() + 7) // 8 or 1
+        width = min((w for w in _ARRAY_CODES if w >= need), default=need)
+        code = _ARRAY_CODES.get(width)
+        raw = (array(code, v).tobytes() if code
+               else b"".join(x.to_bytes(width, "little") for x in v))
+        return _Packed(n, bound, width, int.from_bytes(raw, "little"), sum(v))
+
+    @staticmethod
+    def dot(xs, ys):
+        """The sum of xs[i] * ys[i]: one multiply per pair."""
+        value = sum(x.value * y.value for x, y in zip(xs, ys))
+        total = sum(x.total * y.total for x, y in zip(xs, ys))
+        return _Packed(xs[0].n, xs[0].bound, xs[0].width, value, total)
+
+    @staticmethod
+    def rotated_sum(rows, shifts):
+        """The sum of rows[i] * x^shifts[i]: one shift per row."""
+        n, bits = rows[0].n, 8 * rows[0].width
+        value = sum(r.value << (bits * (s % n)) for r, s in zip(rows, shifts))
+        return _Packed(n, rows[0].bound, rows[0].width, value, sum(r.total for r in rows))
+
+    def read(self):
+        """The element sum v[j] zeta_n^j of Q(zeta_n): one unpack, one reduction."""
+        w, n = self.width, self.n
+        raw, code = self.value.to_bytes(w * n, "little"), _ARRAY_CODES.get(w)
+        v = (memoryview(raw).cast(code).tolist() if code
+             else [int.from_bytes(raw[i : i + w], "little") for i in range(0, w * n, w)])
+        return _make(n, _reduce(n, v))

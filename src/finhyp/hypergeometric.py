@@ -6,9 +6,10 @@ expansion in multiplicative characters; the two are proved equal and both
 are kept as independent code paths.  classic_sum, the Gauss-sum series
 over F_q for a parameter pair, is the character expansion on the split
 instance (d copies of F_q on both sides), whose terms are the series
-terms one for one.  The expansion is a sum of rotated integer rows in one
-Q(zeta_n), so a value costs O((q-1) phi(n)) integer additions, one
-reduction and one product.
+terms one for one.  Both routes keep packed, unreduced exponent tallies:
+an expansion value is q-1 rotated rows and a direct value q-1 products of
+norm-class tallies, each then folded once, reduced once and multiplied
+once by the inverse of the denominator.
 
 Two normalization choices make the three forms one function: the
 denominator is g_A(chi_A) * g_B(conj(chi_B)), and the whole B side of the
@@ -22,16 +23,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
 
 from .charsums import (
     AlgebraChar,
     SemisimpleAlgebra,
+    _packed_gauss_product,
     algebra_norm_to_base,
     gauss_product,
     invert_gauss_product,
 )
-from .cyclo import CycloNum, root_of_unity
+from .cyclo import _Packed, root_of_unity
 from .errors import AssumptionFails, ZeroArgument
 from .finfield import make_field, prime_power
 
@@ -152,61 +153,49 @@ def _unit_tally(alg, exps, big, at_minus_y):
 
 
 @lru_cache(maxsize=None)
-def _direct_tallies(inst):
-    """t- and twist-independent tallies for the norm-equation sum.
-
-    A side: counts of (trace, character exponent, norm dlog) over the units.
-    B side: per norm dlog, counts of (trace of -y, conj character exponent).
-    """
-    qbar = inst.base.q - 1
+def _direct_classes(inst, twist):
+    """Per norm dlog k < q-1, the tallies A_k over the units x of A and B_k
+    over the units -y of B, packed as sums of zeta_n^c, n = p * big, with
+    c = twist * trace * big + character exponent * p."""
+    p, qbar = inst.base.p, inst.base.q - 1
     big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
-    a_side = _unit_tally(inst.A, inst.chiA.exponents, big, False)
+    # N(y) = t N(x) pairs each unit x with (#B units)/(q-1) units y
+    bound = inst.A.unit_count() * inst.B.unit_count() // qbar
+
+    def pack(alg, chi, at_minus_y):
+        classes = [[] for _ in range(qbar)]
+        for (tr, ch, nd), cnt in _unit_tally(alg, chi.exponents, big, at_minus_y).items():
+            classes[nd].append(((twist * tr % p) * big + ch * p, cnt))
+        return [_Packed.tally(p * big, bound, c) for c in classes]
+
     # the whole B side is evaluated at -y: additive and multiplicative part
-    b_side = _unit_tally(inst.B, inst.chiB.exponents, big, True)
-    buckets = [[] for _ in range(qbar)]
-    for (tr, ch, nd), cnt in b_side.items():
-        buckets[nd].append(((tr, ch), cnt))
-    return big, list(a_side.items()), buckets
+    return pack(inst.A, inst.chiA, False), pack(inst.B, inst.chiB, True)
 
 
 def algebra_sum_direct(inst, t, twist=1):
     """The norm-equation exponential sum over unit pairs, exactly.
 
-    Every summand is a root of unity; exponents are tallied componentwise
-    and converted to a single cyclotomic number at the end.
+    Every summand is a root of unity, and the pairs with N(y) = t N(x) are
+    those of the classes A_k, B_(k + dlog t): q-1 packed products.
     """
-    base = inst.base
-    p = base.p
-    qbar = base.q - 1
-    t, twist = _unit_args(base, t, twist)
-    dlog_t = base.dlog(t)
-
-    big, a_side, buckets = _direct_tallies(inst)
-    n = p * big
-    weights = {}
-    for (tr, ch, na), cnt_a in a_side:
-        for (trb, chb), cnt in buckets[(dlog_t + na) % qbar]:
-            c = ((twist * (tr + trb) % p) * big + ((ch + chb) % big) * p) % n
-            weights[c] = weights.get(c, 0) + cnt * cnt_a
-
-    total = CycloNum.from_powers(n, weights)
+    t, twist = _unit_args(inst.base, t, twist)
+    a_classes, b_classes = _direct_classes(inst, twist)
+    s = inst.base.dlog(t)
+    total = _Packed.dot(a_classes, b_classes[s:] + b_classes[:s]).read()
     return total * (-1) * _denominator_inverse(inst, twist)
 
 
 @lru_cache(maxsize=None)
 def _fourier_coefficients(inst, twist):
-    """(n, rows): rows[m] is the m-th Gauss product as integers in Q(zeta_n)."""
+    """rows[m], the m-th Gauss product g_A(chi_A omega^m) g_B(conj(chi_B)
+    omega^-m), packed unreduced in Q(zeta_n), n the lcm of q-1 and the
+    Gauss sums' conductors, with a bound that admits the sum of all rows."""
+    qbar = inst.base.q - 1
+    bound = qbar * inst.A.unit_count() * inst.B.unit_count()
     chiB_bar = inst.chiB.conj()
-    prods = [
-        gauss_product(
-            inst.chiA.twist_by_norm_power(m).chars
-            + chiB_bar.twist_by_norm_power(-m).chars,
-            twist,
-        )
-        for m in range(inst.base.q - 1)
-    ]
-    n = lcm(inst.base.q - 1, *(g.conductor for g in prods))
-    return n, tuple(g.embed(n).num for g in prods)
+    return tuple(_packed_gauss_product(
+        inst.chiA.twist_by_norm_power(m).chars + chiB_bar.twist_by_norm_power(-m).chars,
+        twist, bound, qbar) for m in range(qbar))
 
 
 def _expansion_times_denominator(inst, t, twist):
@@ -214,13 +203,10 @@ def _expansion_times_denominator(inst, t, twist):
     -1/(q-1) times the sum of rows[m] * chi(arg)^m, each term a rotated row."""
     qbar = inst.base.q - 1
     arg = algebra_norm_to_base(inst.B.minus_one()) * t
-    n, rows = _fourier_coefficients(inst, twist)
-    step = n // qbar * inst.base.dlog(arg)
-    v = [0] * (2 * n)  # each rotated row ends below 2n; from_powers folds mod n
-    for m, row in enumerate(rows):
-        s = step * m % n
-        v[s : s + len(row)] = map(add, v[s : s + len(row)], row)
-    return CycloNum.from_powers(n, v) * Fraction(-1, qbar)
+    rows = _fourier_coefficients(inst, twist)
+    step = rows[0].n // qbar * inst.base.dlog(arg)
+    total = _Packed.rotated_sum(rows, [step * m for m in range(qbar)])
+    return total.read() * Fraction(-1, qbar)
 
 
 def algebra_sum_fourier(inst, t, twist=1):

@@ -597,15 +597,21 @@ def gamma_args(params, p):
     return rows
 
 
+_unit_terms = {}  # (route, params, p, prec) -> the normalised unit terms of the series
+
+
 def padic_sum_direct(params, p, t, prec, max_pn=None):
     """The p-adic hypergeometric sum from its Gamma-quotient series."""
     tt = _validate_args(params, p, t)
-    mod = p**prec
-    units = prefetch_gamma_p([x for row in gamma_args(params, p) for x in row], p, prec, max_pn)
-    w = 2 * params.d
-    prods = [math.prod(units[i:i + w]) % mod for i in range(0, len(units), w)]
-    den_inv = pow(prods[0], -1, mod)
-    return _series_total(params, p, tt, prec, [u * den_inv % mod for u in prods])
+    key = ("direct", params, p, prec)
+    if key not in _unit_terms:
+        mod = p**prec
+        units = prefetch_gamma_p([x for row in gamma_args(params, p) for x in row], p, prec, max_pn)
+        w = 2 * params.d
+        prods = [math.prod(units[i:i + w]) % mod for i in range(0, len(units), w)]
+        den_inv = pow(prods[0], -1, mod)
+        _unit_terms[key] = [u * den_inv % mod for u in prods]
+    return _series_total(params, p, tt, prec, _unit_terms[key])
 
 
 def padic_sum_via_orbits(params, p, t, prec, max_pn=None):
@@ -617,6 +623,9 @@ def padic_sum_via_orbits(params, p, t, prec, max_pn=None):
     to (p-1) * Lambda(m); any other outcome is raised loudly.
     """
     tt = _validate_args(params, p, t)
+    key = ("orbits", params, p, prec)
+    if key in _unit_terms:
+        return _series_total(params, p, tt, prec, _unit_terms[key])
     if not params.splits_at(p):
         raise DoesNotSplit(f"multiplication by {p} does not fix the parameters")
     alpha_orbits, beta_orbits = params.p_orbits(p)
@@ -644,6 +653,7 @@ def padic_sum_via_orbits(params, p, t, prec, max_pn=None):
                 f"pi-exponent {coeff.e} != (p-1)*Lambda = {(p - 1) * lam} at m={m}"
             )
         unit_terms.append(coeff.u)
+    _unit_terms[key] = unit_terms
     return _series_total(params, p, tt, prec, unit_terms)
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finhyp.cyclo import CycloNum, cyclotomic_polynomial, root_of_unity
-from finhyp.errors import DivisionByZero, NotCoprime, NotDivisor
+from finhyp.cyclo import CycloNum, _Packed, cyclotomic_polynomial, root_of_unity
+from finhyp.errors import DivisionByZero, InternalInconsistency, NotCoprime, NotDivisor
 
 
 def test_cyclotomic_polynomials():
@@ -310,6 +311,94 @@ def test_kernel_from_powers_matches_reference(case):
 def test_kernel_root_of_unity_matches_reference(n):
     for k in list(range(-n - 2, 2 * n + 3)) + [10**20 + 3, -(10**20) - 7]:
         assert root_of_unity(n, k).coeffs == _ref_powers(n, [(k, 1)])
+
+
+# ------------------------------------------------- packed nonnegative tallies
+
+PACKED_CONDUCTORS = [1, 2, 12, 78, 342, 506]
+# coefficient bounds filling 1, 2, 4 and 8 bytes exactly, and wider slots
+EXACT_BOUNDS = [255, 2**16 - 1, 2**32 - 1, 2**64 - 1, 2**64, 2**80]
+
+
+def _vectors(rng, n, count, top):
+    """count random nonnegative vectors of length n or 3n+1, entries <= top."""
+    return [[rng.randint(0, top) for _ in range(rng.choice((n, 3 * n + 1)))]
+            for _ in range(count)]
+
+
+def _pack(n, bound, v):
+    return _Packed.tally(n, bound, enumerate(v))
+
+
+def _powers(n, v):
+    return CycloNum.from_powers(n, dict(enumerate(v)))
+
+
+def _same(a, b):
+    return (a.conductor, a.num, a.den) == (b.conductor, b.num, b.den)
+
+
+@pytest.mark.parametrize("n", PACKED_CONDUCTORS)
+@pytest.mark.parametrize("top", [1, 200, 2**20, 2**40])
+def test_packed_product_matches_cyclonum(n, top):
+    # vectors of length 3n+1 make linear products that wrap x^n - 1 six times
+    rng = random.Random(n * top)
+    for a, b in zip(*[iter(_vectors(rng, n, 6, top))] * 2):
+        bound = max(sum(a) * sum(b), sum(a), sum(b))
+        prod = _Packed.dot([_pack(n, bound, a)], [_pack(n, bound, b)])
+        assert prod.total == sum(a) * sum(b)
+        assert _same(prod.read(), _powers(n, a) * _powers(n, b))
+        assert _same(_pack(n, bound, a).read(), _powers(n, a))
+
+
+@pytest.mark.parametrize("n", PACKED_CONDUCTORS)
+def test_packed_rotated_sum_and_dot_match_cyclonum(n):
+    rng = random.Random(n)
+    for top in (1, 1000, 2**50):
+        xs, ys = _vectors(rng, n, 4, top), _vectors(rng, n, 4, top)
+        shifts = [rng.randint(-3 * n, 3 * n) for _ in xs]
+        bound = sum(map(sum, xs)) * max(1, *map(sum, ys))
+        px, py = [_pack(n, bound, x) for x in xs], [_pack(n, bound, y) for y in ys]
+        rotated = _Packed.rotated_sum(px, shifts)
+        assert rotated.total == sum(map(sum, xs))
+        ref = sum((_powers(n, x) * root_of_unity(n, s) for x, s in zip(xs, shifts)),
+                  CycloNum.zero(n))
+        assert _same(rotated.read(), ref)
+        dot = _Packed.dot(px, py)
+        ref = sum((_powers(n, x) * _powers(n, y) for x, y in zip(xs, ys)), CycloNum.zero(n))
+        assert _same(dot.read(), ref)
+
+
+@pytest.mark.parametrize("bound", EXACT_BOUNDS)
+@pytest.mark.parametrize("n", [1, 12, 342])
+def test_packed_coefficient_equal_to_bound(n, bound):
+    # the bound itself must fit its slot, through every operation and the read
+    v = [0] * n
+    v[n // 2] = bound
+    x = _pack(n, bound, v)
+    ref = CycloNum.from_powers(n, {n // 2: bound})
+    assert _same(x.read(), ref)
+    one = _pack(n, bound, [0, 1])
+    assert _same(_Packed.dot([x], [one]).read(), ref * root_of_unity(n, 1))
+    assert _same(_Packed.rotated_sum([x], [n + 5]).read(), ref * root_of_unity(n, 5))
+    split = _Packed.rotated_sum([_pack(n, bound, [bound - 1]), _pack(n, bound, [1])], [0, 0])
+    assert _same(split.read(), CycloNum.from_rational(bound, n))
+
+
+@pytest.mark.parametrize("n", [1, 12, 506])
+def test_packed_sum_over_bound_raises(n):
+    rng = random.Random(n)
+    a, b = _vectors(rng, n, 2, 300)
+    sa, sb = sum(a), sum(b)
+    with pytest.raises(InternalInconsistency):
+        _pack(n, sa - 1, a)
+    x, y = _pack(n, sa * sb - 1, a), _pack(n, sa * sb - 1, b)
+    with pytest.raises(InternalInconsistency):
+        _Packed.dot([x], [y])
+    x, y = _pack(n, sa + sb - 1, a), _pack(n, sa + sb - 1, b)
+    with pytest.raises(InternalInconsistency):
+        _Packed.rotated_sum([x, y], [0, 3])
+    assert _Packed.rotated_sum([x], [3]).total == sa
 
 
 # ------------------------------------------------------ hash/eq contract

@@ -149,8 +149,8 @@ def test_fourier_coefficient_at_zero_is_one():
         AlgebraChar.from_exponents(B, [1, 0, 2]),
     )
     # row 0 is the denominator itself, kept unnormalised
-    n, rows = _fourier_coefficients(inst, 1)
-    assert CycloNum(n, rows[0]) * _denominator_inverse(inst, 1) == 1
+    rows = _fourier_coefficients(inst, 1)
+    assert rows[0].read() * _denominator_inverse(inst, 1) == 1
 
 
 def _fourier_per_term(inst, t, twist=1):
@@ -217,6 +217,40 @@ def test_warm_fourier_value_costs_one_product(monkeypatch):
         calls.clear()
         algebra_sum_fourier(inst, t)
         assert len(calls) <= 1
+
+
+def _count_reductions(monkeypatch):
+    """Clear the Gauss caches and record the conductor of every cyclo._reduce call."""
+    from finhyp import cyclo
+
+    _gauss_entry.cache_clear()
+    calls = []
+    reduce_ = cyclo._reduce
+    monkeypatch.setattr(cyclo, "_reduce", lambda n, v: calls.append(n) or reduce_(n, v))
+    return calls
+
+
+def test_cold_gauss_product_reduces_once(monkeypatch):
+    f5, f25 = make_field(5), make_field(5, 2)
+    chars = [MultChar(f5, 1), MultChar(f5, 2), MultChar(f25, 3), MultChar(f25, 10)]
+    calls = _count_reductions(monkeypatch)
+    g = gauss_product(chars)
+    assert calls == [5 * 24]
+    monkeypatch.undo()
+    ref = CycloNum.one(1)
+    for chi in chars:
+        ref = ref * _gauss_bruteforce(chi.field, chi.e)
+    assert g == ref and g.conductor == 5 * 24
+
+
+def test_cold_fourier_rows_are_not_reduced(monkeypatch):
+    from finhyp.hypergeometric import _fourier_coefficients
+
+    inst = split_instance(HGParams.parse("1/4,3/4", "0,1/2"), 13)
+    _fourier_coefficients.cache_clear()
+    calls = _count_reductions(monkeypatch)
+    rows = _fourier_coefficients(inst, 1)
+    assert len(rows) == 12 and calls == []
 
 
 def test_twist_invariance_equidimensional():
@@ -364,12 +398,13 @@ def test_random_instances_direct_equals_fourier():
             assert algebra_sum_direct(inst, t) == algebra_sum_fourier(inst, t)
 
 
-def _direct_bruteforce(inst, t):
+def _direct_bruteforce(inst, t, a=1):
     """The norm-equation sum as a literal double loop over unit pairs.
 
     Sums psi(Tr x + Tr(-y)) chi_A(x) conj(chi_B)(-y) over units x of A and
-    y of B with N(y) = t N(x), and divides by minus the Gauss-sum
-    denominator g_A(chi_A) g_B(conj chi_B), inverted generically.
+    y of B with N(y) = t N(x), psi(z) = zeta_p^(a z), and divides by minus
+    the Gauss-sum denominator g_A(chi_A) g_B(conj chi_B) against psi,
+    inverted generically.
     """
     A, B = inst.A, inst.B
     t = inst.base.elem(t)
@@ -378,7 +413,7 @@ def _direct_bruteforce(inst, t):
     def psi(z):
         out = CycloNum.one(1)
         for comp, part in zip(z.algebra.components, z.parts):
-            out = out * add_char(comp, part)
+            out = out * add_char(comp, part, a)
         return out
 
     total = CycloNum.zero(1)
@@ -391,21 +426,23 @@ def _direct_bruteforce(inst, t):
                 continue
             minus_y = B.elem([-part for part in y.parts])
             total = total + psi(x) * psi(minus_y) * inst.chiA.eval(x) * chiB_bar.eval(minus_y)
-    den = algebra_gauss_sum(inst.chiA) * algebra_gauss_sum(chiB_bar)
+    den = algebra_gauss_sum(inst.chiA, a) * algebra_gauss_sum(chiB_bar, a)
     return -total / den
 
 
 def test_direct_against_bruteforce():
-    from finhyp.hypergeometric import _direct_tallies
+    from finhyp.hypergeometric import _direct_classes
 
     split = split_instance(HGParams([F(1, 6), F(5, 6)], [0, F(1, 2)]), 7)
     mixed = orbit_instance(HGParams([F(1, 2), F(1, 4), F(3, 4)], [0, F(1, 8), F(3, 8)]), 3)
     assert sorted(c.f for c in mixed.A.components) == [1, 2]
     assert sorted(c.f for c in mixed.B.components) == [1, 2]
     for inst in (split, mixed):
-        _, a_side, buckets = _direct_tallies(inst)
-        assert sum(cnt for _, cnt in a_side) == inst.A.unit_count()
-        assert sum(cnt for b in buckets for _, cnt in b) == inst.B.unit_count()
+        a_classes, b_classes = _direct_classes(inst, 1)
+        assert sum(c.total for c in a_classes) == inst.A.unit_count()
+        assert sum(c.total for c in b_classes) == inst.B.unit_count()
         for j in range(inst.base.q - 1):
             t = inst.base.unit(j)
             assert algebra_sum_direct(inst, t) == _direct_bruteforce(inst, t)
+            # the classes are packed per twist, which scales every trace exponent
+            assert algebra_sum_direct(inst, t, 2) == _direct_bruteforce(inst, t, 2)

@@ -25,6 +25,7 @@ from finhyp.padic import (
     _gamma_blocks,
     _gamma_cache,
     _gamma_work,
+    _unit_terms,
     embed_cyclotomic,
     gamma_p,
     gauss_sum_padic,
@@ -223,6 +224,7 @@ def test_benchmark_call_interface():
         lambda cap: padic_sum_via_orbits(params, p, 2, n, cap),
     ]
     _gamma_cache.pop((p, n), None)  # a cached value skips the check
+    _unit_terms.clear()
     for call in calls:
         with pytest.raises(BoundExceeded):
             call(10)
@@ -380,6 +382,23 @@ def test_orbit_route_checks_cap_before_work(alpha, beta):
     with pytest.raises(BoundExceeded):
         padic_sum_via_orbits(HGParams(alpha, beta), 13, 2, 9, _gamma_work(13, 9, 1))
     assert cached() == before
+
+
+def test_warm_padic_sums_reuse_their_unit_terms(monkeypatch):
+    from finhyp import padic
+
+    params = HGParams([F(1, 8), F(3, 8)], [0, 0])
+    cold = [route(params, 17, t, 6) for route in (padic_sum_direct, padic_sum_via_orbits)
+            for t in (2, 5)]
+
+    def no_gamma_work(*args):
+        raise AssertionError("a warm sum rebuilt its Gamma_p arguments")
+
+    for name in ("prefetch_gamma_p", "gamma_args", "_orbit_fractions"):
+        monkeypatch.setattr(padic, name, no_gamma_work)
+    warm = [route(params, 17, t, 6) for route in (padic_sum_direct, padic_sum_via_orbits)
+            for t in (2, 5)]
+    assert warm == cold
 
 
 def test_orbit_route_with_denominators():
