@@ -28,6 +28,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import lshift, mul
 
 from .errors import DivisionByZero, InternalInconsistency, NotCoprime, NotDivisor
 
@@ -450,13 +451,18 @@ class _Packed:
         self.n, self.bound, self.width, self.value, self.total = n, bound, width, value, total
 
     @staticmethod
+    def slot_width(bound):
+        """The bytes per slot of a vector whose coefficients are at most bound."""
+        need = (bound.bit_length() + 7) // 8 or 1
+        return min((w for w in _ARRAY_CODES if w >= need), default=need)
+
+    @staticmethod
     def tally(n, bound, weights):
         """The sum of w * x^e over the (e, w) pairs of weights, w >= 0."""
         v = [0] * n
         for e, w in weights:
             v[e % n] += w
-        need = (bound.bit_length() + 7) // 8 or 1
-        width = min((w for w in _ARRAY_CODES if w >= need), default=need)
+        width = _Packed.slot_width(bound)
         code = _ARRAY_CODES.get(width)
         raw = (array(code, v).tobytes() if code
                else b"".join(x.to_bytes(width, "little") for x in v))
@@ -468,6 +474,28 @@ class _Packed:
         value = sum(x.value * y.value for x, y in zip(xs, ys))
         total = sum(x.total * y.total for x, y in zip(xs, ys))
         return _Packed(xs[0].n, xs[0].bound, xs[0].width, value, total)
+
+    @staticmethod
+    def class_products(classes, terms):
+        """Per k < m = len(classes), the sum of w * classes[k - d] * x^e over
+        the ((e, d), w) items of terms: one shift-add per term and class."""
+        m, first = len(classes), classes[0]
+        bits = 8 * first.width
+        idx = [-d % m for (e, d) in terms]  # classes[k - d] is the k-th rotation at -d
+        shifts = [bits * e for (e, d) in terms]
+        weights = list(terms.values())
+        values, totals = [c.value for c in classes], [c.total for c in classes]
+        weighted = any(w != 1 for w in weights)
+        out = []
+        for k in range(m):
+            rot, trot = values[k:] + values[:k], totals[k:] + totals[:k]
+            parts = map(rot.__getitem__, idx)
+            if weighted:
+                parts = map(mul, parts, weights)
+            total = sum(map(mul, map(trot.__getitem__, idx), weights))
+            out.append(_Packed(first.n, first.bound, first.width,
+                               sum(map(lshift, parts, shifts)), total))
+        return out
 
     @staticmethod
     def rotated_sum(rows, shifts):

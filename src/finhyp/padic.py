@@ -12,7 +12,8 @@ the values per (p, N).  Before any work, a request for k uncached values is
 priced at W = pN + N^3 b + k (p + N^2 b), b = p.bit_length() (see
 _gamma_work), and refused with BoundExceeded when W exceeds max_pn (default
 10^7).  One unit of W took 1.1-4.9 * 10^-7 s (2-core Xeon, Python 3.11), so
-the default admits about 1-5 s of work.
+the default admits about 1-5 s of work.  A p-adic series is priced at a lower
+bound of its count before its arguments are built (see _check_series_cap).
 """
 
 import math
@@ -411,6 +412,30 @@ def _gamma_work(p, n, count):
     return p * n + n**3 * b + count * (p + n * n * b)
 
 
+def _check_gamma_cap(p, prec, count, max_pn):
+    """Raise BoundExceeded if count uncached Gamma_p values mod p^prec cost
+    more than the cap."""
+    cap = max_pn if max_pn is not None else MAX_PN_DEFAULT
+    work = _gamma_work(p, prec, count)
+    if work > cap:
+        raise BoundExceeded(
+            f"{count} Gamma_p values mod {p}^{prec} cost W = {work}, "
+            f"over the cap {cap}; raise max_pn to allow it"
+        )
+
+
+def _check_series_cap(p, prec, max_pn):
+    """Refuse a p-adic series over the cap before its arguments are built.
+
+    Either route evaluates the p-1 arguments a + m/(p-1), mod 1, of its
+    first alpha a.  Their differences are k/(p-1) with 0 < |k| < p-1, so they
+    are distinct mod p^prec, and at least p-1 minus the cached count of them
+    are new: a lower bound on the work the route will be priced at.
+    """
+    _check_prec(prec)
+    _check_gamma_cap(p, prec, max(0, p - 1 - len(_gamma_cache.get((p, prec), ()))), max_pn)
+
+
 def _gamma_fill(p, prec, residues, max_pn):
     """Compute every uncached residue of the (p, prec) cache, after one check
     of their work estimate against the cap."""
@@ -418,13 +443,7 @@ def _gamma_fill(p, prec, residues, max_pn):
     todo = {r for r in residues if r not in cache}
     if not todo:
         return cache
-    cap = max_pn if max_pn is not None else MAX_PN_DEFAULT
-    work = _gamma_work(p, prec, len(todo))
-    if work > cap:
-        raise BoundExceeded(
-            f"{len(todo)} Gamma_p values mod {p}^{prec} cost W = {work}, "
-            f"over the cap {cap}; raise max_pn to allow it"
-        )
+    _check_gamma_cap(p, prec, len(todo), max_pn)
     cache = _gamma_cache.setdefault((p, prec), cache)
     for r in todo:
         cache[r] = _gamma_compute(r, p, prec)
@@ -605,6 +624,7 @@ def padic_sum_direct(params, p, t, prec, max_pn=None):
     tt = _validate_args(params, p, t)
     key = ("direct", params, p, prec)
     if key not in _unit_terms:
+        _check_series_cap(p, prec, max_pn)
         mod = p**prec
         units = prefetch_gamma_p([x for row in gamma_args(params, p) for x in row], p, prec, max_pn)
         w = 2 * params.d
@@ -628,6 +648,7 @@ def padic_sum_via_orbits(params, p, t, prec, max_pn=None):
         return _series_total(params, p, tt, prec, _unit_terms[key])
     if not params.splits_at(p):
         raise DoesNotSplit(f"multiplication by {p} does not fix the parameters")
+    _check_series_cap(p, prec, max_pn)
     alpha_orbits, beta_orbits = params.p_orbits(p)
     specs = []  # (l, e, step) with row m's exponent e + m * step
     for orbits, sgn in ((alpha_orbits, 1), (beta_orbits, -1)):

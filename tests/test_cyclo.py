@@ -369,6 +369,24 @@ def test_packed_rotated_sum_and_dot_match_cyclonum(n):
         assert _same(dot.read(), ref)
 
 
+@pytest.mark.parametrize("n", PACKED_CONDUCTORS)
+@pytest.mark.parametrize("weighted", [False, True])
+def test_packed_class_products_match_cyclonum(n, weighted):
+    # new[k] = sum of w * classes[k - d] * x^e, classes indexed mod m
+    rng = random.Random(n + weighted)
+    for m, top in ((1, 5), (3, 2**20), (7, 1)):
+        classes = [[rng.randint(0, top) for _ in range(n)] for _ in range(m)]
+        terms = {(rng.randrange(n), rng.randrange(m)): rng.randint(1, 3) if weighted else 1
+                 for _ in range(5)}
+        bound = sum(map(sum, classes)) * sum(terms.values())
+        out = _Packed.class_products([_pack(n, bound, v) for v in classes], terms)
+        for k, got in enumerate(out):
+            ref = sum((_powers(n, classes[(k - d) % m]) * root_of_unity(n, e) * w
+                       for (e, d), w in terms.items()), CycloNum.zero(n))
+            assert got.total == sum(sum(classes[(k - d) % m]) * w for (e, d), w in terms.items())
+            assert _same(got.read(), ref)
+
+
 @pytest.mark.parametrize("bound", EXACT_BOUNDS)
 @pytest.mark.parametrize("n", [1, 12, 342])
 def test_packed_coefficient_equal_to_bound(n, bound):

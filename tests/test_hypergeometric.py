@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,11 +15,13 @@ from finhyp.charsums import (
     gauss_product,
     gauss_sum,
 )
-from finhyp.cyclo import CycloNum, root_of_unity
+from finhyp import clear_caches
+from finhyp.cyclo import CycloNum, _Packed, root_of_unity
 from finhyp.errors import AssumptionFails, NotPrime, ZeroArgument
 from finhyp.finfield import make_field
 from finhyp.hypergeometric import (
     HGAlgebraInstance,
+    _direct_classes,
     algebra_sum_direct,
     algebra_sum_fourier,
     classic_sum,
@@ -398,6 +401,95 @@ def test_random_instances_direct_equals_fourier():
             assert algebra_sum_direct(inst, t) == algebra_sum_fourier(inst, t)
 
 
+def _unit_tally_reference(alg, exps, big, at_minus_y):
+    """Counts of (trace mod p, character exponent mod big, norm dlog) over
+    the units y of alg, the first two taken at -y when at_minus_y is set,
+    as one dict convolution over the components."""
+    p, qbar = alg.base.p, alg.base.q - 1
+    acc = {(0, 0, 0): 1}
+    for comp, e, nf in zip(alg.components, exps, alg._norm_factors):
+        order = comp.q - 1
+        h = comp.minus_one_dlog if at_minus_y else 0
+        step = (-e if at_minus_y else e) * (big // order)
+        hist = {}
+        for j in range(order):
+            key = (comp.trace_of_unit(j + h), step * (j + h) % big, j * nf % qbar)
+            hist[key] = hist.get(key, 0) + 1
+        out = {}
+        for (tr, ch, nd), cnt in acc.items():
+            for (tr_i, ch_i, nd_i), cnt_i in hist.items():
+                key = ((tr + tr_i) % p, (ch + ch_i) % big, (nd + nd_i) % qbar)
+                out[key] = out.get(key, 0) + cnt * cnt_i
+        acc = out
+    return acc
+
+
+def _direct_classes_reference(inst, twist):
+    """The packed norm classes of _direct_classes, from the dict tallies."""
+    p, qbar = inst.base.p, inst.base.q - 1
+    big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
+    bound = inst.A.unit_count() * inst.B.unit_count() // qbar
+
+    def pack(alg, chi, at_minus_y):
+        classes = [[] for _ in range(qbar)]
+        for (tr, ch, nd), cnt in _unit_tally_reference(alg, chi.exponents, big, at_minus_y).items():
+            classes[nd].append(((twist * tr % p) * big + ch * p, cnt))
+        return [_Packed.tally(p * big, bound, c) for c in classes]
+
+    return pack(inst.A, inst.chiA, False), pack(inst.B, inst.chiB, True)
+
+
+def _count_tally_steps(monkeypatch):
+    """Record "sparse" or "dense" for every step of the direct-sum tallies."""
+    from finhyp import hypergeometric
+
+    steps = []
+    sparse, dense = hypergeometric._sparse_step, _Packed.class_products
+    monkeypatch.setattr(hypergeometric, "_sparse_step",
+                        lambda *args: steps.append("sparse") or sparse(*args))
+    monkeypatch.setattr(_Packed, "class_products",
+                        staticmethod(lambda *args: steps.append("dense") or dense(*args)))
+    return steps
+
+
+def _packed_fields(classes):
+    return [(c.n, c.width, c.value, c.total) for c in classes]
+
+
+@pytest.mark.parametrize("case", ["sparse", "dense", "orbit_mixed"])
+def test_norm_classes_against_dict_tally(case, monkeypatch):
+    if case == "sparse":  # d = 2 at q = 49: the support stays small
+        inst = split_instance(HGParams.parse("1/6,5/6", "0,1/2"), 49)
+    elif case == "dense":
+        inst = split_instance(HGParams.parse("1/13,1/2,12/13", "0,0,0"), 27)
+    else:  # components of degree 1, 2 and 3 over F_3
+        inst = orbit_instance(HGParams.parse("1/2,1/13,3/13,9/13", "0,1/4,3/4,0"), 3)
+    steps = _count_tally_steps(monkeypatch)
+    for twist in (1, 2):
+        _direct_classes.cache_clear()
+        steps.clear()
+        got = _direct_classes(inst, twist)
+        assert ("dense" in steps) == (case != "sparse")
+        for side, ref in zip(got, _direct_classes_reference(inst, twist)):
+            assert _packed_fields(side) == _packed_fields(ref)
+
+
+def test_cold_direct_classes_step_counts(monkeypatch):
+    # A's support reaches 1825 (c, norm dlog) pairs at q = 81 and B's only
+    # 240; at q = 125 no support passes 620
+    cases = [
+        ("1/2,1/2,1/2,1/2", "0,0,0,0", 125, ["sparse"] * 8),
+        ("1/8,1/2,7/8", "0,0,0", 81, ["sparse", "sparse", "dense"] + ["sparse"] * 3),
+    ]
+    steps = _count_tally_steps(monkeypatch)
+    for alpha, beta, q, expected in cases:
+        clear_caches()
+        inst = split_instance(HGParams.parse(alpha, beta), q)
+        steps.clear()
+        _direct_classes(inst, 1)
+        assert steps == expected
+
+
 def _direct_bruteforce(inst, t, a=1):
     """The norm-equation sum as a literal double loop over unit pairs.
 
@@ -416,29 +508,37 @@ def _direct_bruteforce(inst, t, a=1):
             out = out * add_char(comp, part, a)
         return out
 
+    # each unit's own factor psi(z) chi(z), with z = x on A and z = -y on B
+    b_terms = []
+    for dy in B.units():
+        y = B.unit_elem(dy)
+        minus_y = B.elem([-part for part in y.parts])
+        b_terms.append((algebra_norm_to_base(y), psi(minus_y) * chiB_bar.eval(minus_y)))
     total = CycloNum.zero(1)
     for dx in A.units():
         x = A.unit_elem(dx)
         target = t * algebra_norm_to_base(x)
-        for dy in B.units():
-            y = B.unit_elem(dy)
-            if algebra_norm_to_base(y) != target:
-                continue
-            minus_y = B.elem([-part for part in y.parts])
-            total = total + psi(x) * psi(minus_y) * inst.chiA.eval(x) * chiB_bar.eval(minus_y)
+        x_term = psi(x) * inst.chiA.eval(x)
+        for norm, y_term in b_terms:
+            if norm == target:
+                total = total + x_term * y_term
     den = algebra_gauss_sum(inst.chiA, a) * algebra_gauss_sum(chiB_bar, a)
     return -total / den
 
 
-def test_direct_against_bruteforce():
-    from finhyp.hypergeometric import _direct_classes
-
+def test_direct_against_bruteforce(monkeypatch):
     split = split_instance(HGParams([F(1, 6), F(5, 6)], [0, F(1, 2)]), 7)
+    split_d3 = split_instance(HGParams.parse("1/4,1/2,3/4", "0,0,0"), 5)
     mixed = orbit_instance(HGParams([F(1, 2), F(1, 4), F(3, 4)], [0, F(1, 8), F(3, 8)]), 3)
     assert sorted(c.f for c in mixed.A.components) == [1, 2]
     assert sorted(c.f for c in mixed.B.components) == [1, 2]
-    for inst in (split, mixed):
+    steps = _count_tally_steps(monkeypatch)
+    for inst in (split, split_d3, mixed):
+        _direct_classes.cache_clear()
+        steps.clear()
         a_classes, b_classes = _direct_classes(inst, 1)
+        # split_d3 packs its A tally before the last component, a dense step
+        assert ("dense" in steps) == (inst is split_d3)
         assert sum(c.total for c in a_classes) == inst.A.unit_count()
         assert sum(c.total for c in b_classes) == inst.B.unit_count()
         for j in range(inst.base.q - 1):

@@ -213,6 +213,18 @@ def test_gamma_costly_request_refused_before_work():
     assert (10000019, 1) not in _gamma_cache and (10000019, 1) not in _gamma_blocks
 
 
+@pytest.mark.parametrize("route", [padic_sum_direct, padic_sum_via_orbits])
+def test_costly_series_refused_before_its_arguments(route):
+    # p-1 distinct Gamma_p arguments are priced before any of them is built
+    p = 100003
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded):
+        route(HGParams([F(1, 2)], [0]), p, 1, 6)
+    assert time.perf_counter() - start < 0.5
+    assert (p, 6) not in _gamma_cache and (p, 6) not in _gamma_blocks
+    assert not any(key[2] == p for key in _unit_terms)
+
+
 def test_benchmark_call_interface():
     # the benchmark passes max_pn positionally, as p^N
     p, n = 11, 7
