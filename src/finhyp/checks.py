@@ -74,37 +74,40 @@ def _cyclo_str(v):
 # --------------------------------------------------------------- the checks
 
 
+def _all_units(field, ts):
+    """ts as a list, or every unit of field when ts is None."""
+    return list(ts) if ts is not None else [field.unit(j) for j in range(field.q - 1)]
+
+
+def _compare_per_t(check, instance, field, ts, routes):
+    """Evaluate the two routes, a {witness key: function of t} mapping, at
+    every t of ts (default: every unit of field) and report each t where
+    they differ, with both values under their keys."""
+    start = time.perf_counter()
+    (key_a, route_a), (key_b, route_b) = routes.items()
+    failures = []
+    for t in _all_units(field, ts):
+        a, b = route_a(t), route_b(t)
+        if a != b:
+            failures.append({"t": repr(field.elem(t)), key_a: _cyclo_str(a), key_b: _cyclo_str(b)})
+    return _report(check, instance, start, failures)
+
+
 def check_fourier(inst, ts=None, twist=1):
     """Norm-equation sum equals its character expansion, exactly, per t."""
-    start = time.perf_counter()
-    base = inst.base
-    ts = list(ts) if ts is not None else [base.unit(j) for j in range(base.q - 1)]
-    failures = []
-    for t in ts:
-        d = algebra_sum_direct(inst, t, twist)
-        f = algebra_sum_fourier(inst, t, twist)
-        if d != f:
-            failures.append(
-                {"t": repr(base.elem(t)), "direct": _cyclo_str(d), "fourier": _cyclo_str(f)}
-            )
-    return _report("fourier", f"{inst.describe()}", start, failures)
+    return _compare_per_t("fourier", f"{inst.describe()}", inst.base, ts, {
+        "direct": lambda t: algebra_sum_direct(inst, t, twist),
+        "fourier": lambda t: algebra_sum_fourier(inst, t, twist),
+    })
 
 
 def check_example_recovery(params, q, ts=None):
     """Split-algebra sum reproduces the classic series, exactly, per t."""
-    start = time.perf_counter()
     inst = split_instance(params, q)
-    base = inst.base
-    ts = list(ts) if ts is not None else [base.unit(j) for j in range(base.q - 1)]
-    failures = []
-    for t in ts:
-        c = classic_sum(params, q, t)
-        a = algebra_sum_direct(inst, t)
-        if c != a:
-            failures.append(
-                {"t": repr(base.elem(t)), "classic": _cyclo_str(c), "algebra": _cyclo_str(a)}
-            )
-    return _report("example_recovery", f"{params!r} q={q}", start, failures)
+    return _compare_per_t("example_recovery", f"{params!r} q={q}", inst.base, ts, {
+        "classic": lambda t: classic_sum(params, q, t),
+        "algebra": lambda t: algebra_sum_direct(inst, t),
+    })
 
 
 def check_gauss_norm(chi_a):
@@ -126,9 +129,8 @@ def check_zeta_p_independence(inst, ts=None):
         raise ValueError("this check requires dim A = dim B")
     start = time.perf_counter()
     base = inst.base
-    ts = list(ts) if ts is not None else [base.unit(j) for j in range(base.q - 1)]
     failures = []
-    for t in ts:
+    for t in _all_units(base, ts):
         ref = algebra_sum_direct(inst, t, 1)
         for a in range(1, base.p):
             v = algebra_sum_direct(inst, t, a)
@@ -142,22 +144,15 @@ def check_zeta_p_independence(inst, ts=None):
 
 def check_omega_independence(params, q, ts=None):
     """The classic series does not depend on which unit generates omega."""
-    start = time.perf_counter()
     field = make_field(*prime_power(q))
     try:
         alt = field.nth_generator(1)
     except ValueError:
-        return _report("omega_independence", f"{params!r} q={q} (single generator)", start, [])
-    ts = list(ts) if ts is not None else [field.unit(j) for j in range(q - 1)]
-    failures = []
-    for t in ts:
-        v1 = classic_sum(params, q, t)
-        v2 = classic_sum(params, q, t, generator=alt)
-        if v1 != v2:
-            failures.append(
-                {"t": repr(field.elem(t)), "default": _cyclo_str(v1), "alternate": _cyclo_str(v2)}
-            )
-    return _report("omega_independence", f"{params!r} q={q}", start, failures)
+        return CheckReport("omega_independence", f"{params!r} q={q} (single generator)", "pass")
+    return _compare_per_t("omega_independence", f"{params!r} q={q}", field, ts, {
+        "default": lambda t: classic_sum(params, q, t),
+        "alternate": lambda t: classic_sum(params, q, t, generator=alt),
+    })
 
 
 def _lift_coprime(k, d, n):
@@ -186,11 +181,10 @@ def check_fixed_field(params, p, ts=None):
             kk,
             HGAlgebraInstance(inst.A, inst.B, inst.chiA.power(kk), inst.chiB.power(kk)),
         )
-    ts = list(ts) if ts is not None else [base.unit(j) for j in range(base.q - 1)]
     failures = []
     control_needed = len(stab) < len(units_d)
     control_seen = False
-    for t in ts:
+    for t in _all_units(base, ts):
         v = algebra_sum_direct(inst, t)
         v_big = v.is_in_subfield(big)
         if v_big is None:
@@ -355,7 +349,6 @@ def random_algebra_instance(rng, q, max_size=81, equidim=False):
 
     def degrees():
         out = []
-        total = 0
         budget_dim = 0
         while True:
             limit = 1
@@ -400,8 +393,8 @@ def random_params(rng):
             return HGParams(alpha, beta)
 
 
-def run_full_suite(max_q=9, max_p=13, prec_list=(6, 8), seed=1, checks=None):
-    """The default battery over bounded instances; deterministic per seed."""
+def run_full_suite(prec_list=(6, 8), seed=1, checks=None):
+    """The default battery, with fixed sizes; deterministic per seed."""
     rng = Random(seed)
     reports = []
     want = None if checks in (None, "all", ["all"]) else set(checks)
@@ -411,60 +404,52 @@ def run_full_suite(max_q=9, max_p=13, prec_list=(6, 8), seed=1, checks=None):
 
     if due("fourier"):
         for q in (3, 5, 7, 9):
-            if q > max_q:
-                continue
             for _ in range(2):
                 inst = random_algebra_instance(rng, q, max_size=81)
                 reports.append(check_fourier(inst))
     if due("example_recovery"):
         for params in fixed_params():
-            for q in (5, 7, 13):
-                if q <= max_q and (q - 1) % params.common_denominator() == 0:
+            for q in (5, 7):
+                if (q - 1) % params.common_denominator() == 0:
                     reports.append(check_example_recovery(params, q))
     if due("gauss_norm"):
         for _ in range(10):
-            q = rng.choice([q for q in (3, 5, 7, 9) if q <= max_q] or [3])
+            q = rng.choice((3, 5, 7, 9))
             inst = random_algebra_instance(rng, q, max_size=81)
             reports.append(check_gauss_norm(inst.chiA))
     if due("zeta_p_independence"):
         for _ in range(4):
-            q = rng.choice([q for q in (3, 5, 7) if q <= max_q] or [3])
+            q = rng.choice((3, 5, 7))
             inst = random_algebra_instance(rng, q, max_size=64, equidim=True)
             reports.append(check_zeta_p_independence(inst))
     if due("omega_independence"):
         for params, q in ((fixed_params()[1], 5), (fixed_params()[3], 7)):
-            if q <= max_q:
-                reports.append(check_omega_independence(params, q))
+            reports.append(check_omega_independence(params, q))
     if due("fixed_field"):
-        if max_p >= 11:
-            reports.append(check_fixed_field(HGParams.parse("1/5,4/5", "0,0"), 11))
-        if max_p >= 5:
-            reports.append(check_fixed_field(HGParams.parse("1/2,1/2", "0,0"), 5))
+        reports.append(check_fixed_field(HGParams.parse("1/5,4/5", "0,0"), 11))
+        reports.append(check_fixed_field(HGParams.parse("1/2,1/2", "0,0"), 5))
     if due("gp_equals_hp"):
         for params in fixed_params():
             for p in (5, 13):
-                if p <= max_p and (p - 1) % params.common_denominator() == 0:
+                if (p - 1) % params.common_denominator() == 0:
                     reports.append(check_gp_equals_hp(params, p, prec=min(prec_list)))
-        if max_p >= 7:
-            reports.append(check_gp_equals_hp(
-                HGParams.parse("1/5,2/5,3/5,4/5", "0,0,0,0"), 7, prec=min(prec_list)
-            ))
+        reports.append(check_gp_equals_hp(
+            HGParams.parse("1/5,2/5,3/5,4/5", "0,0,0,0"), 7, prec=min(prec_list)
+        ))
     if due("integrality_delta"):
         for _ in range(10):
-            p = rng.choice([p for p in (3, 5, 7, 11, 13) if p <= max_p] or [3])
+            p = rng.choice((3, 5, 7, 11, 13))
             params = random_params(rng)
             while params.common_denominator() % p == 0:
                 params = random_params(rng)
             reports.append(check_integrality_delta(params, p, ts=[1, 2], prec=4))
     if due("main_theorem"):
-        if max_p >= 11:
-            reports.append(check_main_theorem(
-                HGParams.parse("1/5,4/5", "0,0"), 11, 1, prec_list=prec_list
-            ))
-        if max_p >= 13:
-            reports.append(check_main_theorem(
-                HGParams.parse("1/2,1/2", "0,0"), 13, 2, prec_list=prec_list
-            ))
+        reports.append(check_main_theorem(
+            HGParams.parse("1/5,4/5", "0,0"), 11, 1, prec_list=prec_list
+        ))
+        reports.append(check_main_theorem(
+            HGParams.parse("1/2,1/2", "0,0"), 13, 2, prec_list=prec_list
+        ))
     return reports
 
 

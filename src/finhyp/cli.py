@@ -88,8 +88,6 @@ def _build_parser():
     names = ("all",) + CHECK_NAMES
     sp.add_argument("--check", default="all", choices=names, metavar="CHECK",
                     help="|".join(names))
-    sp.add_argument("--max-q", type=int, default=9)
-    sp.add_argument("--max-p", type=int, default=13)
     sp.add_argument("--prec-list", default="6,8")
     sp.add_argument("--seed", type=int, default=1)
     add_json(sp)
@@ -236,10 +234,7 @@ def cmd_delta(args):
 
 def cmd_verify(args):
     prec_list = tuple(_precision(s, "--prec-list") for s in args.prec_list.split(","))
-    reports = run_full_suite(
-        max_q=args.max_q, max_p=args.max_p, prec_list=prec_list,
-        seed=args.seed, checks=[args.check],
-    )
+    reports = run_full_suite(prec_list=prec_list, seed=args.seed, checks=[args.check])
     ok = True
     for r in reports:
         ok = ok and r.passed

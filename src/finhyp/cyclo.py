@@ -10,14 +10,15 @@ involved anywhere except the diagnostic to_float.
 A product is one big-integer multiply (Kronecker substitution): each
 vector is packed into an int with slots wide enough that no coefficient of
 the convolution overflows its slot, and the signed slots of the product
-are read back.  Any integer vector, whatever its length, is brought to
-reduced form by one routine: fold it modulo x^N - 1, then divide by the
-monic Phi_N, touching only the nonzero low terms of Phi_N.  Sums of powers
-of z (from_powers, embed, galois, root_of_unity) scatter their exponents
-into a length-N vector and reduce it the same way, so no table of powers
-is kept per conductor.  The nonnegative tallies behind character sums are
-multiplied and summed unreduced, as vectors mod x^N - 1 packed into one
-int each (_Packed), and reduced once when read: Phi_N divides x^N - 1.
+are read back, by the slot codec of the tallies below.  Any integer
+vector, whatever its length, is brought to reduced form by one routine:
+fold it modulo x^N - 1, then divide by the monic Phi_N, touching only the
+nonzero low terms of Phi_N.  Sums of powers of z (from_powers, embed,
+galois, root_of_unity) scatter their exponents into a length-N vector and
+reduce it the same way, so no table of powers is kept per conductor.  The
+nonnegative tallies behind character sums are multiplied and summed
+unreduced, as vectors mod x^N - 1 packed into one int each (_Packed), and
+reduced once when read: Phi_N divides x^N - 1.
 
 Binary operations on elements with different conductors silently promote
 both sides into Q(zeta_lcm).
@@ -31,6 +32,7 @@ from math import gcd, lcm
 from operator import lshift, mul
 
 from .errors import DivisionByZero, InternalInconsistency, NotCoprime, NotDivisor
+from .finfield import factorize
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -44,15 +46,7 @@ def cyclotomic_polynomial(n):
     and Phi_r is the product of (x^d - 1)^mu(r/d) over the divisors d of r:
     multiply by the binomials with mu = 1, then divide exactly by the rest.
     """
-    primes, m, p = [], n, 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
+    primes = list(factorize(n))
     divisors = [(1, -1 if len(primes) % 2 else 1)]  # (d, mu(r/d)), d | r
     for p in primes:
         divisors += [(d * p, -s) for d, s in divisors]
@@ -112,15 +106,25 @@ def _scatter(n, pairs):
     return _reduce(n, v)
 
 
-def _pack(v, width, half):
-    """The int sum v[i] * 2^(8*width*i), for |v[i]| < half = 2^(8*width-1)."""
-    raw = b"".join((x + half).to_bytes(width, "little") for x in v)
-    return int.from_bytes(raw, "little") - _slot_ones(len(v), width) * half
+# slot width -> array typecode, to pack and unpack little-endian slots at C speed
+_ARRAY_CODES = {array(c).itemsize: c for c in "BHILQ"} if sys.byteorder == "little" else {}
 
 
-def _slot_ones(count, width):
-    """The int with a 1 at the bottom of each of `count` slots of `width` bytes."""
-    return int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
+def _to_slots(v, width):
+    """The int with v[i] in the `width`-byte slot at byte i*width, for
+    0 <= v[i] < 2^(8*width)."""
+    code = _ARRAY_CODES.get(width)
+    raw = (array(code, v).tobytes() if code
+           else b"".join(x.to_bytes(width, "little") for x in v))
+    return int.from_bytes(raw, "little")
+
+
+def _from_slots(value, width, count):
+    """The first `count` `width`-byte slots of a nonnegative int, as a list."""
+    raw, code = value.to_bytes(width * count, "little"), _ARRAY_CODES.get(width)
+    return (memoryview(raw).cast(code).tolist() if code
+            else [int.from_bytes(raw[i : i + width], "little")
+                  for i in range(0, width * count, width)])
 
 
 def _convolve(a, b):
@@ -130,17 +134,14 @@ def _convolve(a, b):
     k = len(a) + len(b) - 1
     if not ma or not mb:
         return [0] * k
-    # every product coefficient is below ma*mb*min(len) < 2^(bits-2) in size
-    bits = (ma * mb * min(len(a), len(b))).bit_length() + 2
-    width = (bits + 7) // 8
+    # every product coefficient c has |c| <= ma*mb*min(len) < half, so c + half
+    # fills its slot without a carry; the inputs are packed with the same offset
+    width = _Packed.slot_width(2 * ma * mb * min(len(a), len(b)) + 1)
     half = 1 << (8 * width - 1)
-    prod = _pack(a, width, half) * _pack(b, width, half)
-    # adding half to every slot makes each slot's digit its coefficient + half
-    raw = (prod + _slot_ones(k, width) * half).to_bytes(width * k, "little")
-    return [
-        int.from_bytes(raw[i : i + width], "little") - half
-        for i in range(0, width * k, width)
-    ]
+    offset = int.from_bytes(half.to_bytes(width, "little") * k, "little")  # half per slot
+    pa, pb = (_to_slots([x + half for x in v], width) - (offset >> 8 * width * (k - len(v)))
+              for v in (a, b))
+    return [x - half for x in _from_slots(pa * pb + offset, width, k)]
 
 
 def _make(conductor, num, den=1):
@@ -430,10 +431,6 @@ def root_of_unity(conductor, k=1):
 
 # --------------------------------------------------------- packed tallies
 
-# slot width -> array typecode, to pack and unpack little-endian slots at C speed
-_ARRAY_CODES = {array(c).itemsize: c for c in "BHILQ"} if sys.byteorder == "little" else {}
-
-
 class _Packed:
     """A nonnegative integer vector mod x^n - 1 as one int, coefficient j in
     the `width`-byte slot at byte j*width; each result below is folded once,
@@ -463,10 +460,7 @@ class _Packed:
         for e, w in weights:
             v[e % n] += w
         width = _Packed.slot_width(bound)
-        code = _ARRAY_CODES.get(width)
-        raw = (array(code, v).tobytes() if code
-               else b"".join(x.to_bytes(width, "little") for x in v))
-        return _Packed(n, bound, width, int.from_bytes(raw, "little"), sum(v))
+        return _Packed(n, bound, width, _to_slots(v, width), sum(v))
 
     @staticmethod
     def dot(xs, ys):
@@ -506,8 +500,4 @@ class _Packed:
 
     def read(self):
         """The element sum v[j] zeta_n^j of Q(zeta_n): one unpack, one reduction."""
-        w, n = self.width, self.n
-        raw, code = self.value.to_bytes(w * n, "little"), _ARRAY_CODES.get(w)
-        v = (memoryview(raw).cast(code).tolist() if code
-             else [int.from_bytes(raw[i : i + w], "little") for i in range(0, w * n, w)])
-        return _make(n, _reduce(n, v))
+        return _make(self.n, _reduce(self.n, _from_slots(self.value, self.width, self.n)))

@@ -7,8 +7,8 @@ the lexicographically smallest unit of full order q-1.  Elements are
 coefficient tuples of length f over F_p.
 
 The whole unit group is enumerated at construction so that dlog is a
-table lookup; make_field therefore refuses fields above its size bound
-(default 2**16).
+table lookup; make_field therefore refuses fields above MAX_FIELD_SIZE
+(2**16), a fixed bound.
 """
 
 from functools import lru_cache
@@ -22,7 +22,7 @@ from .errors import (
     ZeroElement,
 )
 
-DEFAULT_MAX_FIELD = 2**16
+MAX_FIELD_SIZE = 2**16
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -455,14 +455,14 @@ def _make_field_cached(p, f):
     return FqField(p, f, _token=_TOKEN)
 
 
-def make_field(p, f=1, max_size=DEFAULT_MAX_FIELD):
+def make_field(p, f=1):
     """The finite field with p^f elements, deterministic presentation."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if f < 1:
         raise MalformedValue(f"extension degree must be positive, not {f}")
-    if p**f > max_size:
-        raise FieldTooLarge(f"p^f = {p**f} exceeds the bound {max_size}")
+    if p**f > MAX_FIELD_SIZE:
+        raise FieldTooLarge(f"p^f = {p**f} exceeds the bound {MAX_FIELD_SIZE}")
     return _make_field_cached(p, f)
 
 

@@ -30,7 +30,6 @@ from .charsums import (
     AlgebraChar,
     SemisimpleAlgebra,
     _packed_gauss_product,
-    algebra_norm_to_base,
     gauss_product,
     invert_gauss_product,
 )
@@ -235,11 +234,11 @@ def _fourier_coefficients(inst, twist):
 
 def _expansion_times_denominator(inst, t, twist):
     """The expansion at a unit t before the division by the denominator:
-    -1/(q-1) times the sum of rows[m] * chi(arg)^m, each term a rotated row."""
+    -1/(q-1) times the sum of rows[m] * chi(arg)^m, each term a rotated row,
+    with arg = N(-1) t and N(-1) = (-1)^(dim B)."""
     qbar = inst.base.q - 1
-    arg = algebra_norm_to_base(inst.B.minus_one()) * t
     rows = _fourier_coefficients(inst, twist)
-    step = rows[0].n // qbar * inst.base.dlog(arg)
+    step = rows[0].n // qbar * (inst.base.dlog(t) + inst.B.dim * inst.base.minus_one_dlog)
     total = _Packed.rotated_sum(rows, [step * m for m in range(qbar)])
     return total.read() * Fraction(-1, qbar)
 

@@ -47,6 +47,9 @@ def test_clear_caches_empties_every_cache():
     assert all(before.values()), before
     clear_caches()
     assert not any(_caches().values())
+    # the expansion of an instance built before the call needs no new field
+    assert algebra_sum_fourier(inst, 2) == value
+    clear_caches()
     # a new instance over the new fields computes the same value from cold
     inst = orbit_instance(HGParams.parse("1/2,1/4,3/4", "0,1/8,3/8"), 3)
     assert algebra_sum_direct(inst, 2) == algebra_sum_fourier(inst, 2) == value

@@ -110,8 +110,7 @@ def test_delta_command(capsys):
 
 def test_verify_subset(capsys):
     code, out = run_cli(
-        capsys, "verify", "--check", "gauss_norm", "--max-q", "5",
-        "--seed", "3", "--json",
+        capsys, "verify", "--check", "gauss_norm", "--seed", "3", "--json",
     )
     assert code == 0
     lines = [json.loads(line) for line in out.splitlines()]
@@ -122,6 +121,14 @@ def test_verify_subset(capsys):
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hq", "--alpha", "1/2", "--q", "5", "--t", "1"])  # missing --beta
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--max-q", "--max-p"])
+def test_verify_has_no_size_flags(capsys, flag):
+    # the suite's instances are fixed; no flag bounds their q or p
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", flag, "5"])
     assert exc.value.code == 2
 
 

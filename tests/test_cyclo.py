@@ -264,6 +264,21 @@ def test_kernel_multiply_matches_reference(pair):
     assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
 
 
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9, 10])
+def test_kernel_multiply_at_slot_width_edges(width):
+    # the largest product coefficient m sits just inside and just past the
+    # bound of `width`-byte signed slots, |m| < 2^(8*width-1), in both signs
+    half = 1 << (8 * width - 1)
+    cases = [(1, [half - 1], [1]), (1, [half], [1]), (2, [-(half - 1)], [1])]
+    for ma in (half // 4 - 1, half // 4):
+        cases += [(5, [ma] * 4, [1] * 4), (5, [ma] * 4, [-1] * 4),
+                  (5, [ma, -ma, ma, -ma], [1, -1, 1, -1]), (10, [ma, 0, 0, ma], [1, 1, 1, 1])]
+    for n, x, y in cases:
+        a, b = CycloNum(n, x), CycloNum(n, y)
+        assert (a * b).coeffs == _ref_mul(a, b)
+        assert (b * a).coeffs == _ref_mul(b, a)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([(1, 23), (2, 8), (3, 9), (4, 12), (6, 78), (13, 78), (5, 5)])
        .flatmap(lambda nm: st.tuples(st.just(nm[1]), _kernel_elements(nm[0]))))
