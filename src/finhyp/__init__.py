@@ -4,15 +4,9 @@ semisimple algebras, and their p-adic counterparts."""
 from . import charsums, cyclo, finfield, hypergeometric, padic
 from .charsums import (
     AlgebraChar,
-    AlgebraElem,
     MultChar,
     SemisimpleAlgebra,
-    add_char,
     algebra_gauss_sum,
-    algebra_gauss_sum_bruteforce,
-    algebra_norm_absolute,
-    algebra_norm_to_base,
-    algebra_trace,
     gauss_norm_exponent,
     gauss_sum,
 )

@@ -1,5 +1,5 @@
-"""Multiplicative and additive characters, on fields and on semisimple
-algebras, with their exact Gauss sums.
+"""Multiplicative characters, on fields and on semisimple algebras, with
+their exact Gauss sums against the trace character.
 
 A character is an exponent relative to the field's fixed generator, so
 conjugating or twisting a character is integer arithmetic on exponents.
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
 
-from .cyclo import CycloNum, _Packed, root_of_unity
-from .errors import InternalInconsistency, NotUnit, ZeroElement
+from .cyclo import _Packed
+from .errors import InternalInconsistency
 
 
 @dataclass(frozen=True)
@@ -30,15 +30,6 @@ class MultChar:
     def is_trivial(self):
         return self.e == 0
 
-    def eval(self, x):
-        x = self.field.elem(x)
-        if x.is_zero():
-            raise ZeroElement("character evaluated at zero")
-        qbar = self.field.q - 1
-        if qbar == 1:
-            return CycloNum.one(1)
-        return root_of_unity(qbar, self.e * self.field.dlog(x))
-
     def conj(self):
         return MultChar(self.field, -self.e)
 
@@ -49,14 +40,6 @@ class MultChar:
 
     def __pow__(self, k):
         return MultChar(self.field, self.e * k)
-
-
-def add_char(field, x, a=1):
-    """zeta_p^(a * Tr(x)) with Tr the absolute trace."""
-    x = field.elem(x)
-    if field.p == 1:
-        raise ValueError("characteristic must be a prime")
-    return root_of_unity(field.p, (a * field.trace_int(x)) % field.p)
 
 
 def gauss_sum(chi, a=1):
@@ -121,68 +104,15 @@ class SemisimpleAlgebra:
             for c in self.components
         )
 
-    def elem(self, values):
-        parts = tuple(c.elem(v) for c, v in zip(self.components, values))
-        if len(parts) != len(self.components):
-            raise ValueError("component count mismatch")
-        return AlgebraElem(self, parts)
-
-    def one(self):
-        return AlgebraElem(self, tuple(c.one() for c in self.components))
-
-    def minus_one(self):
-        return AlgebraElem(self, tuple(-c.one() for c in self.components))
-
     def unit_count(self):
         n = 1
         for c in self.components:
             n *= c.q - 1
         return n
 
-    def units(self):
-        """All units, as dlog tuples (internal fast iteration order)."""
-        from itertools import product
-
-        return product(*(range(c.q - 1) for c in self.components))
-
-    def unit_elem(self, dlogs):
-        return AlgebraElem(
-            self, tuple(c.unit(j) for c, j in zip(self.components, dlogs))
-        )
-
-    def trace_int(self, dlogs):
-        """Absolute trace (an integer mod p) of a unit dlog tuple."""
-        return (
-            sum(c.trace_of_unit(j) for c, j in zip(self.components, dlogs))
-            % self.base.p
-        )
-
     def __repr__(self):
         comps = " + ".join(repr(c) for c in self.components)
         return f"[{comps} over {self.base!r}]"
-
-
-class AlgebraElem:
-    """An element of a semisimple algebra, one field element per component."""
-
-    __slots__ = ("algebra", "parts")
-
-    def __init__(self, algebra, parts):
-        self.algebra = algebra
-        self.parts = parts
-
-    def is_unit(self):
-        return all(not x.is_zero() for x in self.parts)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElem)
-            and self.algebra is other.algebra
-            and self.parts == other.parts
-        )
-
-    def __repr__(self):
-        return "(" + ", ".join(repr(x) for x in self.parts) + ")"
 
 
 @dataclass(frozen=True)
@@ -228,64 +158,9 @@ class AlgebraChar:
             shifted.append(MultChar(comp, chi.e + shift))
         return AlgebraChar(alg, tuple(shifted))
 
-    def eval(self, x):
-        if not isinstance(x, AlgebraElem) or x.algebra is not self.algebra:
-            raise ValueError("element of the wrong algebra")
-        if not x.is_unit():
-            raise NotUnit("character evaluated off the unit group")
-        out = CycloNum.one(1)
-        for chi, part in zip(self.chars, x.parts):
-            out = out * chi.eval(part)
-        return out
-
-
-def algebra_trace(x):
-    """Absolute trace of an algebra element, as an element of F_p."""
-    from .finfield import make_field
-
-    fp = make_field(x.algebra.base.p)
-    total = 0
-    for comp, part in zip(x.algebra.components, x.parts):
-        total += comp.trace_int(part)
-    return fp.elem([total % fp.p])
-
-
-def algebra_norm_to_base(x):
-    """Product of the component norms down to the base field."""
-    base = x.algebra.base
-    out = base.one()
-    for comp, part in zip(x.algebra.components, x.parts):
-        out = out * (part if comp is base else comp.norm_to(part, base.f))
-    return out
-
-
-def algebra_norm_absolute(x):
-    """Norm of the multiplication-by-x map over F_p, as an element of F_p."""
-    base = x.algebra.base
-    n = algebra_norm_to_base(x)
-    return base.norm_to(n, 1) if base.f > 1 else n
-
-
 def algebra_gauss_sum(chi_a, a=1):
     """Gauss sum of an algebra character, via the component product."""
     return gauss_product(chi_a.chars, a)
-
-
-def algebra_gauss_sum_bruteforce(chi_a, a=1):
-    """Gauss sum summed directly over every unit; cross-check for small algebras."""
-    alg = chi_a.algebra
-    p = alg.base.p
-    orders = [c.q - 1 for c in alg.components]
-    big = lcm(*orders) if orders else 1
-    n = p * big
-    weights = {}
-    exps = chi_a.exponents
-    for dl in alg.units():
-        tr = (a * alg.trace_int(dl)) % p
-        mult = sum(e * j * (big // o) for e, j, o in zip(exps, dl, orders)) % big
-        c = (mult * p + tr * big) % n
-        weights[c] = weights.get(c, 0) + 1
-    return CycloNum.from_powers(n, weights)
 
 
 def gauss_norm_exponent(chi_a):

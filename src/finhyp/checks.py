@@ -393,7 +393,7 @@ def random_params(rng):
             return HGParams(alpha, beta)
 
 
-def run_full_suite(prec_list=(6, 8), seed=1, checks=None):
+def run_full_suite(seed=1, checks=None):
     """The default battery, with fixed sizes; deterministic per seed."""
     rng = Random(seed)
     reports = []
@@ -432,9 +432,9 @@ def run_full_suite(prec_list=(6, 8), seed=1, checks=None):
         for params in fixed_params():
             for p in (5, 13):
                 if (p - 1) % params.common_denominator() == 0:
-                    reports.append(check_gp_equals_hp(params, p, prec=min(prec_list)))
+                    reports.append(check_gp_equals_hp(params, p, prec=6))
         reports.append(check_gp_equals_hp(
-            HGParams.parse("1/5,2/5,3/5,4/5", "0,0,0,0"), 7, prec=min(prec_list)
+            HGParams.parse("1/5,2/5,3/5,4/5", "0,0,0,0"), 7, prec=6
         ))
     if due("integrality_delta"):
         for _ in range(10):
@@ -444,12 +444,8 @@ def run_full_suite(prec_list=(6, 8), seed=1, checks=None):
                 params = random_params(rng)
             reports.append(check_integrality_delta(params, p, ts=[1, 2], prec=4))
     if due("main_theorem"):
-        reports.append(check_main_theorem(
-            HGParams.parse("1/5,4/5", "0,0"), 11, 1, prec_list=prec_list
-        ))
-        reports.append(check_main_theorem(
-            HGParams.parse("1/2,1/2", "0,0"), 13, 2, prec_list=prec_list
-        ))
+        reports.append(check_main_theorem(HGParams.parse("1/5,4/5", "0,0"), 11, 1))
+        reports.append(check_main_theorem(HGParams.parse("1/2,1/2", "0,0"), 13, 2))
     return reports
 
 

@@ -9,7 +9,6 @@ check or value disagreement, 2 usage error, 3 resource bound exceeded.
 
 import argparse
 import json
-import os
 import sys
 
 from .charsums import MultChar, gauss_sum
@@ -31,17 +30,6 @@ SCHEMA = "finhyp/1"
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
 RESOURCE_ERROR = 3
-
-
-def _precision(raw, source):
-    """raw, read from `source`, as a positive integer precision."""
-    try:
-        prec = int(raw)
-    except ValueError:
-        raise BadPrecision(f"{source}: precision must be an integer, not {raw!r}") from None
-    if prec < 1:
-        raise BadPrecision(f"{source}: precision must be a positive integer, not {prec}")
-    return prec
 
 
 def _build_parser():
@@ -68,7 +56,7 @@ def _build_parser():
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--t", type=int)
     sp.add_argument("--all-t", action="store_true")
-    sp.add_argument("--prec", type=int)
+    sp.add_argument("--prec", type=int, default=6)
     sp.add_argument("--route", choices=["direct", "algebra", "both"], default="direct")
     add_json(sp)
 
@@ -76,7 +64,7 @@ def _build_parser():
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--f", type=int, default=1)
     sp.add_argument("--m", type=int, required=True, help="character exponent")
-    sp.add_argument("--prec", type=int)
+    sp.add_argument("--prec", type=int, default=6)
     add_json(sp)
 
     sp = sub.add_parser("delta", help="parameter combinatorics report")
@@ -88,7 +76,6 @@ def _build_parser():
     names = ("all",) + CHECK_NAMES
     sp.add_argument("--check", default="all", choices=names, metavar="CHECK",
                     help="|".join(names))
-    sp.add_argument("--prec-list", default="6,8")
     sp.add_argument("--seed", type=int, default=1)
     add_json(sp)
     return top
@@ -233,8 +220,7 @@ def cmd_delta(args):
 
 
 def cmd_verify(args):
-    prec_list = tuple(_precision(s, "--prec-list") for s in args.prec_list.split(","))
-    reports = run_full_suite(prec_list=prec_list, seed=args.seed, checks=[args.check])
+    reports = run_full_suite(seed=args.seed, checks=[args.check])
     ok = True
     for r in reports:
         ok = ok and r.passed
@@ -256,11 +242,8 @@ def main(argv=None):
     try:
         if hasattr(args, "alpha"):
             args.params = HGParams.parse(args.alpha, args.beta)
-        if hasattr(args, "prec"):
-            if args.prec is None:
-                args.prec = _precision(os.environ.get("FINHYP_PREC", "6"), "FINHYP_PREC")
-            else:
-                args.prec = _precision(args.prec, "--prec")
+        if getattr(args, "prec", 1) < 1:
+            raise BadPrecision(f"--prec: precision must be a positive integer, not {args.prec}")
         handler = {
             "hq": cmd_hq,
             "gp": cmd_gp,

@@ -5,7 +5,7 @@ in the power basis 1, z, ..., z^(phi(N)-1), z = exp(2*pi*i/N), reduced
 modulo the N-th cyclotomic polynomial Phi_N.  The pair is normalised so
 that gcd(den, *num) = 1.  That form is unique, so equality, rationality
 and subfield membership are exact integer checks; no floating point is
-involved anywhere except the diagnostic to_float.
+involved anywhere.
 
 A product is one big-integer multiply (Kronecker substitution): each
 vector is packed into an int with slots wide enough that no coefficient of
@@ -385,17 +385,6 @@ class CycloNum:
         return _make(g, rows[0][::step], self.den).embed(conductor)
 
     # ------------------------------------------------------------------- io
-
-    def to_float(self):
-        """Numerical approximation; diagnostics only, never for assertions."""
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.conductor)
-        acc = 0j
-        for j, c in enumerate(self.coeffs):
-            if c:
-                acc += float(c) * z**j
-        return acc
 
     def to_json(self):
         return {

@@ -29,10 +29,6 @@ class DivisionByZero(FinHypError):
     """Inversion of an exact zero."""
 
 
-class ConductorMismatch(FinHypError):
-    """Incompatible cyclotomic conductors with no common promotion."""
-
-
 class NotDivisor(FinHypError):
     """Expected one conductor to divide the other."""
 
@@ -42,7 +38,7 @@ class NotPrime(FinHypError):
 
 
 class FieldTooLarge(FinHypError):
-    """Requested finite field exceeds the configured size bound."""
+    """Requested finite field exceeds the fixed bound finfield.MAX_FIELD_SIZE."""
 
 
 class NotSubfield(FinHypError):
@@ -51,10 +47,6 @@ class NotSubfield(FinHypError):
 
 class ZeroElement(FinHypError):
     """A nonzero field element was required."""
-
-
-class NotUnit(FinHypError):
-    """An invertible algebra element was required."""
 
 
 class InternalInconsistency(FinHypError):
@@ -86,7 +78,7 @@ class ConductorNotDividing(FinHypError):
 
 
 class BoundExceeded(FinHypError):
-    """A configured resource bound (field size, precision cost) was exceeded."""
+    """A fixed resource bound, such as the Gamma_p work cap, was exceeded."""
 
 
 class BadPrecision(FinHypError):

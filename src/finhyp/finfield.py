@@ -265,7 +265,7 @@ class FqField:
         """
         if isinstance(value, FqElem):
             if value.field is not self:
-                raise ValueError("element belongs to another field")
+                raise MalformedValue("element belongs to another field")
             return value
         if isinstance(value, int):
             digits = []
@@ -276,7 +276,7 @@ class FqField:
             return FqElem(self, tuple(digits))
         c = [x % self.p for x in value]
         if len(c) != self.f:
-            raise ValueError(f"need {self.f} coefficients")
+            raise MalformedValue(f"need {self.f} coefficients")
         return FqElem(self, tuple(c))
 
     def zero(self):

@@ -6,53 +6,17 @@ from finhyp.charsums import (
     AlgebraChar,
     MultChar,
     SemisimpleAlgebra,
-    add_char,
     algebra_gauss_sum,
-    algebra_gauss_sum_bruteforce,
-    algebra_norm_absolute,
-    algebra_norm_to_base,
-    algebra_trace,
     gauss_norm_exponent,
     gauss_product,
     gauss_sum,
     invert_gauss_product,
 )
-from finhyp.cyclo import CycloNum, root_of_unity
-from finhyp.errors import InternalInconsistency, NotUnit, ZeroElement
+from finhyp.cyclo import root_of_unity
+from finhyp.errors import InternalInconsistency
 from finhyp.finfield import make_field
 
-
-def test_char_eval_basics():
-    F5 = make_field(5)
-    triv = MultChar(F5, 0)
-    chi = MultChar(F5, 1)
-    for x in range(1, 5):
-        assert triv.eval(F5.elem(x)) == 1
-    assert chi.eval(F5.generator) == root_of_unity(4, 1)
-    with pytest.raises(ZeroElement):
-        chi.eval(F5.zero())
-
-
-def test_char_homomorphism():
-    F9 = make_field(3, 2)
-    chi = MultChar(F9, 3)
-    rng = random.Random(0)
-    for _ in range(20):
-        x, y = F9.unit(rng.randrange(8)), F9.unit(rng.randrange(8))
-        assert chi.eval(x * y) == chi.eval(x) * chi.eval(y)
-
-
-def test_add_char():
-    F5 = make_field(5)
-    assert add_char(F5, F5.zero()) == 1
-    total = CycloNum.zero(5)
-    for x in range(5):
-        total = total + add_char(F5, F5.elem(x))
-    assert total == 0
-    units = CycloNum.zero(5)
-    for x in range(1, 5):
-        units = units + add_char(F5, F5.elem(x))
-    assert units == -1
+import oracles
 
 
 def test_gauss_sum_basics():
@@ -72,7 +36,7 @@ def test_gauss_pair_identity():
         for e in range(1, field.q - 1):
             chi = MultChar(field, e)
             lhs = gauss_sum(chi) * gauss_sum(chi.conj())
-            assert lhs == chi.eval(-field.one()) * field.q
+            assert lhs == oracles.char_value(field, e, -field.one()) * field.q
 
 
 def test_gauss_twist_identity():
@@ -82,38 +46,8 @@ def test_gauss_twist_identity():
     chi = AlgebraChar.from_exponents(A, [2, 5])
     base_value = algebra_gauss_sum(chi, 1)
     for a in range(2, 7):
-        diag = A.elem([a, a])
-        assert algebra_gauss_sum(chi, a) == chi.eval(diag).inverse() * base_value
-
-
-def test_split_norm_and_trace():
-    F5 = make_field(5)
-    S = SemisimpleAlgebra(F5, [F5, F5, F5])
-    x = S.elem([2, 3, 4])
-    assert algebra_norm_to_base(x) == F5.elem(24)
-    assert algebra_norm_to_base(S.minus_one()) == F5.elem(-1)  # (-1)^3
-    assert algebra_trace(x) == make_field(5).elem(2 + 3 + 4)
-    S2 = SemisimpleAlgebra(F5, [F5, F5])
-    assert algebra_norm_to_base(S2.minus_one()) == F5.elem(1)  # (-1)^2
-
-
-def test_norm_absolute_vs_base():
-    F9 = make_field(3, 2)
-    A = SemisimpleAlgebra(F9, [F9, make_field(3, 4)])
-    rng = random.Random(4)
-    for _ in range(10):
-        x = A.unit_elem((rng.randrange(8), rng.randrange(80)))
-        nb = algebra_norm_to_base(x)
-        na = algebra_norm_absolute(x)
-        assert na == F9.norm_to(nb, 1)
-
-
-def test_unit_detection():
-    F3 = make_field(3)
-    A = SemisimpleAlgebra(F3, [F3, F3])
-    chi = AlgebraChar.from_exponents(A, [1, 1])
-    with pytest.raises(NotUnit):
-        chi.eval(A.elem([1, 0]))
+        chi_a = oracles.algebra_char_value(chi, (F7.elem(a), F7.elem(a)))
+        assert algebra_gauss_sum(chi, a) == chi_a.inverse() * base_value
 
 
 def test_product_formula_against_bruteforce():
@@ -135,7 +69,7 @@ def test_product_formula_against_bruteforce():
                     alg, [rng.randrange(c.q - 1) for c in alg.components]
                 )
                 a = rng.randrange(1, p) if p > 2 else 1
-                assert algebra_gauss_sum(chi, a) == algebra_gauss_sum_bruteforce(chi, a)
+                assert algebra_gauss_sum(chi, a) == oracles.algebra_gauss_sum(chi, a)
 
 
 def test_product_formula_on_extension_base():
@@ -146,7 +80,7 @@ def test_product_formula_on_extension_base():
         chi = AlgebraChar.from_exponents(
             alg, [rng.randrange(c.q - 1) for c in alg.components]
         )
-        assert algebra_gauss_sum(chi) == algebra_gauss_sum_bruteforce(chi)
+        assert algebra_gauss_sum(chi) == oracles.algebra_gauss_sum(chi)
 
 
 def test_gauss_norm_exponent():

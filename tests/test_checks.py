@@ -146,7 +146,7 @@ def test_main_theorem_coefficients_are_symmetric_integers():
 
 
 def test_suite_seed_determinism():
-    a = run_full_suite(prec_list=(4,), seed=9, checks=["gauss_norm"])
-    b = run_full_suite(prec_list=(4,), seed=9, checks=["gauss_norm"])
+    a = run_full_suite(seed=9, checks=["gauss_norm"])
+    b = run_full_suite(seed=9, checks=["gauss_norm"])
     assert [r.instance for r in a] == [r.instance for r in b]
     assert all(r.passed for r in a)

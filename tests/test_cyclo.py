@@ -144,14 +144,6 @@ def test_exact_inverse(a):
     assert a * a.inverse() == 1
 
 
-@settings(max_examples=25, deadline=None)
-@given(_elements(12, bound=1000, den=30))
-def test_conj_matches_float_modulus(a):
-    exact = (a * a.conj()).to_float()
-    approx = abs(a.to_float()) ** 2
-    assert abs(exact - approx) < 1e-9 * max(1.0, abs(approx))
-
-
 def test_conductor_promotion():
     a = root_of_unity(3, 1)
     b = root_of_unity(4, 1)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finhyp.errors import FieldTooLarge, NotPrime, NotSubfield, ZeroElement
+from finhyp import clear_caches
+from finhyp.errors import FieldTooLarge, MalformedValue, NotPrime, NotSubfield, ZeroElement
 from finhyp.finfield import factorize, is_prime, make_field, prime_power
 
 
@@ -175,6 +176,16 @@ def test_element_int_codes():
     field = make_field(3, 2)
     for code in range(9):
         assert field.elem(code).to_int() == code
+
+
+def test_elem_rejects_foreign_or_misshapen_values():
+    # a field built before clear_caches() is another field after it
+    stale = make_field(3).elem(2)
+    clear_caches()
+    with pytest.raises(MalformedValue, match="another field"):
+        make_field(3).elem(stale)
+    with pytest.raises(MalformedValue, match="coefficients"):
+        make_field(3, 2).elem([1, 2, 0])
 
 
 def test_nth_generator():
