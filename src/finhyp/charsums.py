@@ -3,17 +3,31 @@ their exact Gauss sums against the trace character.
 
 A character is an exponent relative to the field's fixed generator, so
 conjugating or twisting a character is integer arithmetic on exponents.
-Every summand of a Gauss sum is a root of unity, so a Gauss sum is kept as
-a tally of exponents; a product of Gauss sums multiplies the tallies in
-packed form and reduces the result once, when it is read.
+
+A Gauss sum is kept as its two trace fibres.  Let S_c be the sum of chi(x)
+over the units x with a Tr x = c.  As Tr(bx) = b Tr x, S_(bc) = chi(b) S_c
+for b in F_p^x, so
+
+    g(chi) = S_0 + S_1 gamma(psi),   gamma(psi) = sum over b of psi(b) zeta_p^b,
+
+with psi the restriction of chi to F_p^x.  S_0 and S_1 are tallies of
+powers of zeta_(q-1), and S_0 = psi(b) S_0 is 0 unless psi is trivial.  A
+product of Gauss sums over fields F_(q_i) of characteristic p is again such
+a pair X_0 + X_1 gamma(psi), with tallies at length big = lcm(q_i - 1) and
+psi the product of the restrictions.  Its fibres are products of fibres
+and of two Jacobi tallies over F_p (_GaussPair.__mul__), multiplied as
+packed integers at length big.  A pair is lifted into Q(zeta_(p big)) once,
+when its value is read; its coefficient of gamma(psi) is read in
+Q(zeta_big) itself.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm, prod
+from operator import mul
 
 from .cyclo import _Packed
-from .errors import InternalInconsistency
+from .errors import FieldMismatch, InternalInconsistency, LengthMismatch, NotSubfield
 
 
 @dataclass(frozen=True)
@@ -35,7 +49,7 @@ class MultChar:
 
     def __mul__(self, other):
         if other.field is not self.field:
-            raise ValueError("characters on different fields")
+            raise FieldMismatch("characters on different fields")
         return MultChar(self.field, self.e + other.e)
 
     def __pow__(self, k):
@@ -49,35 +63,120 @@ def gauss_sum(chi, a=1):
 
 @lru_cache(maxsize=None)
 def _gauss_entry(field, e, a):
-    """One Gauss sum, computed on first use as an O(q) tally: n = p(q-1)
-    and the pairs (c, count) of the sum of count * zeta_n^c."""
+    """One Gauss sum as its trace fibres, computed on first use by one O(q)
+    pass: the (c, count) pairs of S_0 and S_1 as sums of count * zeta_(q-1)^c,
+    and psi with chi(b) = zeta_(q-1)^psi[b] for b = 1..p-1 (psi[0] = 0).
+    S_0 is left empty when psi is nontrivial, where it is 0."""
     p, qbar = field.p, field.q - 1
-    n = p * qbar
-    weights = {}
+    psi = (0,) + tuple(e * field.dlog(b) % qbar for b in range(1, p))
+    one = pow(a, -1, p)  # a Tr x = 1
+    fibres = ({}, {})
     for j in range(qbar):
-        # zeta_(q-1)^(e j) * zeta_p^(a tr(g^j)) as a power of zeta_n
-        c = ((e * j % qbar) * p + (a * field.trace_of_unit(j) % p) * qbar) % n
-        weights[c] = weights.get(c, 0) + 1
-    return n, tuple(weights.items())
+        tr = field.trace_of_unit(j)
+        if tr in (0, one):
+            tally, c = fibres[tr == one], e * j % qbar
+            tally[c] = tally.get(c, 0) + 1
+    s0 = () if any(psi) else tuple(fibres[0].items())
+    return s0, tuple(fibres[1].items()), psi
 
 
-def _packed_gauss_product(chars, a, bound, n=1):
-    """The product of the Gauss sums of chars against the a-twisted trace,
-    packed for coefficients up to bound at the lcm of n and the conductors
-    of their tallies."""
-    tallies = [_gauss_entry(chi.field, chi.e, a % chi.field.p) for chi in chars]
-    n = lcm(n, *(m for m, _ in tallies))
-    out = _Packed.tally(n, bound, [(0, 1)])
-    for m, tally in tallies:
-        out = _Packed.dot([out], [_Packed.tally(n, bound, ((c * (n // m), w) for c, w in tally))])
-    return out
+class _GaussPair:
+    """X_0 + X_1 gamma(psi): a product of Gauss sums as its two trace fibres,
+    nonnegative tallies packed at length big, and psi, the exponents in
+    zeta_big of its character on F_p^x (psi[b] for b = 1..p-1, psi[0] = 0).
+    X_0 is empty when psi is nontrivial."""
+
+    __slots__ = ("p", "x0", "x1", "psi")
+
+    def __init__(self, p, x0, x1, psi):
+        self.p, self.x0, self.x1, self.psi = p, x0, x1, psi
+
+    @staticmethod
+    def entry(chi, a, big, bound):
+        """The Gauss sum of chi against the a-twisted trace, at length big."""
+        field = chi.field
+        s0, s1, psi = _gauss_entry(field, chi.e, a % field.p)
+        step = big // (field.q - 1)
+        x0, x1 = (_Packed.tally(big, bound, ((c * step, w) for c, w in s)) for s in (s0, s1))
+        return _GaussPair(field.p, x0, x1, tuple(e * step for e in psi))
+
+    def __mul__(self, other):
+        """The product PG of P = self and G = other, by the fibre rule
+
+            (PG)_0 = P_0 G_0 + P_1 G_1 J_0,
+            (PG)_1 = P_0 G_1 + P_1 G_0 + P_1 G_1 J_1,
+
+        J_0 the sum of psi_P(b) psi_G(-b) over b != 0 and J_1 that of
+        psi_P(b) psi_G(1 - b) over b != 0, 1.  J_0 is (p-1) psi_G(-1) if
+        psi_P psi_G is trivial and 0 otherwise.  That makes at most three
+        products at length big: P_0 G_0, P_1 G_1 and, when both P_0 and G_0
+        are nonzero, (P_0 + P_1)(G_0 + G_1), less the other two for the cross
+        term.  Its slots are sums of nonnegative products, so the difference
+        is exact.  Each term of J_0 and J_1 is one shift-add of P_1 G_1: at
+        most p-1 in all."""
+        p, psi_p, psi_g = self.p, self.psi, other.psi
+        x0, x1, y0, y1 = self.x0, self.x1, other.x0, other.x1
+        n, bound, width = x1.n, x1.bound, x1.width
+        bits = 8 * width
+        psi = tuple((u + v) % n for u, v in zip(psi_p, psi_g))
+        low, top = x0.value * y0.value, x1.value * y1.value
+        if x0.value and y0.value:
+            cross = (x0.value + x1.value) * (y0.value + y1.value) - low - top
+        else:
+            cross = x0.value * y1.value + x1.value * y0.value
+        hi = _Packed(n, bound, width, top, x1.total * y1.total)  # P_1 G_1, folded
+        jacobi = {}
+        for b in range(2, p):
+            e = (psi_p[b] + psi_g[p + 1 - b]) % n
+            jacobi[e] = jacobi.get(e, 0) + 1
+        v1 = cross + sum(hi.value * w << bits * e for e, w in jacobi.items())
+        t1 = x0.total * y1.total + x1.total * y0.total + (p - 2) * hi.total
+        if any(psi):  # (PG)_0 = psi(b) (PG)_0 is 0
+            v0 = t0 = 0
+        else:
+            v0 = low + (hi.value * (p - 1) << bits * psi_g[p - 1])
+            t0 = x0.total * y0.total + (p - 1) * hi.total
+        return _GaussPair(p, _Packed(n, bound, width, v0, t0),
+                          _Packed(n, bound, width, v1, t1), psi)
+
+    @staticmethod
+    def rotated_sum(pairs, shifts):
+        """The sum of pairs[i] * zeta_big^shifts[i], for pairs of one psi."""
+        return _GaussPair(pairs[0].p, _Packed.rotated_sum([x.x0 for x in pairs], shifts),
+                          _Packed.rotated_sum([x.x1 for x in pairs], shifts), pairs[0].psi)
+
+    def gamma_coefficient(self):
+        """The c in Q(zeta_big) with self = c gamma(psi): X_1 - X_0, which is
+        X_1 unless psi is trivial, and then gamma(psi) = -1.  One reduction."""
+        return self.x1.read(minus=self.x0)
+
+    def lift(self):
+        """The pair packed at length p big, zeta_big = zeta_(p big)^p and
+        zeta_p = zeta_(p big)^big: X_0 and X_1 spread from slot j to slot j p,
+        plus p-1 rotations of the spread X_1, one per term psi(b) zeta_p^b of
+        gamma(psi)."""
+        p, n = self.p, self.x1.n
+        spread = [self.x0.spread(p * n)] + [self.x1.spread(p * n)] * (p - 1)
+        shifts = [0] + [e * p + b * n for b, e in enumerate(self.psi) if b]
+        return _Packed.rotated_sum(spread, shifts)
+
+    def read(self):
+        """The value in Q(zeta_(p big)): one lift, one reduction."""
+        return self.lift().read()
+
+
+def _gauss_pair(chars, a, bound):
+    """The product of the Gauss sums of chars against the a-twisted trace, as
+    a _GaussPair at big = lcm(q_i - 1) with coefficients up to bound."""
+    big = lcm(*(chi.field.q - 1 for chi in chars))
+    return reduce(mul, (_GaussPair.entry(chi, a, big, bound) for chi in chars))
 
 
 def gauss_product(chars, a=1):
     """Product of the Gauss sums of chars against the a-twisted trace: their
-    tallies multiplied in packed form and reduced once."""
+    trace-fibre pairs multiplied in packed form, lifted and reduced once."""
     chars = tuple(chars)
-    return _packed_gauss_product(chars, a, prod(chi.field.q - 1 for chi in chars)).read()
+    return _gauss_pair(chars, a, prod(chi.field.q - 1 for chi in chars)).read()
 
 
 # --------------------------------------------------------------- algebras
@@ -90,12 +189,12 @@ class SemisimpleAlgebra:
         self.base = base
         self.components = tuple(components)
         if not self.components:
-            raise ValueError("need at least one component")
+            raise LengthMismatch("need at least one component")
         for c in self.components:
             if c.p != base.p:
-                raise ValueError("mixed characteristics")
+                raise FieldMismatch("mixed characteristics")
             if c.f % base.f != 0:
-                raise ValueError("component is not an extension of the base")
+                raise NotSubfield("component is not an extension of the base")
         self.degrees = tuple(c.f // base.f for c in self.components)
         self.dim = sum(self.degrees)
         # norm_to(g_i^j, base) = base_gen^(j * factor_i)
@@ -124,10 +223,10 @@ class AlgebraChar:
 
     def __post_init__(self):
         if len(self.chars) != len(self.algebra.components):
-            raise ValueError("one character per component required")
+            raise LengthMismatch("one character per component required")
         for chi, comp in zip(self.chars, self.algebra.components):
             if chi.field is not comp:
-                raise ValueError("character field does not match component")
+                raise FieldMismatch("character field does not match component")
 
     @classmethod
     def from_exponents(cls, algebra, exponents):
@@ -179,7 +278,8 @@ def gauss_norm_exponent(chi_a):
 
 def invert_gauss_product(g):
     """Exact inverse conj(g)/|g|^2 of a product of Gauss sums, whose |g|^2
-    is a power of q."""
+    is a power of q, or of its coefficient of gamma(psi), whose |g|^2 is
+    that power over |gamma(psi)|^2, which is 1 or p."""
     norm = (g * g.conj()).as_rational()
     if not norm:
         raise InternalInconsistency("|g|^2 is not a nonzero rational")

@@ -29,7 +29,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import lshift, mul
+from operator import lshift, mul, sub
 
 from .errors import DivisionByZero, InternalInconsistency, NotCoprime, NotDivisor
 from .finfield import factorize
@@ -487,6 +487,19 @@ class _Packed:
         value = sum(r.value << (bits * (s % n)) for r, s in zip(rows, shifts))
         return _Packed(n, rows[0].bound, rows[0].width, value, sum(r.total for r in rows))
 
-    def read(self):
-        """The element sum v[j] zeta_n^j of Q(zeta_n): one unpack, one reduction."""
-        return _make(self.n, _reduce(self.n, _from_slots(self.value, self.width, self.n)))
+    def spread(self, m):
+        """The same vector at length m, a multiple of n: slot j moves to slot
+        j*m/n, one byte lane at a time."""
+        w = self.width
+        raw, out = self.value.to_bytes(w * self.n, "little"), bytearray(w * m)
+        for k in range(w):
+            out[k :: w * (m // self.n)] = raw[k :: w]
+        return _Packed(m, self.bound, w, int.from_bytes(out, "little"), self.total)
+
+    def read(self, minus=None):
+        """The element sum v[j] zeta_n^j of Q(zeta_n), less the one that minus
+        holds if given: one unpack per vector, one reduction."""
+        v = _from_slots(self.value, self.width, self.n)
+        if minus is not None and minus.value:
+            v = list(map(sub, v, _from_slots(minus.value, minus.width, minus.n)))
+        return _make(self.n, _reduce(self.n, v))

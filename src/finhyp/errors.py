@@ -10,7 +10,7 @@ class MalformedValue(FinHypError):
 
 
 class LengthMismatch(FinHypError):
-    """Parameter lists have different lengths or are empty."""
+    """Lists that must match in length do not, or one that must not be empty is."""
 
 
 class NotDisjointModZ(FinHypError):
@@ -43,6 +43,10 @@ class FieldTooLarge(FinHypError):
 
 class NotSubfield(FinHypError):
     """Requested base is not a subfield (degree does not divide)."""
+
+
+class FieldMismatch(FinHypError):
+    """Objects that must live on one field, base field or algebra do not."""
 
 
 class ZeroElement(FinHypError):

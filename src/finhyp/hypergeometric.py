@@ -6,12 +6,17 @@ expansion in multiplicative characters; the two are proved equal and both
 are kept as independent code paths.  classic_sum, the Gauss-sum series
 over F_q for a parameter pair, is the character expansion on the split
 instance (d copies of F_q on both sides), whose terms are the series
-terms one for one.  Both routes keep packed, unreduced exponent tallies:
-an expansion value is q-1 rotated rows and a direct value q-1 products of
-norm-class tallies, each then folded once, reduced once and multiplied
-once by the inverse of the denominator.  The norm-class tallies are built
-per component, by dict convolution while their support is small and by
-packed shift-adds per class once that is cheaper (see _direct_classes).
+terms one for one.  Both routes keep packed, unreduced exponent tallies.
+An expansion value is q-1 rotated rows, each row a product of Gauss sums
+kept as its two trace fibres at length big = lcm(q_i - 1) (see charsums).
+When the rows share one character on F_p^x, as in every equidimensional
+instance, the value lies in Q(zeta_big) and is read there; otherwise the
+rows are lifted to length p big and read there.  A direct value is q-1
+products of norm-class tallies at length p big.  Either is folded once,
+reduced once and multiplied once by the inverse of the denominator.  The
+norm-class tallies are built per component, by dict convolution while
+their support is small and by packed shift-adds per class once that is
+cheaper (see _direct_classes).
 
 Two normalization choices make the three forms one function: the
 denominator is g_A(chi_A) * g_B(conj(chi_B)), and the whole B side of the
@@ -29,12 +34,13 @@ from math import gcd, lcm
 from .charsums import (
     AlgebraChar,
     SemisimpleAlgebra,
-    _packed_gauss_product,
+    _GaussPair,
+    _gauss_pair,
     gauss_product,
     invert_gauss_product,
 )
 from .cyclo import _Packed, root_of_unity
-from .errors import AssumptionFails, ZeroArgument
+from .errors import AssumptionFails, FieldMismatch, NotCoprime, ZeroArgument
 from .finfield import make_field, prime_power
 
 
@@ -49,9 +55,9 @@ class HGAlgebraInstance:
 
     def __post_init__(self):
         if self.A.base is not self.B.base:
-            raise ValueError("algebras must share the base field")
+            raise FieldMismatch("algebras must share the base field")
         if self.chiA.algebra is not self.A or self.chiB.algebra is not self.B:
-            raise ValueError("characters must live on the given algebras")
+            raise FieldMismatch("characters must live on the given algebras")
 
     @property
     def base(self):
@@ -82,7 +88,7 @@ def _unit_args(field, t, twist):
     if t.is_zero():
         raise ZeroArgument("t must be a unit")
     if twist % field.p == 0:
-        raise ValueError("twist must be a unit of F_p")
+        raise NotCoprime("twist must be a unit of F_p")
     return t, twist % field.p
 
 
@@ -94,7 +100,7 @@ def _omega_reindex(field, generator):
     u = field.dlog(generator)
     qbar = field.q - 1
     if gcd(u, qbar) != 1:
-        raise ValueError("chosen element does not generate the unit group")
+        raise NotCoprime("chosen element does not generate the unit group")
     return pow(u, -1, qbar)
 
 
@@ -123,8 +129,15 @@ def _gauss_denominator(inst, twist):
 
 
 @lru_cache(maxsize=None)
-def _denominator_inverse(inst, twist):
-    return invert_gauss_product(_gauss_denominator(inst, twist))
+def _denominator_inverse(inst, twist, over_big=False):
+    """The inverse of the denominator in Q(zeta_(p big)) or, with over_big,
+    that of its coefficient of gamma(psi) in Q(zeta_big); either has a
+    rational |.|^2, q^f or q^f / p."""
+    if not over_big:
+        return invert_gauss_product(_gauss_denominator(inst, twist))
+    chars = inst.chiA.chars + inst.chiB.conj().chars
+    pair = _gauss_pair(chars, twist, inst.A.unit_count() * inst.B.unit_count())
+    return invert_gauss_product(pair.gamma_coefficient())
 
 
 # Measured step costs of the direct-sum tallies (2-core Xeon, Python 3.11.7):
@@ -222,31 +235,56 @@ def algebra_sum_direct(inst, t, twist=1):
 @lru_cache(maxsize=None)
 def _fourier_coefficients(inst, twist):
     """rows[m], the m-th Gauss product g_A(chi_A omega^m) g_B(conj(chi_B)
-    omega^-m), packed unreduced in Q(zeta_n), n the lcm of q-1 and the
-    Gauss sums' conductors, with a bound that admits the sum of all rows."""
+    omega^-m), as an unreduced _GaussPair at big = lcm(q_i - 1), with a bound
+    that admits the sum of all rows."""
     qbar = inst.base.q - 1
     bound = qbar * inst.A.unit_count() * inst.B.unit_count()
     chiB_bar = inst.chiB.conj()
-    return tuple(_packed_gauss_product(
+    return tuple(_gauss_pair(
         inst.chiA.twist_by_norm_power(m).chars + chiB_bar.twist_by_norm_power(-m).chars,
-        twist, bound, qbar) for m in range(qbar))
+        twist, bound) for m in range(qbar))
+
+
+def _rotated_rows(inst, t, twist):
+    """The rows and their rotations: row m times chi(arg)^m, with arg =
+    N(-1) t and N(-1) = (-1)^(dim B), is row m rotated in Q(zeta_big)."""
+    qbar = inst.base.q - 1
+    rows = _fourier_coefficients(inst, twist)
+    step = rows[0].x1.n // qbar * (inst.base.dlog(t) + inst.B.dim * inst.base.minus_one_dlog)
+    return rows, [step * m for m in range(qbar)]
 
 
 def _expansion_times_denominator(inst, t, twist):
     """The expansion at a unit t before the division by the denominator:
-    -1/(q-1) times the sum of rows[m] * chi(arg)^m, each term a rotated row,
-    with arg = N(-1) t and N(-1) = (-1)^(dim B)."""
-    qbar = inst.base.q - 1
-    rows = _fourier_coefficients(inst, twist)
-    step = rows[0].n // qbar * (inst.base.dlog(t) + inst.B.dim * inst.base.minus_one_dlog)
-    total = _Packed.rotated_sum(rows, [step * m for m in range(qbar)])
-    return total.read() * Fraction(-1, qbar)
+    -1/(q-1) times the sum of the rotated rows.  The rows of one psi are
+    summed as pairs and lifted once; the lifts are summed and read at p big."""
+    classes = {}
+    for row, shift in zip(*_rotated_rows(inst, t, twist)):
+        rows, shifts = classes.setdefault(row.psi, ([], []))
+        rows.append(row)
+        shifts.append(shift)
+    lifted = [_GaussPair.rotated_sum(*c).lift() for c in classes.values()]
+    return _Packed.rotated_sum(lifted, [0] * len(lifted)).read() * Fraction(-1, inst.base.q - 1)
 
 
 def algebra_sum_fourier(inst, t, twist=1):
-    """The same sum through its character expansion; independent code path."""
+    """The same sum through its character expansion; independent code path.
+
+    Row m carries the character tau omega^(m (dim A - dim B)) on F_p^x, and
+    omega has order p-1 there.  When p-1 divides dim A - dim B, as it does
+    for every equidimensional instance, all rows and the denominator D are
+    multiples of one gamma(tau): rows = c gamma(tau), D = c_D gamma(tau).
+    The value -(sum of rotated rows) / ((q-1) D) is then -c(t) / ((q-1) c_D)
+    in Q(zeta_big): one reduction at big, one product with the cached
+    inverse of c_D, and one embedding into Q(zeta_(p big)), the conductor of
+    every value of this function.
+    """
     t, twist = _unit_args(inst.base, t, twist)
-    return _expansion_times_denominator(inst, t, twist) * _denominator_inverse(inst, twist)
+    if (inst.A.dim - inst.B.dim) % (inst.base.p - 1):
+        return _expansion_times_denominator(inst, t, twist) * _denominator_inverse(inst, twist)
+    total = _GaussPair.rotated_sum(*_rotated_rows(inst, t, twist)).gamma_coefficient()
+    value = total * _denominator_inverse(inst, twist, True) * Fraction(-1, inst.base.q - 1)
+    return value.embed(inst.base.p * total.conductor)
 
 
 # ---------------------------------------------------------------- instances

@@ -99,3 +99,27 @@ def direct_sum(inst, t, a=1):
                 total = total + x_term * y_term
     den = algebra_gauss_sum(inst.chiA, a) * algebra_gauss_sum(chiB_bar, a)
     return -total / den
+
+
+def trace_fibre(field, e, c, a=1):
+    """S_c, the sum of chi(x) over the units x of field with a Tr x = c."""
+    total = CycloNum.zero(1)
+    for x in field.units():
+        if a * field.trace_int(x) % field.p == c % field.p:
+            total = total + char_value(field, e, x)
+    return total
+
+
+def product_fibres(chars, a=1):
+    """[T_0, ..., T_(p-1)]: T_c is the sum of the product of chi_i(x_i) over
+    the tuples of units x_i with a (Tr x_1 + ... + Tr x_k) = c, for
+    characters chi_i = chars[i] on fields of one characteristic p.
+    Expanded fibre by fibre: T_c = sum of S_(c_1) ... S_(c_k) over c_1 + ...
+    + c_k = c."""
+    p = chars[0].field.p
+    out = [CycloNum.one(1)] + [CycloNum.zero(1)] * (p - 1)
+    for chi in chars:
+        s = [trace_fibre(chi.field, chi.e, c, a) for c in range(p)]
+        out = [sum((out[u] * s[(c - u) % p] for u in range(p)), CycloNum.zero(1))
+               for c in range(p)]
+    return out

@@ -1,4 +1,5 @@
 import random
+from math import lcm, prod
 
 import pytest
 
@@ -6,14 +7,22 @@ from finhyp.charsums import (
     AlgebraChar,
     MultChar,
     SemisimpleAlgebra,
+    _gauss_entry,
+    _gauss_pair,
     algebra_gauss_sum,
     gauss_norm_exponent,
     gauss_product,
     gauss_sum,
     invert_gauss_product,
 )
-from finhyp.cyclo import root_of_unity
-from finhyp.errors import InternalInconsistency
+from finhyp.cyclo import CycloNum, _from_slots, root_of_unity
+from finhyp.errors import (
+    FieldMismatch,
+    FinHypError,
+    InternalInconsistency,
+    LengthMismatch,
+    NotSubfield,
+)
 from finhyp.finfield import make_field
 
 import oracles
@@ -115,3 +124,85 @@ def test_invert_gauss_product_rejects_irrational_norm():
     # |1 + zeta_5|^2 is irrational, so this is no product of Gauss sums
     with pytest.raises(InternalInconsistency):
         invert_gauss_product(1 + root_of_unity(5, 1))
+
+
+@pytest.mark.parametrize("p,f", [(2, 3), (3, 2), (5, 1), (5, 2), (7, 1), (3, 3)])
+def test_trace_fibres_against_oracle(p, f):
+    # S_(bc) = chi(b) S_c for b in F_p^x, and _gauss_entry holds S_0, S_1 and chi on F_p^x
+    field = make_field(p, f)
+    qbar = field.q - 1
+    for e in sorted({0, 1, qbar // 2, (qbar // (p - 1)) if p > 2 else 0, qbar - 1}):
+        for a in range(1, p):
+            fibres = [oracles.trace_fibre(field, e, c, a) for c in range(p)]
+            for b in range(1, p):
+                chi_b = oracles.char_value(field, e, field.elem(b))
+                for c in range(p):
+                    assert fibres[b * c % p] == chi_b * fibres[c], (e, a, b, c)
+            s0, s1, psi = _gauss_entry(field, e, a)
+            assert CycloNum.from_powers(qbar, dict(s0)) == fibres[0]
+            assert CycloNum.from_powers(qbar, dict(s1)) == fibres[1]
+            # S_0 = psi(b) S_0 vanishes for a nontrivial psi, and is not tallied
+            assert (not s0) == (any(psi) or fibres[0] == 0)
+            for b in range(1, p):
+                assert root_of_unity(qbar, psi[b]) == oracles.char_value(field, e, field.elem(b))
+
+
+def _pair_cases():
+    f2, f4, f8 = make_field(2), make_field(2, 2), make_field(2, 3)
+    f3, f9, f27 = make_field(3), make_field(3, 2), make_field(3, 3)
+    f5, f25, f13 = make_field(5), make_field(5, 2), make_field(13)
+    return {
+        "p2": ([MultChar(f4, 1), MultChar(f8, 3), MultChar(f2, 0)], 1),  # J_1 is empty
+        "prime_q": ([MultChar(f13, 1), MultChar(f13, 6), MultChar(f13, 5)], 1),  # S_0 empty
+        "prime_q_trivial_total": ([MultChar(f13, 4), MultChar(f13, 8), MultChar(f13, 0)], 1),
+        "q_power": ([MultChar(f25, 6), MultChar(f25, 18), MultChar(f5, 2)], 1),
+        "twist": ([MultChar(f25, 5), MultChar(f5, 1), MultChar(f5, 3)], 3),
+        "mixed_degrees": ([MultChar(f3, 1), MultChar(f9, 4), MultChar(f27, 13)], 2),
+    }
+
+
+@pytest.mark.parametrize("case", list(_pair_cases()))
+def test_gauss_pair_product_against_oracle(case):
+    chars, a = _pair_cases()[case]
+    p = chars[0].field.p
+    big = lcm(*(chi.field.q - 1 for chi in chars))
+    pair = _gauss_pair(chars, a, prod(chi.field.q - 1 for chi in chars))
+    fibres = oracles.product_fibres(chars, a)
+    # the two fibres of the product, each in Q(zeta_big)
+    assert pair.x0.read() == fibres[0] and pair.x1.read() == fibres[1]
+    assert pair.x0.read().conductor == big
+    # the tracked coefficient sums, which the slot-width bound is checked against
+    for x in (pair.x0, pair.x1, pair.lift()):
+        assert sum(_from_slots(x.value, x.width, x.n)) == x.total
+    gamma = CycloNum.zero(1)
+    for b in range(1, p):
+        psi_b = CycloNum.one(1)
+        for chi in chars:
+            psi_b = psi_b * oracles.char_value(chi.field, chi.e, chi.field.elem(b))
+        assert root_of_unity(big, pair.psi[b]) == psi_b
+        gamma = gamma + psi_b * root_of_unity(p, b)
+    ref = CycloNum.one(1)
+    for chi in chars:
+        ref = ref * oracles.gauss_sum(chi.field, chi.e, a)
+    value = pair.read()
+    assert value == ref and value.conductor == p * big
+    assert pair.gamma_coefficient() * gamma == ref
+
+
+def test_mismatched_structures_raise_typed_errors():
+    f3, f5 = make_field(3), make_field(5)
+    with pytest.raises(FieldMismatch):
+        SemisimpleAlgebra(f3, [f5])
+    with pytest.raises(FieldMismatch):
+        MultChar(f3, 1) * MultChar(f5, 1)
+    with pytest.raises(LengthMismatch):
+        SemisimpleAlgebra(f3, [])
+    with pytest.raises(NotSubfield):
+        SemisimpleAlgebra(make_field(3, 2), [make_field(3, 3)])
+    alg = SemisimpleAlgebra(f3, [f3, f3])
+    with pytest.raises(LengthMismatch):
+        AlgebraChar(alg, (MultChar(f3, 1),))
+    with pytest.raises(FieldMismatch):
+        AlgebraChar(alg, (MultChar(f3, 1), MultChar(make_field(3, 2), 1)))
+    for error in (FieldMismatch, LengthMismatch, NotSubfield):
+        assert issubclass(error, FinHypError) and not issubclass(error, ValueError)

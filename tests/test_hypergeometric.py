@@ -14,7 +14,14 @@ from finhyp.charsums import (
 )
 from finhyp import clear_caches
 from finhyp.cyclo import CycloNum, _Packed, root_of_unity
-from finhyp.errors import AssumptionFails, NotPrime, ZeroArgument
+from finhyp.errors import (
+    AssumptionFails,
+    FieldMismatch,
+    FinHypError,
+    NotCoprime,
+    NotPrime,
+    ZeroArgument,
+)
 from finhyp.finfield import make_field
 from finhyp.hypergeometric import (
     HGAlgebraInstance,
@@ -246,6 +253,84 @@ def test_cold_fourier_rows_are_not_reduced(monkeypatch):
     calls = _count_reductions(monkeypatch)
     rows = _fourier_coefficients(inst, 1)
     assert len(rows) == 12 and calls == []
+
+
+def _hand_built(p, a_degrees, b_degrees, a_exps, b_exps):
+    base = make_field(p)
+    A = SemisimpleAlgebra(base, [make_field(p, d) for d in a_degrees])
+    B = SemisimpleAlgebra(base, [make_field(p, d) for d in b_degrees])
+    return HGAlgebraInstance(A, B, AlgebraChar.from_exponents(A, a_exps),
+                             AlgebraChar.from_exponents(B, b_exps))
+
+
+def _expansion_cases():
+    return {
+        # (1/2,1/2; 0,0) at 13: the total character on F_13^x is trivial
+        "tau_trivial": (split_instance(HGParams.parse("1/2,1/2", "0,0"), 13), 1, False),
+        # (1/2; 0) at 13: the total character is the quadratic one
+        "tau_nontrivial_prime": (split_instance(HGParams.parse("1/2", "0"), 13), 1, True),
+        # dim A - dim B = 2 is a multiple of p - 1 = 2: every row has one character
+        "shared_not_equidimensional": (_hand_built(3, [1, 2], [1], [1, 5], [1]), 2, True),
+        # dim A - dim B = 2 at p = 5: the rows' characters on F_5^x differ
+        "not_shared": (_hand_built(5, [1, 2], [1], [3, 7], [2]), 3, None),
+    }
+
+
+@pytest.mark.parametrize("case", list(_expansion_cases()))
+def test_fourier_read_against_per_term_expansion(case):
+    from finhyp.hypergeometric import _fourier_coefficients
+
+    inst, twist, nontrivial = _expansion_cases()[case]
+    rows = _fourier_coefficients(inst, twist)
+    if nontrivial is None:
+        assert len({row.psi for row in rows}) > 1
+    else:
+        assert {any(row.psi) for row in rows} == {nontrivial}
+    qbar = inst.base.q - 1
+    for j in range(qbar):
+        t = inst.base.unit(j)
+        value = algebra_sum_fourier(inst, t, twist)
+        assert _same_value(value, _fourier_per_term(inst, t, twist))
+        assert value.conductor == inst.base.p * rows[0].x1.n
+
+
+@pytest.mark.parametrize("alpha,beta,q", [("1/2", "0", 13), ("1/4,3/4", "0,1/2", 9)])
+def test_katz_against_per_term_expansion(alpha, beta, q):
+    params = HGParams.parse(alpha, beta)
+    inst = split_instance(params, q)
+    den = gauss_product(inst.chiA.chars + inst.chiB.conj().chars)
+    for t in (1, 2, q - 1):
+        assert _same_value(katz_unnormalized(params, q, t), _fourier_per_term(inst, t) * den)
+
+
+@pytest.mark.parametrize("alpha,beta,q", [("1/2", "0", 13), ("1/2,1/2", "0,0", 13),
+                                          ("1/4,3/4", "0,1/2", 9)])
+def test_warm_equidimensional_value_reduces_at_big(alpha, beta, q, monkeypatch):
+    inst = split_instance(HGParams.parse(alpha, beta), q)
+    algebra_sum_fourier(inst, 2)  # fills the row and denominator caches
+    big, p = q - 1, inst.base.p
+    calls = _count_reductions(monkeypatch)
+    for t in range(1, q):
+        calls.clear()
+        algebra_sum_fourier(inst, t)
+        # the read, the product with the inverse, and the embedding
+        assert calls == [big, big, p * big]
+
+
+def test_bad_instances_raise_typed_errors():
+    inst = split_instance(HGParams.parse("1/2", "0"), 5)
+    with pytest.raises(NotCoprime):
+        algebra_sum_fourier(inst, 2, twist=5)
+    with pytest.raises(NotCoprime):
+        algebra_sum_direct(inst, 2, twist=10)
+    with pytest.raises(NotCoprime):  # 4 = g^2 does not generate F_5^x
+        classic_sum(HGParams.parse("1/2", "0"), 5, 2, generator=make_field(5).elem(4))
+    other = split_instance(HGParams.parse("1/2", "0"), 7)
+    with pytest.raises(FieldMismatch):
+        HGAlgebraInstance(inst.A, other.B, inst.chiA, other.chiB)
+    with pytest.raises(FieldMismatch):
+        HGAlgebraInstance(inst.A, inst.B, inst.chiB, inst.chiA)
+    assert issubclass(NotCoprime, FinHypError) and issubclass(FieldMismatch, FinHypError)
 
 
 def test_twist_invariance_equidimensional():
