@@ -15,7 +15,7 @@ from math import gcd, lcm
 from random import Random
 
 from .charsums import AlgebraChar, SemisimpleAlgebra, gauss_norm_exponent
-from .errors import DoesNotSplit, InternalInconsistency
+from .errors import AssumptionFails, DoesNotSplit, InternalInconsistency, LengthMismatch
 from .finfield import make_field, prime_power
 from .hypergeometric import (
     HGAlgebraInstance,
@@ -126,7 +126,7 @@ def check_gauss_norm(chi_a):
 def check_zeta_p_independence(inst, ts=None):
     """Equi-dimensional sums are unchanged by every additive-character twist."""
     if not inst.is_equidimensional:
-        raise ValueError("this check requires dim A = dim B")
+        raise AssumptionFails("this check requires dim A = dim B")
     start = time.perf_counter()
     base = inst.base
     failures = []
@@ -147,7 +147,7 @@ def check_omega_independence(params, q, ts=None):
     field = make_field(*prime_power(q))
     try:
         alt = field.nth_generator(1)
-    except ValueError:
+    except LengthMismatch:
         return CheckReport("omega_independence", f"{params!r} q={q} (single generator)", "pass")
     return _compare_per_t("omega_independence", f"{params!r} q={q}", field, ts, {
         "default": lambda t: classic_sum(params, q, t),

@@ -255,8 +255,7 @@ def main(argv=None):
     except (BoundExceeded, FieldTooLarge) as e:
         print(f"resource bound: {e}", file=sys.stderr)
         return RESOURCE_ERROR
-    except (FinHypError, ValueError) as e:
-        # ValueError: an input the library rejects without a typed error
+    except FinHypError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -28,10 +28,17 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
-from operator import lshift, mul, sub
+from operator import add, and_, attrgetter, lshift, mul, rshift, sub
 
-from .errors import DivisionByZero, InternalInconsistency, NotCoprime, NotDivisor
+from .errors import (
+    DivisionByZero,
+    InternalInconsistency,
+    LengthMismatch,
+    NotCoprime,
+    NotDivisor,
+)
 from .finfield import factorize
 
 _ZERO = Fraction(0)
@@ -108,23 +115,49 @@ def _scatter(n, pairs):
 
 # slot width -> array typecode, to pack and unpack little-endian slots at C speed
 _ARRAY_CODES = {array(c).itemsize: c for c in "BHILQ"} if sys.byteorder == "little" else {}
+_WORD = (1 << 64) - 1
 
 
 def _to_slots(v, width):
     """The int with v[i] in the `width`-byte slot at byte i*width, for
-    0 <= v[i] < 2^(8*width)."""
+    0 <= v[i] < 2^(8*width).  Slots of other widths than the array codes
+    are packed as 8-byte words, one array of words per 8 bytes of the slot
+    that hold a set bit, interleaved into the slots by byte lanes."""
     code = _ARRAY_CODES.get(width)
-    raw = (array(code, v).tobytes() if code
-           else b"".join(x.to_bytes(width, "little") for x in v))
-    return int.from_bytes(raw, "little")
+    if code:
+        return int.from_bytes(array(code, v).tobytes(), "little")
+    out = bytearray(width * len(v))
+    top = max(v, default=0).bit_length()
+    for at in range(0, (top + 7) // 8, 8):
+        words = map(rshift, v, repeat(8 * at)) if at else v
+        if top > 8 * at + 64:
+            words = map(and_, words, repeat(_WORD))
+        words = array("Q", list(words))
+        if sys.byteorder == "big":
+            words.byteswap()
+        raw = words.tobytes()
+        for k in range(min(8, width - at)):
+            out[at + k :: width] = raw[k::8]
+    return int.from_bytes(out, "little")
 
 
 def _from_slots(value, width, count):
-    """The first `count` `width`-byte slots of a nonnegative int, as a list."""
+    """The first `count` `width`-byte slots of a nonnegative int, as a list:
+    the inverse of _to_slots, by the same 8-byte words."""
     raw, code = value.to_bytes(width * count, "little"), _ARRAY_CODES.get(width)
-    return (memoryview(raw).cast(code).tolist() if code
-            else [int.from_bytes(raw[i : i + width], "little")
-                  for i in range(0, width * count, width)])
+    if code:
+        return memoryview(raw).cast(code).tolist()
+    out, zero = [0] * count, bytes(8 * count)
+    for at in range(0, width, 8):
+        buf = bytearray(zero)
+        for k in range(min(8, width - at)):
+            buf[k::8] = raw[at + k :: width]
+        if buf != zero:
+            words = array("Q", buf)
+            if sys.byteorder == "big":
+                words.byteswap()
+            out = list(map(add, out, map(lshift, words, repeat(8 * at))))
+    return out
 
 
 def _convolve(a, b):
@@ -165,7 +198,7 @@ class CycloNum:
         d = _structure(conductor)[0]
         c = [Fraction(x) for x in coeffs]
         if len(c) != d:
-            raise ValueError(
+            raise LengthMismatch(
                 f"need {d} coefficients for conductor {conductor}, got {len(c)}"
             )
         # over the lcm of reduced denominators gcd(den, *num) is already 1
@@ -420,6 +453,9 @@ def root_of_unity(conductor, k=1):
 
 # --------------------------------------------------------- packed tallies
 
+_VALUE, _TOTAL = attrgetter("value"), attrgetter("total")
+
+
 class _Packed:
     """A nonnegative integer vector mod x^n - 1 as one int, coefficient j in
     the `width`-byte slot at byte j*width; each result below is folded once,
@@ -454,28 +490,34 @@ class _Packed:
     @staticmethod
     def dot(xs, ys):
         """The sum of xs[i] * ys[i]: one multiply per pair."""
-        value = sum(x.value * y.value for x, y in zip(xs, ys))
-        total = sum(x.total * y.total for x, y in zip(xs, ys))
+        value = sum(map(mul, map(_VALUE, xs), map(_VALUE, ys)))
+        total = sum(map(mul, map(_TOTAL, xs), map(_TOTAL, ys)))
         return _Packed(xs[0].n, xs[0].bound, xs[0].width, value, total)
 
     @staticmethod
     def class_products(classes, terms):
         """Per k < m = len(classes), the sum of w * classes[k - d] * x^e over
-        the ((e, d), w) items of terms: one shift-add per term and class."""
+        the ((e, d), w) items of terms: the terms of one e are added first,
+        then shifted once, so each class takes one add per term and one
+        shift-add per distinct e."""
         m, first = len(classes), classes[0]
-        bits = 8 * first.width
-        idx = [-d % m for (e, d) in terms]  # classes[k - d] is the k-th rotation at -d
-        shifts = [bits * e for (e, d) in terms]
-        weights = list(terms.values())
+        groups = {}  # e -> the (k-th rotation index of classes[k - d], w) of its terms
+        for (e, d), w in terms.items():
+            groups.setdefault(e, []).append((-d % m, w))
+        shifts = [8 * first.width * e for e in groups]
+        idx = [[i for i, _ in g] for g in groups.values()]
+        weights = [[w for _, w in g] for g in groups.values()]
+        all_idx, all_weights = sum(idx, []), sum(weights, [])
+        weighted = any(w != 1 for w in all_weights)
         values, totals = [c.value for c in classes], [c.total for c in classes]
-        weighted = any(w != 1 for w in weights)
         out = []
         for k in range(m):
             rot, trot = values[k:] + values[:k], totals[k:] + totals[:k]
-            parts = map(rot.__getitem__, idx)
             if weighted:
-                parts = map(mul, parts, weights)
-            total = sum(map(mul, map(trot.__getitem__, idx), weights))
+                parts = [sum(map(mul, map(rot.__getitem__, i), w)) for i, w in zip(idx, weights)]
+            else:
+                parts = [sum(map(rot.__getitem__, i)) if len(i) > 1 else rot[i[0]] for i in idx]
+            total = sum(map(mul, map(trot.__getitem__, all_idx), all_weights))
             out.append(_Packed(first.n, first.bound, first.width,
                                sum(map(lshift, parts, shifts)), total))
         return out
@@ -495,6 +537,19 @@ class _Packed:
         for k in range(w):
             out[k :: w * (m // self.n)] = raw[k :: w]
         return _Packed(m, self.bound, w, int.from_bytes(out, "little"), self.total)
+
+    def strided(self, start, step):
+        """The vector of slots start + i*step mod n, i < n/step, at length
+        n/step, for step dividing n: the inverse of spread, one byte lane at
+        a time."""
+        w, m = self.width, self.n // step
+        raw = self.value.to_bytes(w * self.n, "little")
+        raw = raw[w * start :] + raw[: w * start]
+        out = bytearray(w * m)
+        for k in range(w):
+            out[k::w] = raw[k :: w * step]
+        value = int.from_bytes(out, "little")
+        return _Packed(m, self.bound, w, value, sum(_from_slots(value, w, m)))
 
     def read(self, minus=None):
         """The element sum v[j] zeta_n^j of Q(zeta_n), less the one that minus

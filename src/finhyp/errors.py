@@ -10,7 +10,8 @@ class MalformedValue(FinHypError):
 
 
 class LengthMismatch(FinHypError):
-    """Lists that must match in length do not, or one that must not be empty is."""
+    """Lists that must match in length do not, one that must not be empty is,
+    or a list has fewer entries than requested."""
 
 
 class NotDisjointModZ(FinHypError):
@@ -58,7 +59,8 @@ class InternalInconsistency(FinHypError):
 
 
 class AssumptionFails(FinHypError):
-    """q-1 is not divisible by all parameter denominators."""
+    """A hypothesis of a sum or a check fails: q-1 is not divisible by all
+    parameter denominators, or a check for dim A = dim B gets other dims."""
 
 
 class ZeroArgument(FinHypError):

@@ -16,6 +16,7 @@ from math import gcd
 
 from .errors import (
     FieldTooLarge,
+    LengthMismatch,
     MalformedValue,
     NotPrime,
     NotSubfield,
@@ -300,7 +301,7 @@ class FqField:
                 if seen == i:
                     return FqElem(self, vec)
                 seen += 1
-        raise ValueError("fewer generators than requested")
+        raise LengthMismatch("fewer generators than requested")
 
     def unit(self, j):
         """The unit g^j."""

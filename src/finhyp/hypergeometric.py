@@ -6,17 +6,18 @@ expansion in multiplicative characters; the two are proved equal and both
 are kept as independent code paths.  classic_sum, the Gauss-sum series
 over F_q for a parameter pair, is the character expansion on the split
 instance (d copies of F_q on both sides), whose terms are the series
-terms one for one.  Both routes keep packed, unreduced exponent tallies.
-An expansion value is q-1 rotated rows, each row a product of Gauss sums
-kept as its two trace fibres at length big = lcm(q_i - 1) (see charsums).
-When the rows share one character on F_p^x, as in every equidimensional
-instance, the value lies in Q(zeta_big) and is read there; otherwise the
-rows are lifted to length p big and read there.  A direct value is q-1
-products of norm-class tallies at length p big.  Either is folded once,
+terms one for one.  Both routes keep packed, unreduced exponent tallies
+as two trace fibres at length big = lcm(q_i - 1).  An expansion value is
+q-1 rotated rows, each row a product of Gauss sums (see charsums).  A
+direct value is the correlation of the norm classes of A and B, each kept
+as its fibres 0 and 1, which the action of F_p^x turns into the rest (see
+_direct_classes).  When p-1 divides dim A - dim B, as in every
+equidimensional instance, either value lies in Q(zeta_big) and is read
+there; otherwise it is lifted to length p big and read there.  Either is
 reduced once and multiplied once by the inverse of the denominator.  The
 norm-class tallies are built per component, by dict convolution while
 their support is small and by packed shift-adds per class once that is
-cheaper (see _direct_classes).
+cheaper.
 
 Two normalization choices make the three forms one function: the
 denominator is g_A(chi_A) * g_B(conj(chi_B)), and the whole B side of the
@@ -140,6 +141,14 @@ def _denominator_inverse(inst, twist, over_big=False):
     return invert_gauss_product(pair.gamma_coefficient())
 
 
+def _reads_at_big(inst):
+    """Whether p-1 divides dim A - dim B, as it does for every
+    equidimensional instance.  Then x -> b x, b in F_p^x, keeps the norm
+    equation, so every value of either route is c gamma(tau), tau = chi_A
+    conj(chi_B) on F_p^x and c in Q(zeta_big), as is the denominator."""
+    return (inst.A.dim - inst.B.dim) % (inst.base.p - 1) == 0
+
+
 # Measured step costs of the direct-sum tallies (2-core Xeon, Python 3.11.7):
 # one dict update of a sparse step took 220-700 ns; a dense step took
 # 2.7-5.5 us per class plus, per shift-add of b bytes, 300 + 1.1 b ns
@@ -150,86 +159,215 @@ _SHIFT_ADD_NS = 300
 _SHIFT_ADD_BYTE_NS = 1.1
 
 
-def _sparse_step(acc, hist, n, qbar):
-    """The convolution of two dict tallies on (c mod n, norm dlog mod qbar)."""
+def _sparse_step(acc, hist, n, qbar, p=None):
+    """The convolution of two dict tallies keyed c * 2(q-1) + norm dlog, c
+    mod n and norm dlog mod q-1.  A sum of two keys has c < 2n and norm
+    dlog < 2(q-1), so it is folded by at most one subtraction of each.
+    Given p, for the last step, only the sums of trace 0 or 1 are formed,
+    the trace of c being c / big mod p: no other fibre is kept."""
+    span = 2 * qbar
+    pairs = [(acc, hist)]
+    if p is not None:
+        inv = pow(n // p, -1, p)
+        traces = [({}, {}) for _ in range(p)]
+        for side, tally in enumerate((acc, hist)):
+            for key, cnt in tally.items():
+                traces[key // span * inv % p][side][key] = cnt
+        pairs = [(traces[u][0], traces[(v - u) % p][1]) for u in range(p) for v in (0, 1)]
     out = {}
-    for (c, nd), cnt in acc.items():
-        for (c_i, nd_i), cnt_i in hist.items():
-            key = ((c + c_i) % n, (nd + nd_i) % qbar)
-            out[key] = out.get(key, 0) + cnt * cnt_i
+    for left, right in pairs:
+        for key, cnt in left.items():
+            for key_i, cnt_i in right.items():
+                k = key + key_i
+                if k >= n * span:
+                    k -= n * span
+                if k % span >= qbar:
+                    k -= qbar
+                out[k] = out.get(k, 0) + cnt * cnt_i
     return out
 
 
 def _pack_classes(acc, n, qbar, bound):
     """A dict tally as q-1 packed classes, one per norm dlog."""
     classes = [[] for _ in range(qbar)]
-    for (c, nd), cnt in acc.items():
+    for key, cnt in acc.items():
+        c, nd = divmod(key, 2 * qbar)
         classes[nd].append((c, cnt))
     return [_Packed.tally(n, bound, c) for c in classes]
 
 
-def _norm_classes(alg, exps, at_minus_y, twist, n, bound):
-    """Per norm dlog k < q-1, the packed sum of zeta_n^c over the units of
-    alg with norm dlog k, c as in _direct_classes, the trace and character
-    taken at -y when at_minus_y is set: one histogram per component,
-    convolved by the cheaper step."""
-    p, qbar = alg.base.p, alg.base.q - 1
+def _pack_fibres(acc, n, p, qbar, bound):
+    """A dict tally as the trace fibres 0 and 1 of the q-1 norm classes, at
+    length n/p: fibre u holds the keys with c = u n/p + p * (character
+    exponent)."""
     big = n // p
+    inv = pow(big, -1, p)
+    fibres = ([[] for _ in range(qbar)], [[] for _ in range(qbar)])
+    for key, cnt in acc.items():
+        c, nd = divmod(key, 2 * qbar)
+        u = c * inv % p
+        if u < 2:
+            fibres[u][nd].append(((c - u * big) // p, cnt))
+    return tuple([_Packed.tally(big, bound, f) for f in side] for side in fibres)
+
+
+def _norm_classes(alg, exps, at_minus_y, n, bound):
+    """Per norm dlog k < q-1, the trace fibres 0 and 1 of the units of alg
+    with norm dlog k, the trace and character taken at -y when at_minus_y is
+    set: one histogram per component on (c, norm dlog), c as in
+    _direct_classes, convolved by the cheaper step.  The fibres are read off
+    the last dict, or cut out of the q-1 packed classes at length n."""
+    p, qbar = alg.base.p, alg.base.q - 1
+    big, span = n // p, 2 * qbar
     shift_add_ns = _SHIFT_ADD_NS + _SHIFT_ADD_BYTE_NS * n * _Packed.slot_width(bound)
-    acc = {(0, 0): 1}
-    for comp, e, nf in zip(alg.components, exps, alg._norm_factors):
+    acc = {0: 1}
+    for i, (comp, e, nf) in enumerate(zip(alg.components, exps, alg._norm_factors)):
         order = comp.q - 1
         h = comp.minus_one_dlog if at_minus_y else 0
         step = (-e if at_minus_y else e) * (big // order)
         hist = {}
         for j in range(order):
-            key = ((twist * big * comp.trace_of_unit(j + h) + step * p * (j + h)) % n,
-                   j * nf % qbar)
+            c = (big * comp.trace_of_unit(j + h) + step * p * (j + h)) % n
+            key = c * span + j * nf % qbar
             hist[key] = hist.get(key, 0) + 1
         dense_ns = qbar * (_CLASS_NS + len(hist) * shift_add_ns)
         if type(acc) is dict and len(acc) * len(hist) * _DICT_UPDATE_NS < dense_ns:
-            acc = _sparse_step(acc, hist, n, qbar)
+            acc = _sparse_step(acc, hist, n, qbar, p if i == len(exps) - 1 else None)
             continue
         if type(acc) is dict:  # the support has outgrown the dict: pack it once
             acc = _pack_classes(acc, n, qbar, bound)
-        acc = _Packed.class_products(acc, hist)
-    return acc if type(acc) is list else _pack_classes(acc, n, qbar, bound)
+        acc = _Packed.class_products(acc, {divmod(k, span): w for k, w in hist.items()})
+    if type(acc) is dict:
+        return _pack_fibres(acc, n, p, qbar, bound)
+    # fibre u is c = u big + p * (character exponent): every p-th slot from u big
+    return tuple([c.strided(u * big, p) for c in acc] for u in (0, 1))
+
+
+def _side_map(alg, chi, big):
+    """Per u in F_p: x -> u x moves the norm class k of x to k + shift and
+    multiplies chi(x) by zeta_big^rotation; (shift, rotation) = (0, 0) at
+    u = 0.  Both are linear in the dlog of u, so they are read off one
+    generator r of F_p^x, u = r^m."""
+    base, p = alg.base, alg.base.p
+    step = (base.q - 1) // (p - 1)
+    r = base.unit(step).to_int()  # g^step generates F_p^x inside F_q
+    rot_r = sum(e * c.dlog(r) * (big // (c.q - 1)) for c, e in zip(alg.components, chi.exponents))
+    out, u = [(0, 0)] * p, 1
+    for m in range(p - 1):
+        out[u] = (alg.dim * step * m % (base.q - 1), rot_r * m % big)
+        u = u * r % p
+    return out
 
 
 @lru_cache(maxsize=None)
 def _direct_classes(inst, twist):
-    """Per norm dlog k < q-1, the tallies A_k over the units x of A and B_k
-    over the units -y of B, packed as sums of zeta_n^c, n = p * big, with
-    c = twist * trace * big + character exponent * p.
+    """The norm classes of both sides as trace fibres, the side maps, and
+    per fibre of the total the tables that it is read from.
 
-    c is linear in the unit, so each tally is the convolution of one
-    histogram of H keys (c, norm dlog) per component.  The running tally is
-    a dict while its support S is small: a sparse step costs S * H dict
-    updates.  A dense step on the q-1 packed classes costs q-1 class
-    set-ups and (q-1) * H shift-adds of n * width bytes.  Each step takes
-    the cheaper at the measured costs above, and a tally once packed stays
-    packed: the support never shrinks.
+    A_(k,u) tallies, as powers of zeta_big, chi_A(x) over the units x of A
+    with norm dlog k and Tr x = u; B_(k,u) tallies conj(chi_B)(-y) over
+    the units y of B with norm dlog k and Tr(-y) = u.  Only the fibres
+    u = 0, 1 are kept: by _side_map, A_(k,u) = zeta_big^rot_A(u)
+    A_(k - shift_A(u), 1) for u != 0, and B likewise with rot_B negated,
+    the character being conjugated there.  Against the twisted trace, twist
+    Tr = u is Tr = u / twist, so every twist shares the fibres of twist 1
+    and reads the side maps at u / twist.  Fibre v of the total is then
+
+        T_v(s) = sum over k and a of A_(k,a) B_(k+s, v-a)
+               = sum over k, i of A_(k,i) X_(v,i)[k+s],
+
+    X_(v,i)[m] the sum over the a with i = [a != 0] of zeta_big^(rot_A(a)
+    - rot_B(v-a)) B_(m + shift_A(a) - shift_B(v-a), j), j = [v-a != 0].
+    The tables X do not depend on t, so they are built once, and a value
+    costs one dot per fibre.  Where _reads_at_big holds, fibres 0 and 1
+    suffice, and fibre 1 alone when tau is nontrivial, as T_0 = tau(b) T_0
+    is then 0; otherwise all p are needed.
+
+    The classes are built at n = p big with c = trace * big + character
+    exponent * p, which is linear in the unit, so each side is the
+    convolution of one histogram of H keys (c, norm dlog) per component.
+    The running tally is a dict while its support S is small: a sparse step
+    costs S * H dict updates.  A dense step on the q-1 packed classes costs
+    q-1 class set-ups and at most (q-1) * H shift-adds of n * width bytes.
+    Each step takes the cheaper at the measured costs above, and a tally
+    once packed stays packed: the support never shrinks.
     """
     p, qbar = inst.base.p, inst.base.q - 1
-    n = p * lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
-    # N(y) = t N(x) pairs each unit x with (#B units)/(q-1) units y
-    bound = inst.A.unit_count() * inst.B.unit_count() // qbar
-    # the whole B side is evaluated at -y: additive and multiplicative part
-    return (_norm_classes(inst.A, inst.chiA.exponents, False, twist, n, bound),
-            _norm_classes(inst.B, inst.chiB.exponents, True, twist, n, bound))
+    big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
+    if twist == 1:
+        # N(y) = t N(x) pairs each unit x with (#B units)/(q-1) units y
+        bound = inst.A.unit_count() * inst.B.unit_count() // qbar
+        # the whole B side is evaluated at -y: additive and multiplicative part
+        a_side = _norm_classes(inst.A, inst.chiA.exponents, False, p * big, bound)
+        b_side = _norm_classes(inst.B, inst.chiB.exponents, True, p * big, bound)
+        ma, mb = _side_map(inst.A, inst.chiA, big), _side_map(inst.B, inst.chiB, big)
+    else:
+        a_side, b_side, ma, mb, _ = _direct_classes(inst, 1)
+        inv = pow(twist, -1, p)
+        ma, mb = ([m[u * inv % p] for u in range(p)] for m in (ma, mb))
+    if not _reads_at_big(inst):
+        fibres = range(p)
+    elif any(ma[u][1] != mb[u][1] for u in range(1, p)):
+        fibres = (1,)
+    else:
+        fibres = (0, 1)
+    tables = {}
+    for v in fibres:
+        groups = {}  # (i, j) -> the (rotation, shift) of each a
+        for a in range(p):
+            b = (v - a) % p
+            groups.setdefault((a > 0, b > 0), []).append(
+                ((ma[a][1] - mb[b][1]) % big, (ma[a][0] - mb[b][0]) % qbar))
+        tables[v] = [(i, _class_table(b_side[j], terms)) for (i, j), terms in groups.items()]
+    return a_side, b_side, ma, mb, tables
+
+
+def _class_table(classes, terms):
+    """X[m], the sum of classes[m + shift] * x^rotation over the (rotation,
+    shift) terms, for every class m; classes itself for the one term (0, 0)."""
+    if terms == [(0, 0)]:
+        return classes
+    m = len(classes)
+    return [_Packed.rotated_sum([classes[(k + d) % m] for _, d in terms], [e for e, _ in terms])
+            for k in range(m)]
+
+
+def _direct_fibres(inst, s, twist):
+    """{v: T_v(s)} for the fibres v that _direct_classes lists, packed at
+    length big: per fibre, one dot of the A fibres with the tables rotated
+    to s."""
+    a_side, _, _, _, tables = _direct_classes(inst, twist)
+    out = {}
+    for v, groups in tables.items():
+        xs, ys = [], []
+        for i, table in groups:
+            xs += a_side[i]
+            ys += table[s:] + table[:s]
+        out[v] = _Packed.dot(xs, ys)
+    return out
 
 
 def algebra_sum_direct(inst, t, twist=1):
     """The norm-equation exponential sum over unit pairs, exactly.
 
     Every summand is a root of unity, and the pairs with N(y) = t N(x) are
-    those of the classes A_k, B_(k + dlog t): q-1 packed products.
+    those of the classes A_k, B_(k + dlog t), kept as trace fibres (see
+    _direct_classes).  Where _reads_at_big holds, the total is (T_1 - T_0)
+    gamma(tau) and the denominator c_D gamma(tau), so the value is -(T_1 -
+    T_0) / c_D: one reduction at big, one product with the inverse that
+    the Fourier route caches, one embedding into Q(zeta_(p big)).
+    Otherwise the p fibres are lifted, T_u times zeta_p^u, and read at
+    p big.
     """
     t, twist = _unit_args(inst.base, t, twist)
-    a_classes, b_classes = _direct_classes(inst, twist)
-    s = inst.base.dlog(t)
-    total = _Packed.dot(a_classes, b_classes[s:] + b_classes[:s]).read()
-    return total * (-1) * _denominator_inverse(inst, twist)
+    fibres = _direct_fibres(inst, inst.base.dlog(t), twist)
+    p, big = inst.base.p, fibres[1].n
+    if _reads_at_big(inst):
+        value = -fibres[1].read(minus=fibres.get(0)) * _denominator_inverse(inst, twist, True)
+        return value.embed(p * big)
+    lifted = _Packed.rotated_sum([fibres[u].spread(p * big) for u in range(p)],
+                                 [u * big for u in range(p)])
+    return lifted.read() * (-1) * _denominator_inverse(inst, twist)
 
 
 @lru_cache(maxsize=None)
@@ -280,7 +418,7 @@ def algebra_sum_fourier(inst, t, twist=1):
     every value of this function.
     """
     t, twist = _unit_args(inst.base, t, twist)
-    if (inst.A.dim - inst.B.dim) % (inst.base.p - 1):
+    if not _reads_at_big(inst):
         return _expansion_times_denominator(inst, t, twist) * _denominator_inverse(inst, twist)
     total = _GaussPair.rotated_sum(*_rotated_rows(inst, t, twist)).gamma_coefficient()
     value = total * _denominator_inverse(inst, twist, True) * Fraction(-1, inst.base.q - 1)

@@ -31,6 +31,7 @@ from .errors import (
     DivisionByZero,
     DoesNotSplit,
     ExponentNotIntegral,
+    FieldMismatch,
     InternalInconsistency,
     NotPAdicInteger,
     NotPrime,
@@ -44,7 +45,7 @@ MAX_PN_DEFAULT = 10**7
 
 def _vp(n, p):
     if n == 0:
-        raise ValueError("valuation of zero")
+        raise ZeroElement("valuation of zero")
     v = 0
     while n % p == 0:
         n //= p
@@ -144,7 +145,7 @@ class PadicNum:
     def _coerce(self, other):
         if isinstance(other, PadicNum):
             if other.p != self.p:
-                raise ValueError("mixed primes")
+                raise FieldMismatch("mixed primes")
             return other
         if isinstance(other, (int, Fraction)):
             prec = self.prec if not self.exact else 1
@@ -246,7 +247,7 @@ class PadicNum:
         if self.u == 0:
             return 0
         if self.v < 0:
-            raise ValueError("negative valuation has no integer lift")
+            raise NotPAdicInteger("negative valuation has no integer lift")
         a = self.abs_prec
         mod = self.p**a
         x = self.u * self.p**self.v % mod

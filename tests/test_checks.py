@@ -19,7 +19,7 @@ from finhyp.checks import (
     random_algebra_instance,
     run_full_suite,
 )
-from finhyp.errors import DoesNotSplit
+from finhyp.errors import AssumptionFails, DoesNotSplit
 from finhyp.params import HGParams
 
 F = Fraction
@@ -63,7 +63,7 @@ def test_zeta_p_requires_equidimensional():
     inst = random_algebra_instance(rng, 3, max_size=27)
     while inst.is_equidimensional:
         inst = random_algebra_instance(rng, 3, max_size=27)
-    with pytest.raises(ValueError):
+    with pytest.raises(AssumptionFails):
         check_zeta_p_independence(inst)
 
 

@@ -7,8 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finhyp.cyclo import CycloNum, _Packed, cyclotomic_polynomial, root_of_unity
-from finhyp.errors import DivisionByZero, InternalInconsistency, NotCoprime, NotDivisor
+from finhyp.cyclo import (
+    CycloNum,
+    _from_slots,
+    _Packed,
+    _to_slots,
+    cyclotomic_polynomial,
+    root_of_unity,
+)
+from finhyp.errors import (
+    DivisionByZero,
+    InternalInconsistency,
+    LengthMismatch,
+    NotCoprime,
+    NotDivisor,
+)
 
 
 def test_cyclotomic_polynomials():
@@ -100,6 +113,8 @@ def test_division_by_zero():
 def test_json_round_trip():
     a = CycloNum(12, [Fraction(1, 2), -3, Fraction(7, 5), 0])
     assert CycloNum.from_json(a.to_json()) == a
+    with pytest.raises(LengthMismatch):  # phi(12) = 4 coordinates
+        CycloNum.from_json({"conductor": 12, "coeffs": ["1", "2"]})
 
 
 def _elements(n, bound=100, den=12):
@@ -408,6 +423,36 @@ def test_packed_coefficient_equal_to_bound(n, bound):
     assert _same(_Packed.rotated_sum([x], [n + 5]).read(), ref * root_of_unity(n, 5))
     split = _Packed.rotated_sum([_pack(n, bound, [bound - 1]), _pack(n, bound, [1])], [0, 0])
     assert _same(split.read(), CycloNum.from_rational(bound, n))
+
+
+@pytest.mark.parametrize("width", [9, 11, 16])
+def test_wide_slots_round_trip_against_to_bytes(width):
+    # entries of every size up to the full slot, both ends included
+    rng = random.Random(width)
+    top = 1 << (8 * width)
+    for v in ([0] * 7, [top - 1, 0, 1, top - 1],
+              [rng.randrange(1 << rng.randrange(1, 8 * width + 1)) for _ in range(500)],
+              [rng.randrange(300) for _ in range(500)]):
+        ref = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in v), "little")
+        assert _to_slots(v, width) == ref
+        assert _from_slots(ref, width, len(v)) == v
+
+
+@pytest.mark.parametrize("n,step", [(1, 1), (12, 3), (78, 3), (342, 19), (506, 2)])
+def test_packed_strided_inverts_spread(n, step):
+    rng = random.Random(n)
+    for bound in (255, 2**64 - 1, 2**80):
+        v = [rng.randint(0, bound // n) for _ in range(n // step)]
+        x = _pack(n // step, bound, v)
+        spread = x.spread(n)
+        assert _packed_fields(spread.strided(0, step)) == _packed_fields(x)
+        start = rng.randrange(n)
+        got = _Packed.rotated_sum([spread], [start]).strided(start, step)
+        assert _packed_fields(got) == _packed_fields(x) and got.total == sum(v)
+
+
+def _packed_fields(x):
+    return (x.n, x.width, x.value, x.total)
 
 
 @pytest.mark.parametrize("n", [1, 12, 506])

@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finhyp import clear_caches
-from finhyp.errors import FieldTooLarge, MalformedValue, NotPrime, NotSubfield, ZeroElement
+from finhyp.errors import (
+    FieldTooLarge,
+    LengthMismatch,
+    MalformedValue,
+    NotPrime,
+    NotSubfield,
+    ZeroElement,
+)
 from finhyp.finfield import factorize, is_prime, make_field, prime_power
 
 
@@ -197,3 +204,6 @@ def test_nth_generator():
     # both really generate
     for g in (g0, g1):
         assert len({(g ** k).to_int() for k in range(12)}) == 12
+    # F_5^x has phi(4) = 2 generators
+    with pytest.raises(LengthMismatch):
+        make_field(5).nth_generator(2)

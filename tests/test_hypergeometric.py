@@ -501,17 +501,19 @@ def _unit_tally_reference(alg, exps, big, at_minus_y):
     return acc
 
 
-def _direct_classes_reference(inst, twist):
-    """The packed norm classes of _direct_classes, from the dict tallies."""
-    p, qbar = inst.base.p, inst.base.q - 1
+def _direct_classes_reference(inst):
+    """The trace fibres 0 and 1 of the packed norm classes of _direct_classes,
+    from the dict tallies."""
+    qbar = inst.base.q - 1
     big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
     bound = inst.A.unit_count() * inst.B.unit_count() // qbar
 
     def pack(alg, chi, at_minus_y):
-        classes = [[] for _ in range(qbar)]
+        fibres = [[[] for _ in range(qbar)] for _ in (0, 1)]
         for (tr, ch, nd), cnt in _unit_tally_reference(alg, chi.exponents, big, at_minus_y).items():
-            classes[nd].append(((twist * tr % p) * big + ch * p, cnt))
-        return [_Packed.tally(p * big, bound, c) for c in classes]
+            if tr < 2:
+                fibres[tr][nd].append((ch, cnt))
+        return [[_Packed.tally(big, bound, c) for c in fibre] for fibre in fibres]
 
     return pack(inst.A, inst.chiA, False), pack(inst.B, inst.chiB, True)
 
@@ -542,13 +544,17 @@ def test_norm_classes_against_dict_tally(case, monkeypatch):
     else:  # components of degree 1, 2 and 3 over F_3
         inst = orbit_instance(HGParams.parse("1/2,1/13,3/13,9/13", "0,1/4,3/4,0"), 3)
     steps = _count_tally_steps(monkeypatch)
+    ref = _direct_classes_reference(inst)
     for twist in (1, 2):
         _direct_classes.cache_clear()
         steps.clear()
         got = _direct_classes(inst, twist)
         assert ("dense" in steps) == (case != "sparse")
-        for side, ref in zip(got, _direct_classes_reference(inst, twist)):
-            assert _packed_fields(side) == _packed_fields(ref)
+        # the fibres do not depend on the twist: twist 2 reuses those of twist 1
+        assert got[0] is _direct_classes(inst, 1)[0] and got[1] is _direct_classes(inst, 1)[1]
+        for side, ref_side in zip(got[:2], ref):
+            for fibre, ref_fibre in zip(side, ref_side):
+                assert _packed_fields(fibre) == _packed_fields(ref_fibre)
 
 
 def test_cold_direct_classes_step_counts(monkeypatch):
@@ -577,13 +583,105 @@ def test_direct_against_bruteforce(monkeypatch):
     for inst in (split, split_d3, mixed):
         _direct_classes.cache_clear()
         steps.clear()
-        a_classes, b_classes = _direct_classes(inst, 1)
+        a_side, b_side = _direct_classes(inst, 1)[:2]
         # split_d3 packs its A tally before the last component, a dense step
         assert ("dense" in steps) == (inst is split_d3)
-        assert sum(c.total for c in a_classes) == inst.A.unit_count()
-        assert sum(c.total for c in b_classes) == inst.B.unit_count()
+        # fibre 0 and p-1 copies of fibre 1 (x -> u x) count every unit once
+        p = inst.base.p
+        for side, count in ((a_side, inst.A.unit_count()), (b_side, inst.B.unit_count())):
+            assert sum(c.total for c in side[0]) + (p - 1) * sum(c.total for c in side[1]) == count
         for j in range(inst.base.q - 1):
             t = inst.base.unit(j)
             assert algebra_sum_direct(inst, t) == oracles.direct_sum(inst, t)
-            # the classes are packed per twist, which scales every trace exponent
+            # twist 2 reads the fibres of twist 1 at u / 2
             assert algebra_sum_direct(inst, t, 2) == oracles.direct_sum(inst, t, 2)
+
+
+def _direct_cases():
+    return {
+        # p = 2: every instance reads its value at big
+        "p2_split": (split_instance(HGParams.parse("1/3,2/3", "0,0"), 4), (0, 1)),
+        # tau trivial at odd p: the value is -(T_1 - T_0) / c_D
+        "tau_trivial": (split_instance(HGParams.parse("1/2,1/2", "0,0"), 7), (0, 1)),
+        # dim A - dim B = 2 is a multiple of p - 1 = 2, tau nontrivial
+        "shared_not_equidimensional": (_hand_built(3, [1, 2], [1], [1, 5], [1]), (1,)),
+        # dim A - dim B = 1 at p = 3 and p = 7: all p fibres, lifted to p big
+        "lifted_p3": (_hand_built(3, [2], [1], [3], [1]), (0, 1, 2)),
+        "lifted_p7": (_hand_built(7, [1, 1], [1], [1, 2], [3]), tuple(range(7))),
+        # tau is the quadratic character of F_13^x, so T_0 = tau(b) T_0 is 0
+        "tau_nontrivial": (split_instance(HGParams.parse("1/2", "0"), 13), (1,)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_direct_cases()))
+def test_direct_fibres_against_oracle_and_fourier(case):
+    inst, fibres = _direct_cases()[case]
+    p = inst.base.p
+    for twist in sorted({1, p - 1}):
+        assert tuple(_direct_classes(inst, twist)[4]) == fibres
+        for j in range(inst.base.q - 1):
+            t = inst.base.unit(j)
+            value = algebra_sum_direct(inst, t, twist)
+            assert value == oracles.direct_sum(inst, t, twist)
+            assert _same_value(value, algebra_sum_fourier(inst, t, twist))
+
+
+@pytest.mark.parametrize("mutation", ["shift_sign", "drop_rot_b"])
+def test_direct_fibre_mutations_fail_the_oracle(mutation, monkeypatch):
+    from finhyp import hypergeometric
+
+    side_map = hypergeometric._side_map
+    for inst in (split_instance(HGParams.parse("1/4,3/4", "0,1/2"), 13),
+                 _hand_built(7, [1, 1], [1], [1, 2], [3])):
+        def mutated(alg, chi, big):
+            out = side_map(alg, chi, big)
+            if mutation == "shift_sign":
+                return [(-shift, rot) for shift, rot in out]
+            return [(shift, 0) for shift, _ in out] if alg is inst.B else out
+
+        monkeypatch.setattr(hypergeometric, "_side_map", mutated)
+        _direct_classes.cache_clear()
+        try:
+            units = [inst.base.unit(j) for j in range(inst.base.q - 1)]
+            assert any(algebra_sum_direct(inst, t) != oracles.direct_sum(inst, t) for t in units)
+        finally:
+            monkeypatch.undo()
+            _direct_classes.cache_clear()
+
+
+def test_direct_after_classic_builds_no_inverse(monkeypatch):
+    from finhyp import hypergeometric
+    from finhyp.hypergeometric import _denominator_inverse
+
+    params = HGParams.parse("1/4,3/4", "0,1/2")
+    clear_caches()
+    classic_sum(params, 13, 2)
+    inst = split_instance(params, 13)
+    misses = _denominator_inverse.cache_info().misses
+    inverted = []
+    invert = hypergeometric.invert_gauss_product
+    monkeypatch.setattr(hypergeometric, "invert_gauss_product",
+                        lambda g: inverted.append(g.conductor) or invert(g))
+    for t in range(1, 13):
+        algebra_sum_direct(inst, t)
+    # the inverse at big that classic_sum cached is the only one needed
+    assert _denominator_inverse.cache_info().misses == misses and inverted == []
+
+
+@pytest.mark.parametrize("alpha,beta,q", [("1/2", "0", 13), ("1/2,1/2", "0,0", 13),
+                                          ("1/4,3/4", "0,1/2", 9)])
+def test_warm_equidimensional_direct_value_reads_at_big(alpha, beta, q, monkeypatch):
+    inst = split_instance(HGParams.parse(alpha, beta), q)
+    algebra_sum_direct(inst, 2)  # fills the class and denominator caches
+    big, p = q - 1, inst.base.p
+    calls = _count_reductions(monkeypatch)
+    lengths = []
+    dot = _Packed.dot
+    monkeypatch.setattr(_Packed, "dot", staticmethod(
+        lambda xs, ys: lengths.append(xs[0].n) or dot(xs, ys)))
+    for t in range(1, q):
+        calls.clear()
+        algebra_sum_direct(inst, t)
+        # the read, the product with the inverse, and the embedding
+        assert calls == [big, big, p * big]
+    assert lengths and set(lengths) == {big}

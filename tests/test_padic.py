@@ -13,6 +13,7 @@ from finhyp.errors import (
     ConductorNotDividing,
     DivisionByZero,
     ExponentNotIntegral,
+    FieldMismatch,
     NotPAdicInteger,
     ZeroArgument,
     ZeroElement,
@@ -23,6 +24,7 @@ from finhyp.padic import (
     PadicNum,
     PiExp,
     _gamma_blocks,
+    _vp,
     _gamma_cache,
     _gamma_work,
     _unit_terms,
@@ -468,3 +470,12 @@ def test_embed_is_ring_hom():
     ea, eb = embed_cyclotomic(a, p, n), embed_cyclotomic(b, p, n)
     assert embed_cyclotomic(a * b, p, n).eq_mod(ea * eb, n)
     assert embed_cyclotomic(a + b, p, n).eq_mod(ea + eb, n)
+
+
+def test_padic_misuse_raises_typed_errors():
+    with pytest.raises(ZeroElement):
+        _vp(0, 5)
+    with pytest.raises(FieldMismatch):
+        PadicNum.from_rational(1, 5, 4) + PadicNum.from_rational(1, 7, 4)
+    with pytest.raises(NotPAdicInteger):
+        PadicNum.from_rational(F(1, 5), 5, 4).centered_lift()
