@@ -159,31 +159,20 @@ _SHIFT_ADD_NS = 300
 _SHIFT_ADD_BYTE_NS = 1.1
 
 
-def _sparse_step(acc, hist, n, qbar, p=None):
+def _sparse_step(acc, hist, n, qbar):
     """The convolution of two dict tallies keyed c * 2(q-1) + norm dlog, c
     mod n and norm dlog mod q-1.  A sum of two keys has c < 2n and norm
-    dlog < 2(q-1), so it is folded by at most one subtraction of each.
-    Given p, for the last step, only the sums of trace 0 or 1 are formed,
-    the trace of c being c / big mod p: no other fibre is kept."""
+    dlog < 2(q-1), so it is folded by at most one subtraction of each."""
     span = 2 * qbar
-    pairs = [(acc, hist)]
-    if p is not None:
-        inv = pow(n // p, -1, p)
-        traces = [({}, {}) for _ in range(p)]
-        for side, tally in enumerate((acc, hist)):
-            for key, cnt in tally.items():
-                traces[key // span * inv % p][side][key] = cnt
-        pairs = [(traces[u][0], traces[(v - u) % p][1]) for u in range(p) for v in (0, 1)]
     out = {}
-    for left, right in pairs:
-        for key, cnt in left.items():
-            for key_i, cnt_i in right.items():
-                k = key + key_i
-                if k >= n * span:
-                    k -= n * span
-                if k % span >= qbar:
-                    k -= qbar
-                out[k] = out.get(k, 0) + cnt * cnt_i
+    for key, cnt in acc.items():
+        for key_i, cnt_i in hist.items():
+            k = key + key_i
+            if k >= n * span:
+                k -= n * span
+            if k % span >= qbar:
+                k -= qbar
+            out[k] = out.get(k, 0) + cnt * cnt_i
     return out
 
 
@@ -221,7 +210,7 @@ def _norm_classes(alg, exps, at_minus_y, n, bound):
     big, span = n // p, 2 * qbar
     shift_add_ns = _SHIFT_ADD_NS + _SHIFT_ADD_BYTE_NS * n * _Packed.slot_width(bound)
     acc = {0: 1}
-    for i, (comp, e, nf) in enumerate(zip(alg.components, exps, alg._norm_factors)):
+    for comp, e, nf in zip(alg.components, exps, alg._norm_factors):
         order = comp.q - 1
         h = comp.minus_one_dlog if at_minus_y else 0
         step = (-e if at_minus_y else e) * (big // order)
@@ -232,7 +221,7 @@ def _norm_classes(alg, exps, at_minus_y, n, bound):
             hist[key] = hist.get(key, 0) + 1
         dense_ns = qbar * (_CLASS_NS + len(hist) * shift_add_ns)
         if type(acc) is dict and len(acc) * len(hist) * _DICT_UPDATE_NS < dense_ns:
-            acc = _sparse_step(acc, hist, n, qbar, p if i == len(exps) - 1 else None)
+            acc = _sparse_step(acc, hist, n, qbar)
             continue
         if type(acc) is dict:  # the support has outgrown the dict: pack it once
             acc = _pack_classes(acc, n, qbar, bound)
@@ -262,7 +251,8 @@ def _side_map(alg, chi, big):
 @lru_cache(maxsize=None)
 def _direct_classes(inst, twist):
     """The norm classes of both sides as trace fibres, the side maps, and
-    per fibre of the total the tables that it is read from.
+    per read of the total (a fibre v, or "lifted") the (A fibres, table)
+    pairs of its dot.
 
     A_(k,u) tallies, as powers of zeta_big, chi_A(x) over the units x of A
     with norm dlog k and Tr x = u; B_(k,u) tallies conj(chi_B)(-y) over
@@ -281,7 +271,8 @@ def _direct_classes(inst, twist):
     The tables X do not depend on t, so they are built once, and a value
     costs one dot per fibre.  Where _reads_at_big holds, fibres 0 and 1
     suffice, and fibre 1 alone when tau is nontrivial, as T_0 = tau(b) T_0
-    is then 0; otherwise all p are needed.
+    is then 0; otherwise all p are needed, and their tables are lifted to
+    p big once, so that a value is one dot there.
 
     The classes are built at n = p big with c = trace * big + character
     exponent * p, which is linear in the unit, so each side is the
@@ -319,7 +310,20 @@ def _direct_classes(inst, twist):
             groups.setdefault((a > 0, b > 0), []).append(
                 ((ma[a][1] - mb[b][1]) % big, (ma[a][0] - mb[b][0]) % qbar))
         tables[v] = [(i, _class_table(b_side[j], terms)) for (i, j), terms in groups.items()]
-    return a_side, b_side, ma, mb, tables
+    if _reads_at_big(inst):
+        return a_side, b_side, ma, mb, {
+            v: [(a_side[i], table) for i, table in groups] for v, groups in tables.items()}
+    # The lifted total sum_v zeta_p^v T_v, zeta_p = x^big at length n = p big,
+    # is one dot of the A fibres with Y_i[m] = sum_v zeta_p^v X_(v,i)[m], all
+    # spread to n: spreading is a ring map from length big to n.
+    n = p * big
+    lifted = []
+    for i in (False, True):
+        parts = [(v, table) for v, groups in tables.items() for gi, table in groups if gi == i]
+        y = [_Packed.rotated_sum([table[m].spread(n) for _, table in parts],
+                                 [v * big for v, _ in parts]) for m in range(qbar)]
+        lifted.append(([c.spread(n) for c in a_side[i]], y))
+    return a_side, b_side, ma, mb, {"lifted": lifted}
 
 
 def _class_table(classes, terms):
@@ -332,16 +336,15 @@ def _class_table(classes, terms):
             for k in range(m)]
 
 
-def _direct_fibres(inst, s, twist):
+def _direct_totals(inst, s, twist):
     """{v: T_v(s)} for the fibres v that _direct_classes lists, packed at
-    length big: per fibre, one dot of the A fibres with the tables rotated
-    to s."""
-    a_side, _, _, _, tables = _direct_classes(inst, twist)
+    length big, or {"lifted": the total at length p big}: per entry, one dot
+    of the A fibres with the tables rotated to s."""
     out = {}
-    for v, groups in tables.items():
+    for v, groups in _direct_classes(inst, twist)[4].items():
         xs, ys = [], []
-        for i, table in groups:
-            xs += a_side[i]
+        for classes, table in groups:
+            xs += classes
             ys += table[s:] + table[:s]
         out[v] = _Packed.dot(xs, ys)
     return out
@@ -356,18 +359,15 @@ def algebra_sum_direct(inst, t, twist=1):
     gamma(tau) and the denominator c_D gamma(tau), so the value is -(T_1 -
     T_0) / c_D: one reduction at big, one product with the inverse that
     the Fourier route caches, one embedding into Q(zeta_(p big)).
-    Otherwise the p fibres are lifted, T_u times zeta_p^u, and read at
-    p big.
+    Otherwise the total sum_u T_u zeta_p^u is one dot of fibres and tables
+    lifted to p big, read there.
     """
     t, twist = _unit_args(inst.base, t, twist)
-    fibres = _direct_fibres(inst, inst.base.dlog(t), twist)
-    p, big = inst.base.p, fibres[1].n
-    if _reads_at_big(inst):
-        value = -fibres[1].read(minus=fibres.get(0)) * _denominator_inverse(inst, twist, True)
-        return value.embed(p * big)
-    lifted = _Packed.rotated_sum([fibres[u].spread(p * big) for u in range(p)],
-                                 [u * big for u in range(p)])
-    return lifted.read() * (-1) * _denominator_inverse(inst, twist)
+    totals = _direct_totals(inst, inst.base.dlog(t), twist)
+    if not _reads_at_big(inst):
+        return totals["lifted"].read() * (-1) * _denominator_inverse(inst, twist)
+    value = -totals[1].read(minus=totals.get(0)) * _denominator_inverse(inst, twist, True)
+    return value.embed(inst.base.p * totals[1].n)
 
 
 @lru_cache(maxsize=None)

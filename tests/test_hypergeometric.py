@@ -606,8 +606,8 @@ def _direct_cases():
         # dim A - dim B = 2 is a multiple of p - 1 = 2, tau nontrivial
         "shared_not_equidimensional": (_hand_built(3, [1, 2], [1], [1, 5], [1]), (1,)),
         # dim A - dim B = 1 at p = 3 and p = 7: all p fibres, lifted to p big
-        "lifted_p3": (_hand_built(3, [2], [1], [3], [1]), (0, 1, 2)),
-        "lifted_p7": (_hand_built(7, [1, 1], [1], [1, 2], [3]), tuple(range(7))),
+        "lifted_p3": (_hand_built(3, [2], [1], [3], [1]), ("lifted",)),
+        "lifted_p7": (_hand_built(7, [1, 1], [1], [1, 2], [3]), ("lifted",)),
         # tau is the quadratic character of F_13^x, so T_0 = tau(b) T_0 is 0
         "tau_nontrivial": (split_instance(HGParams.parse("1/2", "0"), 13), (1,)),
     }
@@ -685,3 +685,23 @@ def test_warm_equidimensional_direct_value_reads_at_big(alpha, beta, q, monkeypa
         # the read, the product with the inverse, and the embedding
         assert calls == [big, big, p * big]
     assert lengths and set(lengths) == {big}
+
+
+def test_warm_lifted_direct_value_is_one_dot(monkeypatch):
+    # dim A - dim B = 1 at p = 3: the tables are lifted to p big once per
+    # twist, so a warm value is one dot there and spreads nothing
+    inst = _hand_built(3, [2], [1], [3], [1])
+    for twist in (1, 2):
+        algebra_sum_direct(inst, 1, twist)  # fills the class and denominator caches
+    lengths, spreads = [], []
+    dot, spread = _Packed.dot, _Packed.spread
+    monkeypatch.setattr(_Packed, "dot", staticmethod(
+        lambda xs, ys: lengths.append(xs[0].n) or dot(xs, ys)))
+    monkeypatch.setattr(_Packed, "spread", lambda self, m: spreads.append(m) or spread(self, m))
+    for twist in (1, 2):
+        for j in range(inst.base.q - 1):
+            t = inst.base.unit(j)
+            lengths.clear()
+            assert algebra_sum_direct(inst, t, twist) == oracles.direct_sum(inst, t, twist)
+            assert lengths == [3 * 8]
+    assert spreads == []
