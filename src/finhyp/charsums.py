@@ -21,7 +21,6 @@ when its value is read; its coefficient of gamma(psi) is read in
 Q(zeta_big) itself.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import lcm, prod
 from operator import mul
@@ -30,15 +29,33 @@ from .cyclo import _Packed
 from .errors import FieldMismatch, InternalInconsistency, LengthMismatch, NotSubfield
 
 
-@dataclass(frozen=True)
 class MultChar:
-    """chi(g^j) = zeta_(q-1)^(e*j) on the units of a fixed field."""
+    """chi(g^j) = zeta_(q-1)^(e*j) on the units of a fixed field.
 
-    field: object
-    e: int
+    Immutable, and hashed once: characters are parts of the AlgebraChar
+    and HGAlgebraInstance keys of the sum caches."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "e", self.e % (self.field.q - 1))
+    __slots__ = ("field", "e", "_hash")
+
+    def __init__(self, field, e):
+        e %= field.q - 1
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "_hash", hash((field, e)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MultChar is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.e) == (other.field, other.e)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"MultChar(field={self.field!r}, e={self.e!r})"
 
     @property
     def is_trivial(self):
@@ -214,19 +231,35 @@ class SemisimpleAlgebra:
         return f"[{comps} over {self.base!r}]"
 
 
-@dataclass(frozen=True)
 class AlgebraChar:
-    """A multiplicative character of an algebra, one field character per component."""
+    """A multiplicative character of an algebra, one field character per
+    component.  Immutable and hashed once, like MultChar."""
 
-    algebra: SemisimpleAlgebra
-    chars: tuple
+    __slots__ = ("algebra", "chars", "_hash")
 
-    def __post_init__(self):
-        if len(self.chars) != len(self.algebra.components):
+    def __init__(self, algebra, chars):
+        if len(chars) != len(algebra.components):
             raise LengthMismatch("one character per component required")
-        for chi, comp in zip(self.chars, self.algebra.components):
+        for chi, comp in zip(chars, algebra.components):
             if chi.field is not comp:
                 raise FieldMismatch("character field does not match component")
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "chars", chars)
+        object.__setattr__(self, "_hash", hash((algebra, chars)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AlgebraChar is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.chars) == (other.algebra, other.chars)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"AlgebraChar(algebra={self.algebra!r}, chars={self.chars!r})"
 
     @classmethod
     def from_exponents(cls, algebra, exponents):

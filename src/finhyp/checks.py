@@ -9,7 +9,6 @@ resource bound.
 
 import json
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from random import Random
@@ -36,13 +35,27 @@ from .padic import (
 from .params import HGParams
 
 
-@dataclass
 class CheckReport:
-    check: str
-    instance: str
-    verdict: str
-    witness: dict = None
-    millis: int = 0
+    """One check's verdict: "pass", "fail" or "inconclusive", with an
+    optional witness dict and the time taken.  Mutable, so unhashable."""
+
+    __slots__ = ("check", "instance", "verdict", "witness", "millis")
+
+    def __init__(self, check, instance, verdict, witness=None, millis=0):
+        self.check, self.instance, self.verdict = check, instance, verdict
+        self.witness, self.millis = witness, millis
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.check, self.instance, self.verdict, self.witness, self.millis)
+                == (other.check, other.instance, other.verdict, other.witness, other.millis))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"CheckReport(check={self.check!r}, instance={self.instance!r}, "
+                f"verdict={self.verdict!r}, witness={self.witness!r}, millis={self.millis!r})")
 
     @property
     def passed(self):
@@ -263,10 +276,14 @@ def check_integrality_delta(params, p, ts=None, prec=6):
     return _report("integrality_delta", f"{params!r} p={p} delta={delta}", start, failures)
 
 
-def check_main_theorem(params, p, t, prec_list=(6, 8)):
+MAIN_THEOREM_PRECS = (6, 8)
+
+
+def check_main_theorem(params, p, t):
     """Certificate that p^Delta times the sum is an algebraic integer:
     the characteristic polynomial over the stabilizer cosets has integer
-    coefficient lifts that are stable across working precisions."""
+    coefficient lifts that are stable across the working precisions
+    MAIN_THEOREM_PRECS."""
     start = time.perf_counter()
     if not params.splits_at(p):
         raise DoesNotSplit(f"p = {p} does not split for {params!r}")
@@ -282,7 +299,7 @@ def check_main_theorem(params, p, t, prec_list=(6, 8)):
 
     failures = []
     lifts_per_prec = {}
-    for prec in prec_list:
+    for prec in MAIN_THEOREM_PRECS:
         args = [x for pk in conj_params for row in gamma_args(pk, p) for x in row]
         prefetch_gamma_p(args, p, prec)
         roots = [
@@ -317,7 +334,7 @@ def check_main_theorem(params, p, t, prec_list=(6, 8)):
             break
     instance = (
         f"{params!r} p={p} t={t} Delta={cap} cosets={reps} "
-        f"prec={list(prec_list)} lifts={values[0]}"
+        f"prec={list(MAIN_THEOREM_PRECS)} lifts={values[0]}"
     )
     return _report("main_theorem", instance, start, failures)
 

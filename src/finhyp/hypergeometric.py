@@ -27,7 +27,6 @@ and the equi-dimensional sums do not depend on the choice of the p-th root
 of unity inside the additive characters.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -45,20 +44,40 @@ from .errors import AssumptionFails, FieldMismatch, NotCoprime, ZeroArgument
 from .finfield import make_field, prime_power
 
 
-@dataclass(frozen=True)
 class HGAlgebraInstance:
-    """Two semisimple algebras over one base field, with their characters."""
+    """Two semisimple algebras over one base field, with their characters.
 
-    A: SemisimpleAlgebra
-    B: SemisimpleAlgebra
-    chiA: AlgebraChar
-    chiB: AlgebraChar
+    Immutable, and hashed once: instances key the denominator, direct-sum
+    and expansion caches."""
 
-    def __post_init__(self):
-        if self.A.base is not self.B.base:
+    __slots__ = ("A", "B", "chiA", "chiB", "_hash")
+
+    def __init__(self, A, B, chiA, chiB):
+        if A.base is not B.base:
             raise FieldMismatch("algebras must share the base field")
-        if self.chiA.algebra is not self.A or self.chiB.algebra is not self.B:
+        if chiA.algebra is not A or chiB.algebra is not B:
             raise FieldMismatch("characters must live on the given algebras")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "chiA", chiA)
+        object.__setattr__(self, "chiB", chiB)
+        object.__setattr__(self, "_hash", hash((A, B, chiA, chiB)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HGAlgebraInstance is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.A, self.B, self.chiA, self.chiB)
+                == (other.A, other.B, other.chiA, other.chiB))
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (f"HGAlgebraInstance(A={self.A!r}, B={self.B!r}, "
+                f"chiA={self.chiA!r}, chiB={self.chiB!r})")
 
     @property
     def base(self):

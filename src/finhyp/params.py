@@ -6,7 +6,6 @@ representatives in [0, 1); every floor and fractional-part formula in the
 package is stated for these representatives.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, lcm
 
@@ -32,12 +31,28 @@ def parse_fraction_list(text):
         raise MalformedValue(f"not a list of fractions: {text!r}") from None
 
 
-@dataclass(frozen=True)
 class POrbit:
-    """One orbit of multiplication by p on a parameter multiset."""
+    """One orbit of multiplication by p on a parameter multiset; immutable."""
 
-    rep: Fraction
-    values: tuple
+    __slots__ = ("rep", "values")
+
+    def __init__(self, rep, values):
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"POrbit is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rep, self.values) == (other.rep, other.values)
+
+    def __hash__(self):
+        return hash((self.rep, self.values))
+
+    def __repr__(self):
+        return f"POrbit(rep={self.rep!r}, values={self.values!r})"
 
     @property
     def length(self):
@@ -45,9 +60,11 @@ class POrbit:
 
 
 class HGParams:
-    """A pair of parameter multisets, stored sorted with entries in [0, 1)."""
+    """A pair of parameter multisets, stored sorted with entries in [0, 1).
+    Immutable, and hashed once: parameters key the split-instance and
+    p-adic series caches."""
 
-    __slots__ = ("alpha", "beta", "d")
+    __slots__ = ("alpha", "beta", "d", "_hash")
 
     def __init__(self, alpha, beta):
         a = tuple(sorted(Fraction(x) % 1 for x in alpha))
@@ -59,13 +76,17 @@ class HGParams:
         common = set(a) & set(b)
         if common:
             raise NotDisjointModZ(f"shared values mod Z: {sorted(common)}")
-        self.alpha = a
-        self.beta = b
-        self.d = len(a)
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "d", len(a))
+        object.__setattr__(self, "_hash", hash((a, b)))
 
     @classmethod
     def parse(cls, alpha_text, beta_text):
         return cls(parse_fraction_list(alpha_text), parse_fraction_list(beta_text))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HGParams is immutable: cannot set {name!r}")
 
     def __eq__(self, other):
         if not isinstance(other, HGParams):
@@ -73,7 +94,7 @@ class HGParams:
         return self.alpha == other.alpha and self.beta == other.beta
 
     def __hash__(self):
-        return hash((self.alpha, self.beta))
+        return self._hash
 
     def __repr__(self):
         return f"HGParams({list(self.alpha)}, {list(self.beta)})"

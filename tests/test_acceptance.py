@@ -156,11 +156,11 @@ def test_criterion_8_main_theorem_stability():
     params = HGParams.parse("1/5,4/5", "0,0")
     for p in (11, 19):
         for t in (1, 2, 3):
-            report = check_main_theorem(params, p, t, prec_list=(6, 8))
+            report = check_main_theorem(params, p, t)
             assert report.passed, report
     over_q = HGParams.parse("1/2,1/2", "0,0")
     for t in (1, 2, 3):
-        report = check_main_theorem(over_q, 13, t, prec_list=(6, 8))
+        report = check_main_theorem(over_q, 13, t)
         assert report.passed, report
     _announce(8, "characteristic-polynomial lifts stable across N in {6,8}")
 
