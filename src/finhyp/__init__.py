@@ -1,7 +1,7 @@
 """Exact finite hypergeometric sums over finite fields, Gauss sums on
 semisimple algebras, and their p-adic counterparts."""
 
-from . import charsums, cyclo, finfield, hypergeometric, padic
+from . import charsums, cyclo, finfield, hypergeometric, padic, params
 from .charsums import (
     AlgebraChar,
     MultChar,
@@ -40,19 +40,21 @@ __version__ = "0.1.0"
 
 def clear_caches():
     """Empty every cache of the package: fields, split instances, cyclotomic
-    structure, Gauss sums, direct-sum classes, expansion rows, denominators,
-    Gamma_p values and blocks, and p-adic unit terms.
+    structure, trace fibres and Gauss sums, direct-sum classes and the masks
+    of their tallies, expansion rows, denominators, Gamma_p values and
+    blocks, p-adic unit terms, and denominator exponents.
 
     Fields are cached objects too, and their elements equal only elements of
     the same field object: fields, elements and instances built before the
     call must not be used after it; build them again.
     """
     for fn in (
-        cyclo.cyclotomic_polynomial, cyclo._structure, charsums._gauss_entry,
-        finfield._make_field_cached, finfield.FqField._embedding_data,
-        hypergeometric._denominator_inverse, hypergeometric._direct_classes,
-        hypergeometric._fourier_coefficients, hypergeometric.split_instance,
-        padic._term_exponents,
+        cyclo.cyclotomic_polynomial, cyclo._structure, charsums._trace_fibres,
+        charsums._gauss_pair_entry, finfield._make_field_cached,
+        finfield.FqField._embedding_data, hypergeometric._denominator_inverse,
+        hypergeometric._direct_classes, hypergeometric._fourier_coefficients,
+        hypergeometric._norm_fold_mask, hypergeometric.split_instance,
+        padic._term_exponents, params._denominator_exponent,
     ):
         fn.cache_clear()
     for table in (padic._gamma_cache, padic._gamma_blocks, padic._unit_terms):

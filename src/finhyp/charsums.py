@@ -21,6 +21,7 @@ when its value is read; its coefficient of gamma(psi) is read in
 Q(zeta_big) itself.
 """
 
+from collections import Counter
 from functools import lru_cache, reduce
 from math import lcm, prod
 from operator import mul
@@ -79,22 +80,41 @@ def gauss_sum(chi, a=1):
 
 
 @lru_cache(maxsize=None)
-def _gauss_entry(field, e, a):
-    """One Gauss sum as its trace fibres, computed on first use by one O(q)
-    pass: the (c, count) pairs of S_0 and S_1 as sums of count * zeta_(q-1)^c,
-    and psi with chi(b) = zeta_(q-1)^psi[b] for b = 1..p-1 (psi[0] = 0).
-    S_0 is left empty when psi is nontrivial, where it is 0."""
+def _trace_fibres(field, a):
+    """One O(q) pass per (field, a): the j with a Tr g^j = 0 and those with
+    a Tr g^j = 1, and the dlogs of b = 1..p-1 (dlog[0] = 0)."""
     p, qbar = field.p, field.q - 1
-    psi = (0,) + tuple(e * field.dlog(b) % qbar for b in range(1, p))
     one = pow(a, -1, p)  # a Tr x = 1
-    fibres = ({}, {})
+    fibres = ([], [])
     for j in range(qbar):
         tr = field.trace_of_unit(j)
         if tr in (0, one):
-            tally, c = fibres[tr == one], e * j % qbar
-            tally[c] = tally.get(c, 0) + 1
-    s0 = () if any(psi) else tuple(fibres[0].items())
-    return s0, tuple(fibres[1].items()), psi
+            fibres[tr == one].append(j)
+    dlogs = (0,) + tuple(field.dlog(b) for b in range(1, p))
+    return tuple(fibres[0]), tuple(fibres[1]), dlogs
+
+
+def _gauss_entry(field, e, a):
+    """One Gauss sum as its trace fibres, read off _trace_fibres in O(q/p):
+    the (c, count) pairs of S_0 and S_1 as sums of count * zeta_(q-1)^c, and
+    psi with chi(b) = zeta_(q-1)^psi[b] for b = 1..p-1 (psi[0] = 0).  S_0 is
+    left empty when psi is nontrivial, where it is 0."""
+    qbar = field.q - 1
+    zero, one, dlogs = _trace_fibres(field, a)
+    psi = tuple(e * d % qbar for d in dlogs)
+    s0 = () if any(psi) else tuple(Counter(e * j % qbar for j in zero).items())
+    return s0, tuple(Counter(e * j % qbar for j in one).items()), psi
+
+
+@lru_cache(maxsize=None)
+def _gauss_pair_entry(chi, a, big, bound):
+    """The Gauss sum of chi against the a-twisted trace, a _GaussPair at
+    length big, built once per (chi, a, big, bound)."""
+    field = chi.field
+    s0, s1, psi = _gauss_entry(field, chi.e, a % field.p)
+    step = big // (field.q - 1)
+    x0, x1 = (_Packed.tally(big, bound, ((c * step, w) for c, w in s)) for s in (s0, s1))
+    return _GaussPair(field.p, x0, x1, tuple(e * step for e in psi))
 
 
 class _GaussPair:
@@ -186,7 +206,7 @@ def _gauss_pair(chars, a, bound):
     """The product of the Gauss sums of chars against the a-twisted trace, as
     a _GaussPair at big = lcm(q_i - 1) with coefficients up to bound."""
     big = lcm(*(chi.field.q - 1 for chi in chars))
-    return reduce(mul, (_GaussPair.entry(chi, a, big, bound) for chi in chars))
+    return reduce(mul, (_gauss_pair_entry(chi, a, big, bound) for chi in chars))
 
 
 def gauss_product(chars, a=1):

@@ -115,6 +115,8 @@ def _scatter(n, pairs):
 
 # slot width -> array typecode, to pack and unpack little-endian slots at C speed
 _ARRAY_CODES = {array(c).itemsize: c for c in "BHILQ"} if sys.byteorder == "little" else {}
+# bytes needed (up to 8) -> slot width: the narrowest array code that holds them
+_WIDTHS = tuple(min((w for w in _ARRAY_CODES if w >= k), default=k) for k in range(9))
 _WORD = (1 << 64) - 1
 
 
@@ -469,14 +471,16 @@ class _Packed:
         if total > bound:
             raise InternalInconsistency(f"coefficient sum {total} exceeds the bound {bound}")
         bits = 8 * width * n  # every value below has fewer than 2n slots
-        value = (value & ((1 << bits) - 1)) + (value >> bits)
+        high = value >> bits
+        if high:
+            value = (value & ((1 << bits) - 1)) + high
         self.n, self.bound, self.width, self.value, self.total = n, bound, width, value, total
 
     @staticmethod
     def slot_width(bound):
         """The bytes per slot of a vector whose coefficients are at most bound."""
         need = (bound.bit_length() + 7) // 8 or 1
-        return min((w for w in _ARRAY_CODES if w >= need), default=need)
+        return _WIDTHS[need] if need < len(_WIDTHS) else need
 
     @staticmethod
     def tally(n, bound, weights):
@@ -484,8 +488,13 @@ class _Packed:
         v = [0] * n
         for e, w in weights:
             v[e % n] += w
+        return _Packed.vector(bound, v)
+
+    @staticmethod
+    def vector(bound, v):
+        """The list v of nonnegative ints as a vector of length len(v)."""
         width = _Packed.slot_width(bound)
-        return _Packed(n, bound, width, _to_slots(v, width), sum(v))
+        return _Packed(len(v), bound, width, _to_slots(v, width), sum(v))
 
     @staticmethod
     def dot(xs, ys):
@@ -494,33 +503,17 @@ class _Packed:
         total = sum(map(mul, map(_TOTAL, xs), map(_TOTAL, ys)))
         return _Packed(xs[0].n, xs[0].bound, xs[0].width, value, total)
 
-    @staticmethod
-    def class_products(classes, terms):
-        """Per k < m = len(classes), the sum of w * classes[k - d] * x^e over
-        the ((e, d), w) items of terms: the terms of one e are added first,
-        then shifted once, so each class takes one add per term and one
-        shift-add per distinct e."""
-        m, first = len(classes), classes[0]
-        groups = {}  # e -> the (k-th rotation index of classes[k - d], w) of its terms
-        for (e, d), w in terms.items():
-            groups.setdefault(e, []).append((-d % m, w))
-        shifts = [8 * first.width * e for e in groups]
-        idx = [[i for i, _ in g] for g in groups.values()]
-        weights = [[w for _, w in g] for g in groups.values()]
-        all_idx, all_weights = sum(idx, []), sum(weights, [])
-        weighted = any(w != 1 for w in all_weights)
-        values, totals = [c.value for c in classes], [c.total for c in classes]
-        out = []
-        for k in range(m):
-            rot, trot = values[k:] + values[:k], totals[k:] + totals[:k]
-            if weighted:
-                parts = [sum(map(mul, map(rot.__getitem__, i), w)) for i, w in zip(idx, weights)]
-            else:
-                parts = [sum(map(rot.__getitem__, i)) if len(i) > 1 else rot[i[0]] for i in idx]
-            total = sum(map(mul, map(trot.__getitem__, all_idx), all_weights))
-            out.append(_Packed(first.n, first.bound, first.width,
-                               sum(map(lshift, parts, shifts)), total))
-        return out
+    def times(self, terms):
+        """The product with the sum of w * x^e over the (e, w) items of terms,
+        w >= 1: one shift-add per term, by Horner's rule from the largest e,
+        and one fold."""
+        bits, v, terms = 8 * self.width, self.value, sorted(terms, reverse=True)
+        value, last = 0, terms[0][0]
+        for e, w in terms:
+            value = (value << bits * (last - e)) + (v if w == 1 else v * w)
+            last = e
+        total = self.total * sum(w for _, w in terms)
+        return _Packed(self.n, self.bound, self.width, value << bits * last, total)
 
     @staticmethod
     def rotated_sum(rows, shifts):
@@ -538,18 +531,27 @@ class _Packed:
             out[k :: w * (m // self.n)] = raw[k :: w]
         return _Packed(m, self.bound, w, int.from_bytes(out, "little"), self.total)
 
-    def strided(self, start, step):
-        """The vector of slots start + i*step mod n, i < n/step, at length
-        n/step, for step dividing n: the inverse of spread, one byte lane at
-        a time."""
-        w, m = self.width, self.n // step
+    def cut(self, starts, step, n, spacing, shift):
+        """Per start, the vector at length n whose slot shift + i*spacing
+        (mod n) holds slot start + i*step (mod self.n) of self, for i <
+        n/spacing: one strided copy of whole slots, or one per byte lane
+        where slots are wider than 8 bytes."""
+        w, count = self.width, n // spacing
+        code = _ARRAY_CODES.get(w)
+        unit = 1 if code else w  # view items per slot
         raw = self.value.to_bytes(w * self.n, "little")
-        raw = raw[w * start :] + raw[: w * start]
-        out = bytearray(w * m)
-        for k in range(w):
-            out[k::w] = raw[k :: w * step]
-        value = int.from_bytes(out, "little")
-        return _Packed(m, self.bound, w, value, sum(_from_slots(value, w, m)))
+        src = memoryview(raw + raw).cast(code or "B")  # read cyclically
+        turn, first = divmod(shift % n, spacing)
+        out = []
+        for start in starts:
+            buf = bytearray(w * n)
+            dst, at, total = memoryview(buf).cast(code or "B"), (start - turn * step) % self.n, 0
+            for k in range(unit):
+                seq = src[unit * at + k :: unit * step][:count]
+                dst[unit * first + k :: unit * spacing] = seq
+                total += sum(seq) << 8 * k
+            out.append(_Packed(n, self.bound, w, int.from_bytes(buf, "little"), total))
+        return out
 
     def read(self, minus=None):
         """The element sum v[j] zeta_n^j of Q(zeta_n), less the one that minus

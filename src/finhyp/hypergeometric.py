@@ -15,9 +15,9 @@ _direct_classes).  When p-1 divides dim A - dim B, as in every
 equidimensional instance, either value lies in Q(zeta_big) and is read
 there; otherwise it is lifted to length p big and read there.  Either is
 reduced once and multiplied once by the inverse of the denominator.  The
-norm-class tallies are built per component, by dict convolution while
-their support is small and by packed shift-adds per class once that is
-cheaper.
+norm-class tallies are convolved one component at a time, as a dict while
+their support is small and then as one packed grid over (c/g, norm dlog),
+g the gcd of every c, by one shift-add per histogram key.
 
 Two normalization choices make the three forms one function: the
 denominator is g_A(chi_A) * g_B(conj(chi_B)), and the whole B side of the
@@ -27,6 +27,7 @@ and the equi-dimensional sums do not depend on the choice of the p-th root
 of unity inside the additive characters.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -168,87 +169,86 @@ def _reads_at_big(inst):
     return (inst.A.dim - inst.B.dim) % (inst.base.p - 1) == 0
 
 
-# Measured step costs of the direct-sum tallies (2-core Xeon, Python 3.11.7):
-# one dict update of a sparse step took 220-700 ns; a dense step took
-# 2.7-5.5 us per class plus, per shift-add of b bytes, 300 + 1.1 b ns
-# (b from 40 to 67200 bytes).
-_DICT_UPDATE_NS = 400
-_CLASS_NS = 3000
-_SHIFT_ADD_NS = 300
-_SHIFT_ADD_BYTE_NS = 1.1
+# One dict update of a tally step costs about as much as shift-adding this
+# many bytes of a packed grid: 220-270 ns against 1.1-1.6 ns per byte
+# (2-core Xeon, Python 3.11.7).
+_DICT_UPDATE_BYTES = 200
 
 
-def _sparse_step(acc, hist, n, qbar):
-    """The convolution of two dict tallies keyed c * 2(q-1) + norm dlog, c
-    mod n and norm dlog mod q-1.  A sum of two keys has c < 2n and norm
-    dlog < 2(q-1), so it is folded by at most one subtraction of each."""
-    span = 2 * qbar
+def _dict_step(acc, hist, rows, qbar):
+    """The convolution of two dict tallies keyed by grid slot (see
+    _norm_classes).  A sum of two keys has row < 2 rows and norm dlog <
+    2(q-1) - 1, so it is folded by at most one subtraction of each."""
+    span = 2 * qbar - 1
+    top = rows * span
     out = {}
     for key, cnt in acc.items():
         for key_i, cnt_i in hist.items():
             k = key + key_i
-            if k >= n * span:
-                k -= n * span
+            if k >= top:
+                k -= top
             if k % span >= qbar:
                 k -= qbar
             out[k] = out.get(k, 0) + cnt * cnt_i
     return out
 
 
-def _pack_classes(acc, n, qbar, bound):
-    """A dict tally as q-1 packed classes, one per norm dlog."""
-    classes = [[] for _ in range(qbar)]
-    for key, cnt in acc.items():
-        c, nd = divmod(key, 2 * qbar)
-        classes[nd].append((c, cnt))
-    return [_Packed.tally(n, bound, c) for c in classes]
+@lru_cache(maxsize=None)
+def _norm_fold_mask(rows, qbar, width):
+    """The mask of the slots with norm dlog >= q-1 in every row of a grid."""
+    row = bytes(width * qbar) + b"\xff" * (width * (qbar - 1))
+    return int.from_bytes(row * rows, "little")
 
 
-def _pack_fibres(acc, n, p, qbar, bound):
-    """A dict tally as the trace fibres 0 and 1 of the q-1 norm classes, at
-    length n/p: fibre u holds the keys with c = u n/p + p * (character
-    exponent)."""
-    big = n // p
-    inv = pow(big, -1, p)
-    fibres = ([[] for _ in range(qbar)], [[] for _ in range(qbar)])
-    for key, cnt in acc.items():
-        c, nd = divmod(key, 2 * qbar)
-        u = c * inv % p
-        if u < 2:
-            fibres[u][nd].append(((c - u * big) // p, cnt))
-    return tuple([_Packed.tally(big, bound, f) for f in side] for side in fibres)
+def _grid_step(grid, hist, rows, qbar):
+    """A packed grid tally times a histogram: one shift-add per key, the rows
+    folded by the packing and the norm dlogs >= q-1 folded within their row."""
+    grid = grid.times(hist.items())
+    high = grid.value & _norm_fold_mask(rows, qbar, grid.width)
+    grid.value += (high >> 8 * grid.width * qbar) - high
+    return grid
 
 
 def _norm_classes(alg, exps, at_minus_y, n, bound):
     """Per norm dlog k < q-1, the trace fibres 0 and 1 of the units of alg
     with norm dlog k, the trace and character taken at -y when at_minus_y is
-    set: one histogram per component on (c, norm dlog), c as in
-    _direct_classes, convolved by the cheaper step.  The fibres are read off
-    the last dict, or cut out of the q-1 packed classes at length n."""
+    set, from one histogram per component on (c, norm dlog), c as in
+    _direct_classes.  Every c is a multiple of g = gcd(n, all c), and so is
+    every sum mod n: c is kept as the row c/g < rows = n/g of a grid whose
+    rows have span = 2(q-1) - 1 slots, room for a sum of two norm dlogs.
+    The histograms are convolved into a dict keyed by grid slot while |acc|
+    dict updates cost less than one shift-add of the grid, then into the
+    packed grid.  Fibre u takes the rows r = r_u + p i, i < big/g, those with
+    g r big^-1 = u mod p, at character exponent (g r - u big)/p."""
     p, qbar = alg.base.p, alg.base.q - 1
-    big, span = n // p, 2 * qbar
-    shift_add_ns = _SHIFT_ADD_NS + _SHIFT_ADD_BYTE_NS * n * _Packed.slot_width(bound)
-    acc = {0: 1}
+    big, span = n // p, 2 * qbar - 1
+    hists = []
     for comp, e, nf in zip(alg.components, exps, alg._norm_factors):
-        order = comp.q - 1
         h = comp.minus_one_dlog if at_minus_y else 0
-        step = (-e if at_minus_y else e) * (big // order)
-        hist = {}
-        for j in range(order):
-            c = (big * comp.trace_of_unit(j + h) + step * p * (j + h)) % n
-            key = c * span + j * nf % qbar
-            hist[key] = hist.get(key, 0) + 1
-        dense_ns = qbar * (_CLASS_NS + len(hist) * shift_add_ns)
-        if type(acc) is dict and len(acc) * len(hist) * _DICT_UPDATE_NS < dense_ns:
-            acc = _sparse_step(acc, hist, n, qbar)
+        step = (-e if at_minus_y else e) * (big // (comp.q - 1)) * p
+        hists.append(Counter(((big * comp.trace_of_unit(j + h) + step * (j + h)) % n,
+                              j * nf % qbar) for j in range(comp.q - 1)))
+    g = gcd(n, *(c for hist in hists for c, _ in hist))
+    rows, width = n // g, _Packed.slot_width(bound)
+    acc, *hists = [{c // g * span + k: w for (c, k), w in hist.items()} for hist in hists]
+    for hist in hists:
+        if type(acc) is dict and len(acc) * _DICT_UPDATE_BYTES < rows * span * width:
+            acc = _dict_step(acc, hist, rows, qbar)
             continue
         if type(acc) is dict:  # the support has outgrown the dict: pack it once
-            acc = _pack_classes(acc, n, qbar, bound)
-        acc = _Packed.class_products(acc, {divmod(k, span): w for k, w in hist.items()})
-    if type(acc) is dict:
-        return _pack_fibres(acc, n, p, qbar, bound)
-    # fibre u is c = u big + p * (character exponent): every p-th slot from u big
-    return tuple([c.strided(u * big, p) for c in acc] for u in (0, 1))
+            acc = _Packed.tally(rows * span, bound, acc.items())
+        acc = _grid_step(acc, hist, rows, qbar)
+    firsts = [u * big * pow(g, -1, p) % p for u in (0, 1)]
+    if type(acc) is not dict:
+        return tuple(acc.cut([r * span + k for k in range(qbar)], p * span, big, g,
+                             (g * r - u * big) // p) for u, r in enumerate(firsts))
+    fibres = ([[0] * big for _ in range(qbar)], [[0] * big for _ in range(qbar)])
+    for key, cnt in acc.items():
+        r, k = divmod(key, span)
+        for u in (0, 1):
+            if (r - firsts[u]) % p == 0:
+                fibres[u][k][(g * r - u * big) // p % big] += cnt
+    return tuple([_Packed.vector(bound, v) for v in side] for side in fibres)
 
 
 def _side_map(alg, chi, big):
@@ -295,12 +295,13 @@ def _direct_classes(inst, twist):
 
     The classes are built at n = p big with c = trace * big + character
     exponent * p, which is linear in the unit, so each side is the
-    convolution of one histogram of H keys (c, norm dlog) per component.
-    The running tally is a dict while its support S is small: a sparse step
-    costs S * H dict updates.  A dense step on the q-1 packed classes costs
-    q-1 class set-ups and at most (q-1) * H shift-adds of n * width bytes.
-    Each step takes the cheaper at the measured costs above, and a tally
-    once packed stays packed: the support never shrinks.
+    convolution of one histogram of H keys (c, norm dlog) per component,
+    on a grid of n/g rows c/g by q-1 norm dlogs (see _norm_classes).  The
+    running tally is a dict while its support S is small: a dict step costs
+    S * H dict updates.  A grid step costs H shift-adds of the one packed
+    grid and two masked folds.  Each step takes the cheaper by the measured
+    ratio above, and a tally once packed stays packed: the support never
+    shrinks.  A side of one component is its histogram, and never packs.
     """
     p, qbar = inst.base.p, inst.base.q - 1
     big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))

@@ -7,6 +7,7 @@ package is stated for these representatives.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, gcd, lcm
 
 from .cyclo import CycloNum, root_of_unity
@@ -145,16 +146,7 @@ class HGParams:
 
     def denominator_exponent(self):
         """Largest power of p that can appear in a denominator of the p-adic sum."""
-        cands = {Fraction(0), Fraction(1)}
-        for a in self.alpha:
-            cands.add((-a) % 1)
-        for b in self.beta:
-            cands.add((-b) % 1)
-        pts = sorted(cands)
-        xs = list(pts)
-        for u, v in zip(pts, pts[1:]):
-            xs.append((u + v) / 2)
-        return max(self._drop(x) for x in xs)
+        return _denominator_exponent(self)
 
     def global_denominator_exponent(self):
         """Max denominator exponent over all conjugate parameter pairs."""
@@ -228,3 +220,19 @@ class HGParams:
                         "polynomials of a Q-stable pair must have integer coefficients"
                     )
         return pa, pb
+
+
+@lru_cache(maxsize=None)
+def _denominator_exponent(params):
+    """HGParams.denominator_exponent, computed once per parameter pair: the
+    largest drop at the break points of the floor sums and between them."""
+    cands = {Fraction(0), Fraction(1)}
+    for a in params.alpha:
+        cands.add((-a) % 1)
+    for b in params.beta:
+        cands.add((-b) % 1)
+    pts = sorted(cands)
+    xs = list(pts)
+    for u, v in zip(pts, pts[1:]):
+        xs.append((u + v) / 2)
+    return max(params._drop(x) for x in xs)

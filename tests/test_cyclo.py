@@ -393,20 +393,18 @@ def test_packed_rotated_sum_and_dot_match_cyclonum(n):
 
 @pytest.mark.parametrize("n", PACKED_CONDUCTORS)
 @pytest.mark.parametrize("weighted", [False, True])
-def test_packed_class_products_match_cyclonum(n, weighted):
-    # new[k] = sum of w * classes[k - d] * x^e, classes indexed mod m
+def test_packed_times_match_cyclonum(n, weighted):
+    # x times the sum of w * x^e over the terms, exponents indexed mod n
     rng = random.Random(n + weighted)
-    for m, top in ((1, 5), (3, 2**20), (7, 1)):
-        classes = [[rng.randint(0, top) for _ in range(n)] for _ in range(m)]
-        terms = {(rng.randrange(n), rng.randrange(m)): rng.randint(1, 3) if weighted else 1
-                 for _ in range(5)}
-        bound = sum(map(sum, classes)) * sum(terms.values())
-        out = _Packed.class_products([_pack(n, bound, v) for v in classes], terms)
-        for k, got in enumerate(out):
-            ref = sum((_powers(n, classes[(k - d) % m]) * root_of_unity(n, e) * w
-                       for (e, d), w in terms.items()), CycloNum.zero(n))
-            assert got.total == sum(sum(classes[(k - d) % m]) * w for (e, d), w in terms.items())
-            assert _same(got.read(), ref)
+    for top in (5, 2**20, 1):
+        v = [rng.randint(0, top) for _ in range(n)]
+        terms = {rng.randrange(n): rng.randint(1, 3) if weighted else 1 for _ in range(5)}
+        bound = sum(v) * sum(terms.values())
+        got = _pack(n, bound, v).times(terms.items())
+        ref = sum((_powers(n, v) * root_of_unity(n, e) * w for e, w in terms.items()),
+                  CycloNum.zero(n))
+        assert got.total == bound
+        assert _same(got.read(), ref)
 
 
 @pytest.mark.parametrize("bound", EXACT_BOUNDS)
@@ -439,16 +437,23 @@ def test_wide_slots_round_trip_against_to_bytes(width):
 
 
 @pytest.mark.parametrize("n,step", [(1, 1), (12, 3), (78, 3), (342, 19), (506, 2)])
-def test_packed_strided_inverts_spread(n, step):
+def test_packed_cut_inverts_spread(n, step):
     rng = random.Random(n)
+    m = n // step
     for bound in (255, 2**64 - 1, 2**80):
-        v = [rng.randint(0, bound // n) for _ in range(n // step)]
-        x = _pack(n // step, bound, v)
-        spread = x.spread(n)
-        assert _packed_fields(spread.strided(0, step)) == _packed_fields(x)
-        start = rng.randrange(n)
-        got = _Packed.rotated_sum([spread], [start]).strided(start, step)
-        assert _packed_fields(got) == _packed_fields(x) and got.total == sum(v)
+        vs = [[rng.randint(0, bound // n) for _ in range(m)] for _ in range(2)]
+        xs = [_pack(m, bound, v) for v in vs]
+        spread = xs[0].spread(n)
+        assert _packed_fields(spread.cut([0], step, m, 1, 0)[0]) == _packed_fields(xs[0])
+        # slots start + i*step, i < m, spread by 3 and rotated by shift
+        start, shift = rng.randrange(step), rng.randrange(-3 * m, 3 * m)
+        got = spread.times([(start, 1)]).cut([start], step, 3 * m, 3, shift)[0]
+        ref = _Packed.rotated_sum([xs[0].spread(3 * m)], [shift])
+        assert _packed_fields(got) == _packed_fields(ref) and got.total == sum(vs[0])
+        if step > 1:  # one cut per start: slots 0 and 1 of every step hold xs[0] and xs[1]
+            both = _Packed.rotated_sum([x.spread(n) for x in xs], [0, 1])
+            assert list(map(_packed_fields, both.cut([0, 1], step, m, 1, 0))) == [
+                _packed_fields(x) for x in xs]
 
 
 def _packed_fields(x):

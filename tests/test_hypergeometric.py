@@ -8,7 +8,8 @@ from finhyp.charsums import (
     AlgebraChar,
     MultChar,
     SemisimpleAlgebra,
-    _gauss_entry,
+    _gauss_pair_entry,
+    _trace_fibres,
     gauss_product,
     gauss_sum,
 )
@@ -225,7 +226,7 @@ def _count_reductions(monkeypatch):
     """Clear the Gauss caches and record the conductor of every cyclo._reduce call."""
     from finhyp import cyclo
 
-    _gauss_entry.cache_clear()
+    _gauss_pair_entry.cache_clear()
     calls = []
     reduce_ = cyclo._reduce
     monkeypatch.setattr(cyclo, "_reduce", lambda n, v: calls.append(n) or reduce_(n, v))
@@ -253,6 +254,34 @@ def test_cold_fourier_rows_are_not_reduced(monkeypatch):
     calls = _count_reductions(monkeypatch)
     rows = _fourier_coefficients(inst, 1)
     assert len(rows) == 12 and calls == []
+
+
+@pytest.mark.parametrize("q,params,other", [
+    (27, ("1/13,1/2,12/13", "0,0,0"), ("1/2,1/2", "0,0")),
+    (49, ("1/6,1/2", "0,1/4"), ("1/3,2/3", "1/4,3/4")),
+])
+def test_fourier_rows_from_cached_gauss_entries(q, params, other, monkeypatch):
+    from finhyp import charsums
+    from finhyp.hypergeometric import _fourier_coefficients
+
+    clear_caches()
+    inst = split_instance(HGParams.parse(*params), q)
+    for twist in (1, 2):
+        _fourier_coefficients(inst, twist)
+    misses = _trace_fibres.cache_info().misses
+    for twist in (1, 2):
+        _fourier_coefficients(split_instance(HGParams.parse(*other), q), twist)
+    # a second instance over the same field makes no new trace pass
+    assert _trace_fibres.cache_info().misses == misses
+    # each row equals its Gauss product with every entry tallied afresh
+    monkeypatch.setattr(charsums, "_trace_fibres", _trace_fibres.__wrapped__)
+    monkeypatch.setattr(charsums, "_gauss_pair_entry", _gauss_pair_entry.__wrapped__)
+    chiB_bar = inst.chiB.conj()
+    for twist in (1, 2):
+        for m, row in enumerate(_fourier_coefficients(inst, twist)):
+            chars = (inst.chiA.twist_by_norm_power(m).chars
+                     + chiB_bar.twist_by_norm_power(-m).chars)
+            assert row.read() == gauss_product(chars, twist)
 
 
 def _hand_built(p, a_degrees, b_degrees, a_exps, b_exps):
@@ -365,14 +394,14 @@ def test_orbit_instance_with_degree_four_component():
     params = HGParams([F(1, 5), F(2, 5), F(3, 5), F(4, 5)], [0, 0, 0, 0])
     inst = orbit_instance(params, 7)
     assert params.denominator_exponent() == 0
-    computed = _gauss_entry.cache_info().misses
+    computed = _gauss_pair_entry.cache_info().misses
     for t, expected in zip(range(1, 7), (-1, -10, -5, 35, 5, -25)):
         direct = algebra_sum_direct(inst, t)
         assert direct == algebra_sum_fourier(inst, t) == expected
         padic = padic_sum_direct(params, 7, t, 8)
         assert padic.eq_mod(PadicNum.from_rational(expected, 7, 8), 8)
     # one sum per character used, never a whole table of 2400
-    assert _gauss_entry.cache_info().misses - computed < 50
+    assert _gauss_pair_entry.cache_info().misses - computed < 50
 
 
 def test_orbit_representative_swap_changes_nothing():
@@ -519,26 +548,39 @@ def _direct_classes_reference(inst):
 
 
 def _count_tally_steps(monkeypatch):
-    """Record "sparse" or "dense" for every step of the direct-sum tallies."""
+    """Record "dict" or "grid" for every step of the direct-sum tallies."""
     from finhyp import hypergeometric
 
     steps = []
-    sparse, dense = hypergeometric._sparse_step, _Packed.class_products
-    monkeypatch.setattr(hypergeometric, "_sparse_step",
-                        lambda *args: steps.append("sparse") or sparse(*args))
-    monkeypatch.setattr(_Packed, "class_products",
-                        staticmethod(lambda *args: steps.append("dense") or dense(*args)))
+    dict_step, grid_step = hypergeometric._dict_step, hypergeometric._grid_step
+    monkeypatch.setattr(hypergeometric, "_dict_step",
+                        lambda *args: steps.append("dict") or dict_step(*args))
+    monkeypatch.setattr(hypergeometric, "_grid_step",
+                        lambda *args: steps.append("grid") or grid_step(*args))
     return steps
+
+
+def _dict_steps_only(monkeypatch):
+    """Price dict updates at nothing, so that every step is a dict step."""
+    from finhyp import hypergeometric
+
+    monkeypatch.setattr(hypergeometric, "_DICT_UPDATE_BYTES", 0)
 
 
 def _packed_fields(classes):
     return [(c.n, c.width, c.value, c.total) for c in classes]
 
 
+def _same_fibres(got, ref):
+    for side, ref_side in zip(got, ref):
+        for fibre, ref_fibre in zip(side, ref_side):
+            assert _packed_fields(fibre) == _packed_fields(ref_fibre)
+
+
 @pytest.mark.parametrize("case", ["sparse", "dense", "orbit_mixed"])
 def test_norm_classes_against_dict_tally(case, monkeypatch):
     if case == "sparse":  # d = 2 at q = 49: the support stays small
-        inst = split_instance(HGParams.parse("1/6,5/6", "0,1/2"), 49)
+        inst = split_instance(HGParams.parse("1/6,5/6", "1/4,3/4"), 49)
     elif case == "dense":
         inst = split_instance(HGParams.parse("1/13,1/2,12/13", "0,0,0"), 27)
     else:  # components of degree 1, 2 and 3 over F_3
@@ -549,20 +591,47 @@ def test_norm_classes_against_dict_tally(case, monkeypatch):
         _direct_classes.cache_clear()
         steps.clear()
         got = _direct_classes(inst, twist)
-        assert ("dense" in steps) == (case != "sparse")
+        assert ("grid" in steps) == (case != "sparse")
         # the fibres do not depend on the twist: twist 2 reuses those of twist 1
         assert got[0] is _direct_classes(inst, 1)[0] and got[1] is _direct_classes(inst, 1)[1]
-        for side, ref_side in zip(got[:2], ref):
-            for fibre, ref_fibre in zip(side, ref_side):
-                assert _packed_fields(fibre) == _packed_fields(ref_fibre)
+        _same_fibres(got[:2], ref)
+
+
+def _grid_cases():
+    return {
+        "q81": split_instance(HGParams.parse("1/8,1/2,7/8", "0,0,0"), 81),
+        "q125": split_instance(HGParams.parse("1/2,1/2,1/2,1/2", "0,0,0,0"), 125),
+        # every side F_64 + F_32 + F_16 over F_2: q - 1 = 1, one norm class
+        "p2": _hand_built(2, [6, 5, 4], [6, 5, 4], [5, 3, 7], [21, 10, 0]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_grid_cases()))
+def test_grid_tally_against_dict_tally(case, monkeypatch):
+    inst = _grid_cases()[case]
+    steps = _count_tally_steps(monkeypatch)
+    _direct_classes.cache_clear()
+    got = _direct_classes(inst, 1)[:2]
+    assert "grid" in steps
+    _dict_steps_only(monkeypatch)
+    _direct_classes.cache_clear()
+    steps.clear()
+    ref = _direct_classes(inst, 1)[:2]
+    _direct_classes.cache_clear()
+    assert "grid" not in steps
+    _same_fibres(got, ref)
+    if case != "q125":  # the (trace, character, norm) tallies are too large there
+        _same_fibres(got, _direct_classes_reference(inst))
 
 
 def test_cold_direct_classes_step_counts(monkeypatch):
-    # A's support reaches 1825 (c, norm dlog) pairs at q = 81 and B's only
-    # 240; at q = 125 no support passes 620
+    # every c at q = 81 and 125 is a multiple of g = 10 or more, so the grids
+    # have at most n/10 rows and take every step after the first component
     cases = [
-        ("1/2,1/2,1/2,1/2", "0,0,0,0", 125, ["sparse"] * 8),
-        ("1/8,1/2,7/8", "0,0,0", 81, ["sparse", "sparse", "dense"] + ["sparse"] * 3),
+        ("1/2,1/2,1/2,1/2", "0,0,0,0", 125, ["grid"] * 6),
+        ("1/8,1/2,7/8", "0,0,0", 81, ["grid"] * 4),
+        # a single component per side never packs
+        ("1/2", "0", 81, []),
     ]
     steps = _count_tally_steps(monkeypatch)
     for alpha, beta, q, expected in cases:
@@ -584,8 +653,8 @@ def test_direct_against_bruteforce(monkeypatch):
         _direct_classes.cache_clear()
         steps.clear()
         a_side, b_side = _direct_classes(inst, 1)[:2]
-        # split_d3 packs its A tally before the last component, a dense step
-        assert ("dense" in steps) == (inst is split_d3)
+        # at q <= 9 a grid has at most a few hundred slots: every step packs
+        assert steps == ["grid"] * (len(inst.A.components) + len(inst.B.components) - 2)
         # fibre 0 and p-1 copies of fibre 1 (x -> u x) count every unit once
         p = inst.base.p
         for side, count in ((a_side, inst.A.unit_count()), (b_side, inst.B.unit_count())):
@@ -595,6 +664,14 @@ def test_direct_against_bruteforce(monkeypatch):
             assert algebra_sum_direct(inst, t) == oracles.direct_sum(inst, t)
             # twist 2 reads the fibres of twist 1 at u / 2
             assert algebra_sum_direct(inst, t, 2) == oracles.direct_sum(inst, t, 2)
+        # the same fibres by dict steps alone
+        with monkeypatch.context() as m:
+            _dict_steps_only(m)
+            _direct_classes.cache_clear()
+            steps.clear()
+            _same_fibres(_direct_classes(inst, 1)[:2], (a_side, b_side))
+            assert set(steps) <= {"dict"}
+        _direct_classes.cache_clear()
 
 
 def _direct_cases():
