@@ -407,6 +407,35 @@ def test_packed_times_match_cyclonum(n, weighted):
         assert _same(got.read(), ref)
 
 
+def _class_products(classes, terms):
+    """Per k, the sum of w * classes[k - d] * x^e over the ((e, d), w) items
+    of terms: one times per class and shift d, summed by rotated_sum."""
+    m, by_shift = len(classes), {}
+    for (e, d), w in terms.items():
+        by_shift.setdefault(d, []).append((e, w))
+    return [_Packed.rotated_sum([classes[(k - d) % m].times(t) for d, t in by_shift.items()],
+                                [0] * len(by_shift))
+            for k in range(m)]
+
+
+@pytest.mark.parametrize("n", PACKED_CONDUCTORS)
+@pytest.mark.parametrize("weighted", [False, True])
+def test_packed_class_products_match_cyclonum(n, weighted):
+    # new[k] = sum of w * classes[k - d] * x^e, classes indexed mod m
+    rng = random.Random(n + weighted)
+    for m, top in ((1, 5), (3, 2**20), (7, 1)):
+        classes = [[rng.randint(0, top) for _ in range(n)] for _ in range(m)]
+        terms = {(rng.randrange(n), rng.randrange(m)): rng.randint(1, 3) if weighted else 1
+                 for _ in range(5)}
+        bound = sum(map(sum, classes)) * sum(terms.values())
+        out = _class_products([_pack(n, bound, v) for v in classes], terms)
+        for k, got in enumerate(out):
+            ref = sum((_powers(n, classes[(k - d) % m]) * root_of_unity(n, e) * w
+                       for (e, d), w in terms.items()), CycloNum.zero(n))
+            assert got.total == sum(sum(classes[(k - d) % m]) * w for (e, d), w in terms.items())
+            assert _same(got.read(), ref)
+
+
 @pytest.mark.parametrize("bound", EXACT_BOUNDS)
 @pytest.mark.parametrize("n", [1, 12, 342])
 def test_packed_coefficient_equal_to_bound(n, bound):
@@ -454,6 +483,20 @@ def test_packed_cut_inverts_spread(n, step):
             both = _Packed.rotated_sum([x.spread(n) for x in xs], [0, 1])
             assert list(map(_packed_fields, both.cut([0, 1], step, m, 1, 0))) == [
                 _packed_fields(x) for x in xs]
+
+
+@pytest.mark.parametrize("n,step", [(1, 1), (12, 3), (78, 3), (342, 19), (506, 2)])
+def test_packed_strided_inverts_spread(n, step):
+    # one cut of spacing 1 and no shift: the slots start + i*step at length n/step
+    rng = random.Random(n)
+    for bound in (255, 2**64 - 1, 2**80):
+        v = [rng.randint(0, bound // n) for _ in range(n // step)]
+        x = _pack(n // step, bound, v)
+        spread = x.spread(n)
+        assert _packed_fields(spread.cut([0], step, n // step, 1, 0)[0]) == _packed_fields(x)
+        start = rng.randrange(n)
+        got = _Packed.rotated_sum([spread], [start]).cut([start], step, n // step, 1, 0)[0]
+        assert _packed_fields(got) == _packed_fields(x) and got.total == sum(v)
 
 
 def _packed_fields(x):
