@@ -128,15 +128,6 @@ class _GaussPair:
     def __init__(self, p, x0, x1, psi):
         self.p, self.x0, self.x1, self.psi = p, x0, x1, psi
 
-    @staticmethod
-    def entry(chi, a, big, bound):
-        """The Gauss sum of chi against the a-twisted trace, at length big."""
-        field = chi.field
-        s0, s1, psi = _gauss_entry(field, chi.e, a % field.p)
-        step = big // (field.q - 1)
-        x0, x1 = (_Packed.tally(big, bound, ((c * step, w) for c, w in s)) for s in (s0, s1))
-        return _GaussPair(field.p, x0, x1, tuple(e * step for e in psi))
-
     def __mul__(self, other):
         """The product PG of P = self and G = other, by the fibre rule
 

@@ -407,29 +407,27 @@ def test_packed_times_match_cyclonum(n, weighted):
         assert _same(got.read(), ref)
 
 
-def _class_products(classes, terms):
-    """Per k, the sum of w * classes[k - d] * x^e over the ((e, d), w) items
-    of terms: one times per class and shift d, summed by rotated_sum."""
-    m, by_shift = len(classes), {}
-    for (e, d), w in terms.items():
-        by_shift.setdefault(d, []).append((e, w))
-    return [_Packed.rotated_sum([classes[(k - d) % m].times(t) for d, t in by_shift.items()],
-                                [0] * len(by_shift))
-            for k in range(m)]
-
-
 @pytest.mark.parametrize("n", PACKED_CONDUCTORS)
 @pytest.mark.parametrize("weighted", [False, True])
 def test_packed_class_products_match_cyclonum(n, weighted):
-    # new[k] = sum of w * classes[k - d] * x^e, classes indexed mod m
+    # the norm-class grid step: m classes of length n as the rows of one packed
+    # grid with rows of 2n - 1 slots; row k of the product is the sum of
+    # w * classes[k - d] * x^e over the terms ((e, d), w), classes indexed mod m
+    from finhyp.hypergeometric import _grid_step
+
     rng = random.Random(n + weighted)
+    span = 2 * n - 1
     for m, top in ((1, 5), (3, 2**20), (7, 1)):
         classes = [[rng.randint(0, top) for _ in range(n)] for _ in range(m)]
         terms = {(rng.randrange(n), rng.randrange(m)): rng.randint(1, 3) if weighted else 1
                  for _ in range(5)}
         bound = sum(map(sum, classes)) * sum(terms.values())
-        out = _class_products([_pack(n, bound, v) for v in classes], terms)
-        for k, got in enumerate(out):
+        grid = _Packed.tally(m * span, bound, ((k * span + j, c) for k, v in enumerate(classes)
+                                               for j, c in enumerate(v)))
+        out = _grid_step(grid, {d * span + e: w for (e, d), w in terms.items()}, m, n)
+        rows = out.cut([k * span for k in range(m)], 1, n, 1, 0)
+        assert out.total == sum(row.total for row in rows) == bound
+        for k, got in enumerate(rows):
             ref = sum((_powers(n, classes[(k - d) % m]) * root_of_unity(n, e) * w
                        for (e, d), w in terms.items()), CycloNum.zero(n))
             assert got.total == sum(sum(classes[(k - d) % m]) * w for (e, d), w in terms.items())
@@ -487,15 +485,14 @@ def test_packed_cut_inverts_spread(n, step):
 
 @pytest.mark.parametrize("n,step", [(1, 1), (12, 3), (78, 3), (342, 19), (506, 2)])
 def test_packed_strided_inverts_spread(n, step):
-    # one cut of spacing 1 and no shift: the slots start + i*step at length n/step
+    # a strided cut from any start, past the first step too, reads back the
+    # vector that was spread and rotated to that start
     rng = random.Random(n)
     for bound in (255, 2**64 - 1, 2**80):
         v = [rng.randint(0, bound // n) for _ in range(n // step)]
         x = _pack(n // step, bound, v)
-        spread = x.spread(n)
-        assert _packed_fields(spread.cut([0], step, n // step, 1, 0)[0]) == _packed_fields(x)
         start = rng.randrange(n)
-        got = _Packed.rotated_sum([spread], [start]).cut([start], step, n // step, 1, 0)[0]
+        got = _Packed.rotated_sum([x.spread(n)], [start]).cut([start], step, n // step, 1, 0)[0]
         assert _packed_fields(got) == _packed_fields(x) and got.total == sum(v)
 
 

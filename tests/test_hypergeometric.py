@@ -577,10 +577,12 @@ def _same_fibres(got, ref):
             assert _packed_fields(fibre) == _packed_fields(ref_fibre)
 
 
-@pytest.mark.parametrize("case", ["sparse", "dense", "orbit_mixed"])
+@pytest.mark.parametrize("case", ["sparse", "dense", "orbit_mixed", "d2_grid"])
 def test_norm_classes_against_dict_tally(case, monkeypatch):
     if case == "sparse":  # d = 2 at q = 49: the support stays small
         inst = split_instance(HGParams.parse("1/6,5/6", "1/4,3/4"), 49)
+    elif case == "d2_grid":  # d = 2 at q = 49 with a support that outgrows the dict
+        inst = split_instance(HGParams.parse("1/6,5/6", "0,1/2"), 49)
     elif case == "dense":
         inst = split_instance(HGParams.parse("1/13,1/2,12/13", "0,0,0"), 27)
     else:  # components of degree 1, 2 and 3 over F_3
