@@ -42,7 +42,7 @@ def clear_caches():
     """Empty every cache of the package: fields, split instances, cyclotomic
     structure, trace fibres and Gauss sums, direct-sum classes and the masks
     of their tallies, expansion rows, denominators, Gamma_p values and
-    blocks, p-adic unit terms, and denominator exponents.
+    blocks, p-adic unit terms, and term and denominator exponents.
 
     Fields are cached objects too, and their elements equal only elements of
     the same field object: fields, elements and instances built before the
@@ -54,7 +54,7 @@ def clear_caches():
         finfield.FqField._embedding_data, hypergeometric._denominator_inverse,
         hypergeometric._direct_classes, hypergeometric._fourier_coefficients,
         hypergeometric._norm_fold_mask, hypergeometric.split_instance,
-        padic._term_exponents, params._denominator_exponent,
+        params._denominator_exponent, params._term_exponents,
     ):
         fn.cache_clear()
     for table in (padic._gamma_cache, padic._gamma_blocks, padic._unit_terms):

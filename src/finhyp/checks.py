@@ -27,10 +27,10 @@ from .hypergeometric import (
 from .padic import (
     PadicNum,
     embed_cyclotomic,
-    gamma_args,
     padic_sum_direct,
     padic_sum_via_orbits,
     prefetch_gamma_p,
+    series_residues,
 )
 from .params import HGParams
 
@@ -300,8 +300,8 @@ def check_main_theorem(params, p, t):
     failures = []
     lifts_per_prec = {}
     for prec in MAIN_THEOREM_PRECS:
-        args = [x for pk in conj_params for row in gamma_args(pk, p) for x in row]
-        prefetch_gamma_p(args, p, prec)
+        prefetch_gamma_p([r for pk in conj_params for r in series_residues(pk, p, prec)],
+                         p, prec)
         roots = [
             PadicNum.from_rational(p**cap, p, prec) * padic_sum_direct(pk, p, t, prec)
             for pk in conj_params

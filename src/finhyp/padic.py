@@ -14,13 +14,15 @@ _gamma_work), and refused with BoundExceeded when W exceeds max_pn (default
 10^7).  One unit of W took 1.1-4.9 * 10^-7 s (2-core Xeon, Python 3.11), so
 the default admits about 1-5 s of work.  A p-adic series is priced at a lower
 bound of its count before its arguments are built (see _check_series_cap).
+
+Both series routes work on integers mod p^N: the Gamma_p arguments are
+residues read off the scaled numerators D*alpha_i and D*beta_j, each row is
+one integer unit (and one pi-exponent on the orbit route), and a value is
+one integer sum, made a PadicNum only when it is returned.
 """
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import islice
-from operator import mul
 
 from .cyclo import CycloNum
 from .errors import (
@@ -39,6 +41,7 @@ from .errors import (
     ZeroElement,
 )
 from .finfield import is_prime, make_field
+from .params import _term_exponents
 
 MAX_PN_DEFAULT = 10**7
 
@@ -81,11 +84,6 @@ class PadicNum:
     @classmethod
     def exact_zero(cls, p):
         return cls(p, 0, 0, 0, exact=True)
-
-    @classmethod
-    def from_int_mod(cls, value, p, prec):
-        """An integer known modulo p^prec."""
-        return cls(p, 0, value, prec)
 
     @classmethod
     def from_rational(cls, x, p, prec):
@@ -312,6 +310,11 @@ def teichmuller(a, p, prec):
         x = a.coeffs[0] % p  # element of F_p
     if x == 0:
         raise ZeroElement("no Teichmuller lift of zero")
+    return PadicNum(p, 0, _teichmuller_int(x, p, prec), prec)
+
+
+def _teichmuller_int(x, p, prec):
+    """teichmuller of a unit x mod p, as an integer mod p^prec."""
     mod = p**prec
     x %= mod
     for _ in range(prec + 1):
@@ -319,7 +322,7 @@ def teichmuller(a, p, prec):
         if nxt == x:
             break
         x = nxt
-    return PadicNum(p, 0, x, prec)
+    return x
 
 
 # --------------------------------------------------------------- Gamma_p
@@ -452,9 +455,12 @@ def _gamma_fill(p, prec, residues, max_pn):
 
 
 def _gamma_residue(x, p, prec):
-    """Representative in [1, p^N] of a p-adic integer argument."""
+    """Representative in [1, p^N] of a p-adic integer argument.  An int is
+    its own residue: Gamma_p mod p^N depends only on x mod p^N."""
     mod = p**prec
-    if isinstance(x, PadicNum):
+    if isinstance(x, int):
+        r = x % mod
+    elif isinstance(x, PadicNum):
         if x.exact:
             r = 0
         else:
@@ -535,28 +541,29 @@ class PiExp:
         return f"pi^({self.e}) * ({self.u} mod {self.p}^{self.prec})"
 
 
-def _orbit_fractions(p, f, m):
-    """The Frobenius orbit {p^i m/(q-1)}, i < f, of exponent m over F_{p^f}."""
+def _gauss_orbits(p, f, ms, mod):
+    """Each Gauss sum over F_{p^f} at an exponent m in ms as its pi-exponent
+    and its Gamma_p arguments: the numerators p^i m mod q-1, i < f, of the
+    Frobenius orbit {p^i m/(q-1)} give the arguments as residues mod p^N,
+    and (p-1) times their sum over q-1, the base-p digit sum of m mod q-1."""
     qbar = p**f - 1
-    return [Fraction((p**i * m) % qbar, qbar) for i in range(f)]
+    inv = pow(qbar, -1, mod)
+    out = []
+    for m in ms:
+        nums = [p**i * m % qbar for i in range(f)]
+        out.append(((p - 1) * sum(nums) // qbar, [n * inv % mod for n in nums]))
+    return out
 
 
 def gauss_sum_padic(p, f, m, prec, max_pn=None):
     """The Gauss sum over F_{p^f} with character exponent m, evaluated
     p-adically: minus the product over the Frobenius orbit of
-    pi^((p-1){p^i m/(q-1)}) * Gamma_p({p^i m/(q-1)}).  The pi-exponent, the
-    base-p digit sum of m mod q-1, comes from the numerators p^i m mod q-1."""
+    pi^((p-1){p^i m/(q-1)}) * Gamma_p({p^i m/(q-1)})."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    units = prefetch_gamma_p(_orbit_fractions(p, f, m), p, prec, max_pn)
-    return _gauss_from_units(p, f, m, prec, units)
-
-
-def _gauss_from_units(p, f, m, prec, units):
-    """gauss_sum_padic from the Gamma_p units of the orbit fractions of m."""
-    qbar = p**f - 1
-    e = (p - 1) * sum(p**i * m % qbar for i in range(f)) // qbar
-    return PiExp(p, prec, e, -math.prod(units))
+    _check_prec(prec)
+    [(e, residues)] = _gauss_orbits(p, f, [m], p**prec)
+    return PiExp(p, prec, e, -math.prod(prefetch_gamma_p(residues, p, prec, max_pn)))
 
 
 # ------------------------------------------------- p-adic hypergeometric sum
@@ -584,40 +591,48 @@ def _series_total(params, p, tt, prec, unit_terms):
     largest realized drop, so no precision is given away.
     """
     exponents = _term_exponents(params, p)
-    drop = max(0, max(-lam for lam in exponents))
+    drop = max(0, -min(exponents))
     mod = p**prec
-    a0 = (tt if params.d % 2 == 0 else (-tt)) % p
-    tau_inv = pow(teichmuller(a0, p, prec).u, -1, mod)
+    a0 = (tt if params.d % 2 == 0 else -tt) % p
+    tau_inv = pow(_teichmuller_int(a0, p, prec), -1, mod)
     s = 0
     omega = 1
-    for m, lam in enumerate(exponents):
-        term = unit_terms[m] * omega * pow(p, drop + lam, mod) % mod
-        if lam & 1:
-            term = mod - term
-        s = (s + term) % mod
+    for u, lam in zip(unit_terms, exponents):
+        term = u * omega * pow(p, drop + lam, mod)
+        s += -term if lam & 1 else term
         omega = omega * tau_inv % mod
-    out = PadicNum.from_int_mod(s, p, prec)
-    inv = PadicNum(p, 0, pow(1 - p, -1, mod), prec)
-    return out * inv * PadicNum(p, -drop, 1, prec)
+    return PadicNum(p, -drop, s % mod * pow(1 - p, -1, mod), prec)
 
 
-@lru_cache(maxsize=None)
-def _term_exponents(params, p):
-    """Lambda(m) for m < p-1: the exponent of -p in the m-th series term."""
-    return tuple(params.term_exponent(p, m) for m in range(p - 1))
-
-
-def gamma_args(params, p):
-    """The Gamma_p arguments of the series, one row per m < p-1: alpha_i + m/(p-1)
-    and -beta_j - m/(p-1), mod 1.  Row 0 is the denominator's."""
-    rows = []
-    for m in range(p - 1):
-        x = Fraction(m, p - 1)
-        rows.append([(a + x) % 1 for a in params.alpha] + [(-b - x) % 1 for b in params.beta])
-    return rows
+def series_residues(params, p, prec):
+    """The Gamma_p arguments of the series as residues mod p^prec, one row
+    per m < p-1: alpha_i + m/(p-1) and -beta_j - m/(p-1), mod 1.  Row 0 is
+    the denominator's.  With s = D(p-1), a + m/(p-1) mod 1 is
+    ((D a)(p-1) + mD) mod s over s."""
+    dd, a, b = params._scaled
+    mod = p**prec
+    s = dd * (p - 1)
+    inv = pow(s, -1, mod)
+    a = [n * (p - 1) for n in a]
+    b = [n * (p - 1) for n in b]
+    out = []
+    for m in range(0, s, dd):
+        out += [(n + m) % s * inv % mod for n in a]
+        out += [-(n + m) % s * inv % mod for n in b]
+    return out
 
 
 _unit_terms = {}  # (route, params, p, prec) -> the normalised unit terms of the series
+
+
+def _row_quotients(units, p, prec):
+    """The product of each of the p-1 equal rows of units over that of row
+    0, mod p^prec: the series' normalised unit terms."""
+    mod = p**prec
+    w = len(units) // (p - 1)
+    prods = [math.prod(units[i:i + w]) % mod for i in range(0, len(units), w)]
+    den_inv = pow(prods[0], -1, mod)
+    return [u * den_inv % mod for u in prods]
 
 
 def padic_sum_direct(params, p, t, prec, max_pn=None):
@@ -626,12 +641,8 @@ def padic_sum_direct(params, p, t, prec, max_pn=None):
     key = ("direct", params, p, prec)
     if key not in _unit_terms:
         _check_series_cap(p, prec, max_pn)
-        mod = p**prec
-        units = prefetch_gamma_p([x for row in gamma_args(params, p) for x in row], p, prec, max_pn)
-        w = 2 * params.d
-        prods = [math.prod(units[i:i + w]) % mod for i in range(0, len(units), w)]
-        den_inv = pow(prods[0], -1, mod)
-        _unit_terms[key] = [u * den_inv % mod for u in prods]
+        units = prefetch_gamma_p(series_residues(params, p, prec), p, prec, max_pn)
+        _unit_terms[key] = _row_quotients(units, p, prec)
     return _series_total(params, p, tt, prec, _unit_terms[key])
 
 
@@ -650,31 +661,29 @@ def padic_sum_via_orbits(params, p, t, prec, max_pn=None):
     if not params.splits_at(p):
         raise DoesNotSplit(f"multiplication by {p} does not fix the parameters")
     _check_series_cap(p, prec, max_pn)
-    alpha_orbits, beta_orbits = params.p_orbits(p)
+    mod = p**prec
+    dd = params.common_denominator()
     specs = []  # (l, e, step) with row m's exponent e + m * step
-    for orbits, sgn in ((alpha_orbits, 1), (beta_orbits, -1)):
+    for orbits, sgn in zip(params.numerator_orbits(p), (1, -1)):
         for o in orbits:
-            qbar = p**o.length - 1
-            specs.append((o.length, sgn * int(o.rep * qbar), sgn * (qbar // (p - 1))))
-    rows = [[(ln, e + m * step) for ln, e, step in specs] for m in range(p - 1)]
+            qbar = p**len(o) - 1
+            specs.append((len(o), sgn * (o[0] * qbar // dd), sgn * (qbar // (p - 1))))
+    rows = list(zip(*(_gauss_orbits(p, ln, range(e, e + (p - 1) * step, step), mod)
+                      for ln, e, step in specs)))
     # one batch of Gamma_p values, so the cap is checked before any work
-    fracs = [x for row in rows for ln, e in row for x in _orbit_fractions(p, ln, e)]
-    units = iter(prefetch_gamma_p(fracs, p, prec, max_pn))  # ln at a time, as in fracs
-    prods = [reduce(mul, (_gauss_from_units(p, ln, e, prec, islice(units, ln)) for ln, e in row))
-             for row in rows]
-
-    unit_terms = []
+    units = prefetch_gamma_p([r for row in rows for _, rs in row for r in rs], p, prec, max_pn)
+    # each Gauss sum is minus its units' product: the row signs cancel in
+    # the quotient by row 0
+    unit_terms = _row_quotients(units, p, prec)
+    pi_exps = [sum(e for e, _ in row) for row in rows]
     for m, lam in enumerate(_term_exponents(params, p)):
-        coeff = prods[m] / prods[0]
-        if coeff.e != (p - 1) * lam:
-            if coeff.e % (p - 1):
-                raise ExponentNotIntegral(
-                    f"coefficient pi-exponent {coeff.e} at m={m}"
-                )
+        e = pi_exps[m] - pi_exps[0]
+        if e != (p - 1) * lam:
+            if e % (p - 1):
+                raise ExponentNotIntegral(f"coefficient pi-exponent {e} at m={m}")
             raise InternalInconsistency(
-                f"pi-exponent {coeff.e} != (p-1)*Lambda = {(p - 1) * lam} at m={m}"
+                f"pi-exponent {e} != (p-1)*Lambda = {(p - 1) * lam} at m={m}"
             )
-        unit_terms.append(coeff.u)
     _unit_terms[key] = unit_terms
     return _series_total(params, p, tt, prec, unit_terms)
 
@@ -688,7 +697,10 @@ def embed_cyclotomic(value, p, prec):
 
     Coefficients may carry p-powers in their denominators that cancel in
     the full combination; guard digits keep the result known to at least
-    p^prec times the value's own p-power denominator.
+    p^prec times the value's own p-power denominator.  The value is
+    num(img)/den, by Horner on the integer coordinates num: img is known
+    mod p^(prec + guard), so num(img) is known to that times p^mu, the
+    p-part of the gcd of num, and the result mod p^(prec + mu).
     """
     if not isinstance(value, CycloNum):
         raise TypeError("expected a CycloNum")
@@ -696,15 +708,15 @@ def embed_cyclotomic(value, p, prec):
     if (p - 1) % m != 0:
         raise ConductorNotDividing(f"conductor {m} does not divide {p - 1}")
     g = make_field(p).generator.to_int()
-    guard = 0
-    for c in value.coeffs:
-        den = c.denominator
-        if den % p == 0:
-            guard = max(guard, _vp(den, p))
+    num, den = value.num, value.den
+    if not any(num):
+        return PadicNum.exact_zero(p)
+    guard = _vp(den, p)
     work = prec + guard
-    tau = teichmuller(g, p, work)
-    img = (tau ** ((p - 1) // m)).inverse()
-    acc = PadicNum.exact_zero(p)
-    for c in reversed(value.coeffs):
-        acc = acc * img + PadicNum.from_rational(c, p, work)
-    return acc
+    top = work + _vp(math.gcd(*num), p)
+    wmod, mod = p**work, p**top
+    img = pow(pow(_teichmuller_int(g, p, work), (p - 1) // m, wmod), -1, wmod)
+    acc = 0
+    for c in reversed(num):
+        acc = (acc * img + c) % mod
+    return PadicNum(p, -guard, acc * pow(den // p**guard, -1, mod), top)

@@ -6,9 +6,10 @@ representatives in [0, 1); every floor and fractional-part formula in the
 package is stated for these representatives.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd, lcm
+from math import gcd, lcm
 
 from .cyclo import CycloNum, root_of_unity
 from .errors import (
@@ -63,9 +64,10 @@ class POrbit:
 class HGParams:
     """A pair of parameter multisets, stored sorted with entries in [0, 1).
     Immutable, and hashed once: parameters key the split-instance and
-    p-adic series caches."""
+    p-adic series caches.  The scaled numerators D*alpha_i and D*beta_j,
+    D the common denominator, are kept as ints."""
 
-    __slots__ = ("alpha", "beta", "d", "_hash")
+    __slots__ = ("alpha", "beta", "d", "_hash", "_scaled")
 
     def __init__(self, alpha, beta):
         a = tuple(sorted(Fraction(x) % 1 for x in alpha))
@@ -81,6 +83,12 @@ class HGParams:
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "d", len(a))
         object.__setattr__(self, "_hash", hash((a, b)))
+        dd = lcm(*(x.denominator for x in a + b))
+        object.__setattr__(self, "_scaled", (
+            dd,
+            tuple(x.numerator * (dd // x.denominator) for x in a),
+            tuple(x.numerator * (dd // x.denominator) for x in b),
+        ))
 
     @classmethod
     def parse(cls, alpha_text, beta_text):
@@ -92,7 +100,7 @@ class HGParams:
     def __eq__(self, other):
         if not isinstance(other, HGParams):
             return NotImplemented
-        return self.alpha == other.alpha and self.beta == other.beta
+        return self._scaled == other._scaled
 
     def __hash__(self):
         return self._hash
@@ -103,7 +111,7 @@ class HGParams:
     # ---------------------------------------------------------- combinatorics
 
     def common_denominator(self):
-        return lcm(*(x.denominator for x in self.alpha + self.beta))
+        return self._scaled[0]
 
     def conjugate(self, k):
         """The parameter pair (k*alpha, k*beta) mod Z."""
@@ -112,12 +120,16 @@ class HGParams:
             raise NotCoprime(f"{k} shares a factor with {dd}")
         return HGParams([k * x for x in self.alpha], [k * x for x in self.beta])
 
+    def _fixed_by(self, k):
+        """Whether (k*alpha, k*beta) = (alpha, beta) mod Z, for k prime to D."""
+        dd, a, b = self._scaled
+        return (sorted(k * x % dd for x in a) == list(a)
+                and sorted(k * x % dd for x in b) == list(b))
+
     def stabilizer(self):
         """Sorted residues k mod D with (k*alpha, k*beta) = (alpha, beta)."""
         dd = self.common_denominator()
-        return tuple(
-            k for k in range(1, dd + 1) if gcd(k, dd) == 1 and self.conjugate(k) == self
-        )
+        return tuple(k for k in range(1, dd + 1) if gcd(k, dd) == 1 and self._fixed_by(k))
 
     def is_defined_over_q(self):
         """Whether the stabilizer is all of (Z/D)^x."""
@@ -126,23 +138,12 @@ class HGParams:
 
     def splits_at(self, p):
         """Whether multiplication by p fixes both multisets mod Z."""
-        dd = self.common_denominator()
-        if gcd(p, dd) != 1:
-            return False
-        return self.conjugate(p) == self
+        return gcd(p, self.common_denominator()) == 1 and self._fixed_by(p)
 
     def term_exponent(self, p, m):
         """Integer exponent of -p carried by the m-th series term."""
-        return -self._drop(Fraction(m, p - 1))
-
-    def _drop(self, x):
-        """Step function whose maximum over [0, 1] is the denominator exponent."""
-        s = 0
-        for a in self.alpha:
-            s += floor(x + a) - floor(a)
-        for b in self.beta:
-            s += floor(-x - b) - floor(-b)
-        return s
+        dd = self.common_denominator()
+        return -_drop(self, m * dd, dd * (p - 1))
 
     def denominator_exponent(self):
         """Largest power of p that can appear in a denominator of the p-adic sum."""
@@ -164,33 +165,18 @@ class HGParams:
         yields mu copies of its orbit.  The representative is the smallest
         value in the orbit.
         """
+        dd = self.common_denominator()
+        return tuple(
+            [POrbit(Fraction(o[0], dd), tuple(Fraction(x, dd) for x in o)) for o in orbits]
+            for orbits in self.numerator_orbits(p)
+        )
+
+    def numerator_orbits(self, p):
+        """p_orbits on the scaled numerators D*x, each orbit a tuple."""
         if not self.splits_at(p):
             raise DoesNotSplit(f"p = {p} does not permute the parameters")
-        return self._orbits_of(self.alpha, p), self._orbits_of(self.beta, p)
-
-    @staticmethod
-    def _orbits_of(values, p):
-        from collections import Counter
-
-        counts = Counter(values)
-        seen = set()
-        orbits = []
-        for v in sorted(counts):
-            if v in seen:
-                continue
-            orbit = [v]
-            cur = (p * v) % 1
-            while cur != v:
-                orbit.append(cur)
-                cur = (p * cur) % 1
-            mult = {counts[x] for x in orbit}
-            if len(mult) != 1:
-                raise DoesNotSplit("multiplicity is not constant on an orbit")
-            seen.update(orbit)
-            rep = min(orbit)
-            for _ in range(counts[v]):
-                orbits.append(POrbit(rep, tuple(orbit)))
-        return orbits
+        dd, a, b = self._scaled
+        return _orbits_of(a, p, dd), _orbits_of(b, p, dd)
 
     def defining_polynomials(self):
         """Coefficient lists (low degree first) of prod(x - e^(2 pi i a)).
@@ -222,17 +208,46 @@ class HGParams:
         return pa, pb
 
 
+def _orbits_of(nums, p, dd):
+    counts = Counter(nums)
+    seen = set()
+    orbits = []
+    for v in sorted(counts):
+        if v in seen:
+            continue
+        orbit = [v]
+        cur = p * v % dd
+        while cur != v:
+            orbit.append(cur)
+            cur = p * cur % dd
+        if len({counts[x] for x in orbit}) != 1:
+            raise DoesNotSplit("multiplicity is not constant on an orbit")
+        seen.update(orbit)
+        orbits.extend([tuple(orbit)] * counts[v])
+    return orbits
+
+
+def _drop(params, x, s):
+    """The step function whose maximum over [0, 1] is the denominator
+    exponent, at x/s for a multiple s of D."""
+    dd, a, b = params._scaled
+    k = s // dd
+    return (sum((x + n * k) // s for n in a)
+            + sum((-x - n * k) // s + (n > 0) for n in b))
+
+
+@lru_cache(maxsize=None)
+def _term_exponents(params, p):
+    """Lambda(m) for m < p-1: the exponent of -p in the m-th series term."""
+    return tuple(params.term_exponent(p, m) for m in range(p - 1))
+
+
 @lru_cache(maxsize=None)
 def _denominator_exponent(params):
     """HGParams.denominator_exponent, computed once per parameter pair: the
-    largest drop at the break points of the floor sums and between them."""
-    cands = {Fraction(0), Fraction(1)}
-    for a in params.alpha:
-        cands.add((-a) % 1)
-    for b in params.beta:
-        cands.add((-b) % 1)
-    pts = sorted(cands)
-    xs = list(pts)
-    for u, v in zip(pts, pts[1:]):
-        xs.append((u + v) / 2)
-    return max(params._drop(x) for x in xs)
+    largest drop at the break points -x mod 1 of the floor sums and between
+    them, in units of 1/(2D)."""
+    dd, a, b = params._scaled
+    pts = sorted({0, 2 * dd} | {2 * (-n % dd) for n in a + b})
+    xs = pts + [(u + v) // 2 for u, v in zip(pts, pts[1:])]
+    return max(_drop(params, x, 2 * dd) for x in xs)

@@ -1,15 +1,27 @@
 """Brute-force references that the tests compare the fast routes against.
 
-Each one sums over explicit field elements, built from the public FqField
-tables (elements, dlog, trace, norm), root_of_unity and generic CycloNum
-arithmetic. None of them reads the packed tallies or caches of finhyp, so
-a fast route that agrees with one is checked independently. An element of
-a semisimple algebra is a tuple of field elements, one per component.
+Each complex-side one sums over explicit field elements, built from the
+public FqField tables (elements, dlog, trace, norm), root_of_unity and
+generic CycloNum arithmetic. None of them reads the packed tallies or caches
+of finhyp, so a fast route that agrees with one is checked independently.
+An element of a semisimple algebra is a tuple of field elements, one per
+component.
+
+The p-adic ones state the series and the embedding with Fraction arguments
+and PadicNum and PiExp arithmetic, where the package works on integers mod
+p^N. Of the package's p-adic code they use gamma_p, teichmuller, those two
+types and p_orbits (checked against its definition in test_params).
 """
 
+import math
+from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import mul
 
 from finhyp.cyclo import CycloNum, root_of_unity
+from finhyp.finfield import make_field
+from finhyp.padic import PadicNum, PiExp, _vp, gamma_p, teichmuller
 
 
 def char_value(field, e, x):
@@ -123,3 +135,97 @@ def product_fibres(chars, a=1):
         out = [sum((out[u] * s[(c - u) % p] for u in range(p)), CycloNum.zero(1))
                for c in range(p)]
     return out
+
+
+# ------------------------------------------------------------------ p-adic
+
+
+def drop(params, x):
+    """The step function whose maximum over [0, 1] is the denominator
+    exponent: the sum of floor(x + a) - floor(a) over alpha and of
+    floor(-x - b) - floor(-b) over beta, at a Fraction x."""
+    return (sum(math.floor(x + a) - math.floor(a) for a in params.alpha)
+            + sum(math.floor(-x - b) - math.floor(-b) for b in params.beta))
+
+
+def term_exponent(params, p, m):
+    """Lambda(m), the exponent of -p in the m-th series term."""
+    return -drop(params, Fraction(m, p - 1))
+
+
+def denominator_exponent(params):
+    """The largest drop, at the break points -x mod 1 of the floor sums and
+    at the midpoints between them."""
+    pts = sorted({Fraction(0), Fraction(1)} | {-x % 1 for x in params.alpha + params.beta})
+    xs = pts + [(u + v) / 2 for u, v in zip(pts, pts[1:])]
+    return max(drop(params, x) for x in xs)
+
+
+def gamma_args(params, p):
+    """The Gamma_p arguments of the series as Fractions, one row per m < p-1:
+    alpha_i + m/(p-1) and -beta_j - m/(p-1), mod 1.  Row 0 is the
+    denominator's."""
+    rows = []
+    for m in range(p - 1):
+        x = Fraction(m, p - 1)
+        rows.append([(a + x) % 1 for a in params.alpha] + [(-b - x) % 1 for b in params.beta])
+    return rows
+
+
+def series_total(params, p, t, prec, unit_terms):
+    """sum(U_m * omega(a0)^-m * (-p)^Lambda(m)) / (1 - p) in PadicNum
+    arithmetic, for PadicNum unit terms U_m and a0 = (-1)^d t, with the
+    powers of p shifted up by the largest drop and back down at the end."""
+    exponents = [term_exponent(params, p, m) for m in range(p - 1)]
+    shift = max(0, -min(exponents))
+    omega = teichmuller(-t if params.d & 1 else t, p, prec)
+    total = PadicNum.exact_zero(p)
+    for m, (u, lam) in enumerate(zip(unit_terms, exponents)):
+        total = total + u * omega ** -m * PadicNum(p, shift + lam, -1 if lam & 1 else 1, prec)
+    return total / (1 - p) * PadicNum(p, -shift, 1, prec)
+
+
+def sum_direct(params, p, t, prec):
+    """The p-adic sum from gamma_p at the Fraction rows of gamma_args."""
+    rows = [reduce(mul, (gamma_p(x, p, prec) for x in row)) for row in gamma_args(params, p)]
+    return series_total(params, p, t, prec, [row / rows[0] for row in rows])
+
+
+def gauss_sum_padic(p, f, m, prec):
+    """Gross-Koblitz: minus the product over the orbit fractions
+    x = {p^i m/(q-1)} of pi^((p-1) x) Gamma_p(x), as one PiExp."""
+    qbar = p**f - 1
+    xs = [Fraction(p**i * m % qbar, qbar) for i in range(f)]
+    return PiExp(p, prec, (p - 1) * sum(xs), -math.prod(gamma_p(x, p, prec).u for x in xs))
+
+
+def sum_via_orbits(params, p, t, prec):
+    """The p-adic sum from PiExp products of Gauss sums over the orbit
+    fields of the Fraction orbits of p_orbits: row m has one Gauss sum at
+    exponent sgn * (rep + m/(p-1)) * (p^l - 1) per orbit.  Returns None
+    when a coefficient's pi-exponent is not (p-1) * Lambda(m)."""
+    specs = []  # (l, e, step) with row m's exponent e + m * step
+    for orbits, sgn in zip(params.p_orbits(p), (1, -1)):
+        for o in orbits:
+            qbar = p**o.length - 1
+            specs.append((o.length, int(sgn * o.rep * qbar), sgn * (qbar // (p - 1))))
+    rows = [reduce(mul, (gauss_sum_padic(p, ln, e + m * step, prec) for ln, e, step in specs))
+            for m in range(p - 1)]
+    coeffs = [row / rows[0] for row in rows]
+    if any(c.e != (p - 1) * term_exponent(params, p, m) for m, c in enumerate(coeffs)):
+        return None
+    return series_total(params, p, t, prec, [PadicNum(p, 0, c.u, c.prec) for c in coeffs])
+
+
+def embed_cyclotomic(value, p, prec):
+    """The image of value in Z_p by Horner's rule in PadicNum arithmetic on
+    its Fraction coordinates, at prec digits plus the p-adic valuation of
+    the largest p-power among their denominators."""
+    guard = max((_vp(c.denominator, p) for c in value.coeffs), default=0)
+    work = prec + guard
+    tau = teichmuller(make_field(p).generator.to_int(), p, work)
+    img = (tau ** ((p - 1) // value.conductor)).inverse()
+    acc = PadicNum.exact_zero(p)
+    for c in reversed(value.coeffs):
+        acc = acc * img + PadicNum.from_rational(c, p, work)
+    return acc

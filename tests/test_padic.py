@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from finhyp.errors import (
     BadPrecision,
     BadPrime,
@@ -408,11 +410,91 @@ def test_warm_padic_sums_reuse_their_unit_terms(monkeypatch):
     def no_gamma_work(*args):
         raise AssertionError("a warm sum rebuilt its Gamma_p arguments")
 
-    for name in ("prefetch_gamma_p", "gamma_args", "_orbit_fractions"):
+    for name in ("prefetch_gamma_p", "series_residues", "_gauss_orbits"):
         monkeypatch.setattr(padic, name, no_gamma_work)
     warm = [route(params, 17, t, 6) for route in (padic_sum_direct, padic_sum_via_orbits)
             for t in (2, 5)]
     assert warm == cold
+
+
+def _digits(v):
+    return (v.v, v.u, v.prec, v.exact)
+
+
+@pytest.mark.parametrize("alpha, beta, p, divides", [
+    ("1/2,1/2", "0,0", 7, True),
+    ("1/8,3/8", "0,1/2", 17, True),
+    ("1/3,2/3", "1/2,1/2", 7, True),  # delta = 1
+    ("1/7,6/7", "0,0", 13, False),
+    ("1/4,3/4", "1/3,2/3", 5, False),
+    ("1/3,1/2,2/3", "0,1/4,3/4", 11, False),
+    ("1/5,2/5", "0,0", 7, False),  # does not split: direct route only
+])
+def test_series_routes_match_fraction_references(alpha, beta, p, divides):
+    # the integer routes against gamma_p at Fraction arguments, PiExp row
+    # products and PadicNum assembly, digit for digit, with and without
+    # D | p-1
+    params = HGParams.parse(alpha, beta)
+    assert ((p - 1) % params.common_denominator() == 0) == divides
+    for prec in (1, 4, 8):
+        for t in range(1, p):
+            assert (_digits(padic_sum_direct(params, p, t, prec))
+                    == _digits(oracles.sum_direct(params, p, t, prec))), (prec, t)
+            if params.splits_at(p):
+                assert (_digits(padic_sum_via_orbits(params, p, t, prec))
+                        == _digits(oracles.sum_via_orbits(params, p, t, prec))), (prec, t)
+
+
+def test_series_routes_match_fraction_references_random():
+    from finhyp.checks import random_params
+
+    rng = random.Random(18)
+    orbit_cases = 0
+    for _ in range(25):
+        p = rng.choice([3, 5, 7, 11, 13])
+        params = random_params(rng)
+        if params.common_denominator() % p == 0:
+            continue
+        prec = rng.choice([1, 4, 8])
+        for t in range(1, p):
+            assert (_digits(padic_sum_direct(params, p, t, prec))
+                    == _digits(oracles.sum_direct(params, p, t, prec))), (params, p, t)
+            if params.splits_at(p):
+                orbit_cases += 1
+                assert (_digits(padic_sum_via_orbits(params, p, t, prec))
+                        == _digits(oracles.sum_via_orbits(params, p, t, prec))), (params, p, t)
+    assert orbit_cases > 10
+
+
+def test_gauss_sum_padic_matches_fraction_reference():
+    for p, f in ((5, 1), (5, 2), (7, 2), (3, 3), (11, 1)):
+        for m in range(-3, p**f + 3, max(1, p**f // 20)):
+            for prec in (1, 4, 8):
+                g, ref = gauss_sum_padic(p, f, m, prec), oracles.gauss_sum_padic(p, f, m, prec)
+                assert (g.e, g.u, g.prec) == (ref.e, ref.u, ref.prec), (p, f, m, prec)
+
+
+def test_embed_matches_fraction_reference():
+    # p in a denominator needs guard digits; p dividing the value, or the
+    # gcd of its coordinates, gives it fewer digits of relative precision
+    rng = random.Random(19)
+    values = []
+    for p in (5, 7, 11, 13):
+        for m in [k for k in range(1, p) if (p - 1) % k == 0]:
+            z = root_of_unity(m, 1)
+            values += [(p, CycloNum.zero(m)), (p, CycloNum.one(m) * p**2),
+                       (p, (z + 2) * F(1, p**2)), (p, (z + 2) * p), (p, z * F(p, 3) + F(1, p))]
+            deg = len(CycloNum.zero(m).num)
+            for _ in range(4):
+                coeffs = [F(rng.randrange(-30, 31) * p**rng.choice([0, 0, 1, 2]),
+                            rng.randrange(1, 9) * p**rng.choice([0, 0, 1])) for _ in range(deg)]
+                values.append((p, CycloNum(m, coeffs)))
+    for p, v in values:
+        for prec in (1, 4, 8):
+            assert _digits(embed_cyclotomic(v, p, prec)) == _digits(
+                oracles.embed_cyclotomic(v, p, prec)), (p, v, prec)
+    # a value divisible by p keeps prec digits above its valuation
+    assert _digits(embed_cyclotomic(CycloNum.one(1) * 7, 7, 4)) == (1, 1, 4, False)
 
 
 def test_orbit_route_with_denominators():

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 from math import floor, gcd, lcm
 
 import pytest
 
+import oracles
 from finhyp.cyclo import root_of_unity
 from finhyp.errors import (
     DoesNotSplit,
@@ -194,6 +196,74 @@ def test_delta_le_global():
             seen.append(p.conjugate(k).denominator_exponent())
     assert max(seen) == cap
     assert p.denominator_exponent() <= cap
+
+
+def _random_pair(rng, max_d=4, max_den=24):
+    while True:
+        d = rng.randint(1, max_d)
+        alpha, beta = ([F(rng.randrange(n), n) for n in
+                        (rng.randint(1, max_den) for _ in range(d))] for _ in range(2))
+        if not set(alpha) & set(beta):
+            return HGParams(alpha, beta)
+
+
+PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def test_integer_exponents_match_fraction_references():
+    from finhyp.params import _term_exponents
+
+    rng = random.Random(18)
+    for _ in range(60):
+        params = _random_pair(rng)
+        assert params.denominator_exponent() == oracles.denominator_exponent(params), params
+        for p in PRIMES_TO_31:
+            ref = tuple(oracles.term_exponent(params, p, m) for m in range(p - 1))
+            assert _term_exponents(params, p) == ref, (params, p)
+            assert params.term_exponent(p, p + 3) == oracles.term_exponent(params, p, p + 3)
+
+
+def _orbit_closed_pair(rng, max_d=4):
+    """A random pair of unions of orbits of x -> k*x mod 1, for a random k
+    prime to the denominator D <= 24: it splits at every prime p = k mod D."""
+    while True:
+        dd = rng.randint(2, 24)
+        k = rng.choice([k for k in range(1, dd) if gcd(k, dd) == 1])
+        sides = []
+        for _ in range(2):
+            side = []
+            while len(side) < rng.randint(1, max_d):
+                orbit, x = [], rng.randrange(dd)
+                while x not in orbit:
+                    orbit.append(x)
+                    x = k * x % dd
+                side += [F(x, dd) for x in orbit]
+            sides.append(side)
+        if len(sides[0]) == len(sides[1]) and not set(sides[0]) & set(sides[1]):
+            return HGParams(*sides)
+
+
+def test_splitting_matches_conjugate_definition():
+    rng = random.Random(19)
+    pairs = [_random_pair(rng) for _ in range(40)] + [_orbit_closed_pair(rng) for _ in range(60)]
+    nontrivial = 0
+    for params in pairs:
+        dd = params.common_denominator()
+        for p in PRIMES_TO_31:
+            fixed = gcd(p, dd) == 1 and params.conjugate(p) == params
+            assert params.splits_at(p) == fixed, (params, p)
+            if fixed:
+                nontrivial += p % dd != 1
+                for orbits, values in zip(params.p_orbits(p), (params.alpha, params.beta)):
+                    assert sorted(v for o in orbits for v in o.values) == list(values)
+                    for o in orbits:
+                        assert o.rep == min(o.values) and len(set(o.values)) == o.length
+                        assert all(p * x % 1 == y for x, y in zip(o.values, o.values[1:]))
+                        assert p * o.values[-1] % 1 == o.rep
+        if dd <= 10**4:
+            assert params.stabilizer() == tuple(
+                k for k in range(1, dd + 1) if gcd(k, dd) == 1 and params.conjugate(k) == params)
+    assert nontrivial > 20
 
 
 def test_p_orbits():
