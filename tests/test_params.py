@@ -14,7 +14,7 @@ from finhyp.errors import (
     NotDisjointModZ,
 )
 from finhyp.finfield import make_field
-from finhyp.params import HGParams, parse_fraction_list
+from finhyp.params import HGParams, _term_exponents, parse_fraction_list
 
 F = Fraction
 
@@ -211,8 +211,6 @@ PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 def test_integer_exponents_match_fraction_references():
-    from finhyp.params import _term_exponents
-
     rng = random.Random(18)
     for _ in range(60):
         params = _random_pair(rng)
@@ -231,8 +229,8 @@ def _orbit_closed_pair(rng, max_d=4):
         k = rng.choice([k for k in range(1, dd) if gcd(k, dd) == 1])
         sides = []
         for _ in range(2):
-            side = []
-            while len(side) < rng.randint(1, max_d):
+            side, size = [], rng.randint(1, max_d)
+            while len(side) < size:
                 orbit, x = [], rng.randrange(dd)
                 while x not in orbit:
                     orbit.append(x)
