@@ -5,7 +5,7 @@ A character is an exponent relative to the field's fixed generator, so
 conjugating or twisting a character is integer arithmetic on exponents.
 
 A Gauss sum is kept as its two trace fibres.  Let S_c be the sum of chi(x)
-over the units x with a Tr x = c.  As Tr(bx) = b Tr x, S_(bc) = chi(b) S_c
+over the units x with Tr x = c.  As Tr(bx) = b Tr x, S_(bc) = chi(b) S_c
 for b in F_p^x, so
 
     g(chi) = S_0 + S_1 gamma(psi),   gamma(psi) = sum over b of psi(b) zeta_p^b,
@@ -19,6 +19,14 @@ and of two Jacobi tallies over F_p (_GaussPair.__mul__), multiplied as
 packed integers at length big.  A pair is lifted into Q(zeta_(p big)) once,
 when its value is read; its coefficient of gamma(psi) is read in
 Q(zeta_big) itself.
+
+Two Galois actions act on these pairs as permutations.  sigma_k, which
+fixes zeta_p and raises zeta_big to the k-th power, takes g(chi) to
+g(chi^k): it moves slot j of X_0 and X_1 to slot j k mod big and
+multiplies psi by k (_GaussPair.galois).  A twist a in F_p^x of the trace
+gives g_a(chi) = conj(chi(a)) g(chi): X_0 and X_1 rotated by -psi[a]
+(_GaussPair.twisted).  So every twist shares the trace pass and the
+packed entries of twist 1.
 """
 
 from collections import Counter
@@ -80,38 +88,37 @@ def gauss_sum(chi, a=1):
 
 
 @lru_cache(maxsize=None)
-def _trace_fibres(field, a):
-    """One O(q) pass per (field, a): the j with a Tr g^j = 0 and those with
-    a Tr g^j = 1, and the dlogs of b = 1..p-1 (dlog[0] = 0)."""
+def _trace_fibres(field):
+    """One O(q) pass per field: the j with Tr g^j = 0 and those with
+    Tr g^j = 1, and the dlogs of b = 1..p-1 (dlog[0] = 0)."""
     p, qbar = field.p, field.q - 1
-    one = pow(a, -1, p)  # a Tr x = 1
     fibres = ([], [])
     for j in range(qbar):
         tr = field.trace_of_unit(j)
-        if tr in (0, one):
-            fibres[tr == one].append(j)
+        if tr < 2:
+            fibres[tr].append(j)
     dlogs = (0,) + tuple(field.dlog(b) for b in range(1, p))
     return tuple(fibres[0]), tuple(fibres[1]), dlogs
 
 
-def _gauss_entry(field, e, a):
+def _gauss_entry(field, e):
     """One Gauss sum as its trace fibres, read off _trace_fibres in O(q/p):
     the (c, count) pairs of S_0 and S_1 as sums of count * zeta_(q-1)^c, and
     psi with chi(b) = zeta_(q-1)^psi[b] for b = 1..p-1 (psi[0] = 0).  S_0 is
     left empty when psi is nontrivial, where it is 0."""
     qbar = field.q - 1
-    zero, one, dlogs = _trace_fibres(field, a)
+    zero, one, dlogs = _trace_fibres(field)
     psi = tuple(e * d % qbar for d in dlogs)
     s0 = () if any(psi) else tuple(Counter(e * j % qbar for j in zero).items())
     return s0, tuple(Counter(e * j % qbar for j in one).items()), psi
 
 
 @lru_cache(maxsize=None)
-def _gauss_pair_entry(chi, a, big, bound):
-    """The Gauss sum of chi against the a-twisted trace, a _GaussPair at
-    length big, built once per (chi, a, big, bound)."""
+def _gauss_pair_entry(chi, big, bound):
+    """The Gauss sum of chi, a _GaussPair at length big, built once per
+    (chi, big, bound)."""
     field = chi.field
-    s0, s1, psi = _gauss_entry(field, chi.e, a % field.p)
+    s0, s1, psi = _gauss_entry(field, chi.e)
     step = big // (field.q - 1)
     x0, x1 = (_Packed.tally(big, bound, ((c * step, w) for c, w in s)) for s in (s0, s1))
     return _GaussPair(field.p, x0, x1, tuple(e * step for e in psi))
@@ -173,6 +180,19 @@ class _GaussPair:
         return _GaussPair(pairs[0].p, _Packed.rotated_sum([x.x0 for x in pairs], shifts),
                           _Packed.rotated_sum([x.x1 for x in pairs], shifts), pairs[0].psi)
 
+    def galois(self, k):
+        """sigma_k, which fixes zeta_p and raises zeta_big to the k-th power,
+        k coprime to big: it takes g(chi) to g(chi^k), so it permutes the
+        slots of X_0 and X_1 and multiplies psi by k."""
+        n = self.x1.n
+        return _GaussPair(self.p, self.x0.galois(k), self.x1.galois(k),
+                          tuple(e * k % n for e in self.psi))
+
+    def twisted(self, a):
+        """The product against the a-twisted trace, a in F_p^x: as g_a(chi) =
+        conj(chi(a)) g(chi), X_0 and X_1 rotated by -psi[a]."""
+        return _GaussPair.rotated_sum([self], [-self.psi[a % self.p]])
+
     def gamma_coefficient(self):
         """The c in Q(zeta_big) with self = c gamma(psi): X_1 - X_0, which is
         X_1 unless psi is trivial, and then gamma(psi) = -1.  One reduction."""
@@ -195,9 +215,10 @@ class _GaussPair:
 
 def _gauss_pair(chars, a, bound):
     """The product of the Gauss sums of chars against the a-twisted trace, as
-    a _GaussPair at big = lcm(q_i - 1) with coefficients up to bound."""
+    a _GaussPair at big = lcm(q_i - 1) with coefficients up to bound: the
+    product against the trace itself, twisted once."""
     big = lcm(*(chi.field.q - 1 for chi in chars))
-    return reduce(mul, (_gauss_pair_entry(chi, a, big, bound) for chi in chars))
+    return reduce(mul, (_gauss_pair_entry(chi, big, bound) for chi in chars)).twisted(a)
 
 
 def gauss_product(chars, a=1):

@@ -531,6 +531,18 @@ class _Packed:
             out[k :: w * (m // self.n)] = raw[k :: w]
         return _Packed(m, self.bound, w, int.from_bytes(out, "little"), self.total)
 
+    def galois(self, k):
+        """The image under x -> x^k, k coprime to n: slot j moves to slot
+        j*k mod n.  One unpack and one repack, of whole slots as array items
+        or as byte strings where no array code fits; the total is kept."""
+        n, w = self.n, self.width
+        code, inv = _ARRAY_CODES.get(w), pow(k, -1, n)
+        raw = self.value.to_bytes(w * n, "little")
+        slots = memoryview(raw).cast(code) if code else [raw[i : i + w] for i in range(0, w * n, w)]
+        out = [slots[j * inv % n] for j in range(n)]  # slot j holds slot j/k
+        out = array(code, out).tobytes() if code else b"".join(out)
+        return _Packed(n, self.bound, w, int.from_bytes(out, "little"), self.total)
+
     def cut(self, starts, step, n, spacing, shift):
         """Per start, the vector at length n whose slot shift + i*spacing
         (mod n) holds slot start + i*step (mod self.n) of self, for i <

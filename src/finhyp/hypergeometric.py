@@ -8,7 +8,11 @@ over F_q for a parameter pair, is the character expansion on the split
 instance (d copies of F_q on both sides), whose terms are the series
 terms one for one.  Both routes keep packed, unreduced exponent tallies
 as two trace fibres at length big = lcm(q_i - 1).  An expansion value is
-q-1 rotated rows, each row a product of Gauss sums (see charsums).  A
+q-1 rotated rows, each row a product of Gauss sums (see charsums), built
+one orbit of the instance's row stabilizer at a time: one Gauss product
+per orbit, the other rows its Galois images, as slot permutations (see
+_fourier_coefficients).  Every twist of the trace shares the rows and the
+denominator inverse of twist 1, rotated.  A
 direct value is the correlation of the norm classes of A and B, each kept
 as its fibres 0 and 1, which the action of F_p^x turns into the rest (see
 _direct_classes).  When p-1 divides dim A - dim B, as in every
@@ -144,20 +148,26 @@ def classic_sum(params, q, t, generator=None):
 # ------------------------------------------------------------- algebra sums
 
 
-def _gauss_denominator(inst, twist):
+def _gauss_denominator(inst):
     """The normalising denominator g_A(chi_A) * g_B(conj(chi_B))."""
-    return gauss_product(inst.chiA.chars + inst.chiB.conj().chars, twist)
+    return gauss_product(inst.chiA.chars + inst.chiB.conj().chars)
 
 
 @lru_cache(maxsize=None)
 def _denominator_inverse(inst, twist, over_big=False):
     """The inverse of the denominator in Q(zeta_(p big)) or, with over_big,
     that of its coefficient of gamma(psi) in Q(zeta_big); either has a
-    rational |.|^2, q^f or q^f / p."""
-    if not over_big:
-        return invert_gauss_product(_gauss_denominator(inst, twist))
+    rational |.|^2, q^f or q^f / p.  Against the twisted trace the
+    denominator is conj(tau(twist)) times that of twist 1, tau its
+    character on F_p^x, so its inverse is tau(twist) times theirs."""
     chars = inst.chiA.chars + inst.chiB.conj().chars
-    pair = _gauss_pair(chars, twist, inst.A.unit_count() * inst.B.unit_count())
+    if twist != 1:
+        big = lcm(*(chi.field.q - 1 for chi in chars))
+        tau = sum(chi.e * chi.field.dlog(twist) * (big // (chi.field.q - 1)) for chi in chars)
+        return _denominator_inverse(inst, 1, over_big) * root_of_unity(big, tau)
+    if not over_big:
+        return invert_gauss_product(_gauss_denominator(inst))
+    pair = _gauss_pair(chars, 1, inst.A.unit_count() * inst.B.unit_count())
     return invert_gauss_product(pair.gamma_coefficient())
 
 
@@ -390,17 +400,62 @@ def algebra_sum_direct(inst, t, twist=1):
     return value.embed(inst.base.p * totals[1].n)
 
 
+def _row_stabilizer(inst, big):
+    """The units k mod big such that, on each side, e -> k e mod (q_i - 1)
+    maps the multiset of (component field, exponent) pairs to itself.  For
+    B this is the same set as for conj(chi_B).  Whether k qualifies depends
+    only on k mod L, L the lcm of the orders of the exponents, and the row
+    that sigma_k moves (see _fourier_coefficients) only on k mod q-1: k runs
+    over the units mod M = lcm(L, q-1), a divisor of big, each lifted to a
+    unit mod big."""
+    groups = []
+    for alg, chi in ((inst.A, inst.chiA), (inst.B, inst.chiB)):
+        by_field = {}
+        for comp, e in zip(alg.components, chi.exponents):
+            by_field.setdefault(comp, []).append(e)
+        groups += [(comp.q - 1, sorted(es)) for comp, es in by_field.items()]
+    m = lcm(inst.base.q - 1, *(n // gcd(n, e) for n, es in groups for e in es))
+    out = []
+    for k in range(1, m + 1):
+        if gcd(k, m) == 1 and all(sorted(k * e % n for e in es) == es for n, es in groups):
+            while gcd(k, big) != 1:
+                k += m
+            out.append(k)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _fourier_coefficients(inst, twist):
     """rows[m], the m-th Gauss product g_A(chi_A omega^m) g_B(conj(chi_B)
     omega^-m), as an unreduced _GaussPair at big = lcm(q_i - 1), with a bound
-    that admits the sum of all rows."""
+    that admits the sum of all rows.
+
+    sigma_k, which fixes zeta_p and raises zeta_big to the k-th power, takes
+    g(chi) to g(chi^k).  For k in the row stabilizer it permutes the
+    characters of row m among those of row k m mod q-1, the components of
+    one field sharing their norm shift, so row k m = sigma_k(row m).  One
+    row per orbit is a product of Gauss sums; the rest of its orbit are its
+    slot permutations.  A permuted row equals the product in value, not
+    always bit for bit, as X_0 is dropped wherever a partial product's psi
+    is nontrivial.  The rows against the a-twisted trace are those of twist
+    1 rotated (see _GaussPair.twisted)."""
+    if twist != 1:
+        return tuple(row.twisted(twist) for row in _fourier_coefficients(inst, 1))
     qbar = inst.base.q - 1
     bound = qbar * inst.A.unit_count() * inst.B.unit_count()
+    big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
+    stabilizer = _row_stabilizer(inst, big)
     chiB_bar = inst.chiB.conj()
-    return tuple(_gauss_pair(
-        inst.chiA.twist_by_norm_power(m).chars + chiB_bar.twist_by_norm_power(-m).chars,
-        twist, bound) for m in range(qbar))
+    rows = [None] * qbar
+    for m in range(qbar):
+        if rows[m] is None:
+            rows[m] = _gauss_pair(
+                inst.chiA.twist_by_norm_power(m).chars + chiB_bar.twist_by_norm_power(-m).chars,
+                1, bound)
+            for k in stabilizer:
+                if rows[k * m % qbar] is None:
+                    rows[k * m % qbar] = rows[m].galois(k)
+    return tuple(rows)
 
 
 def _rotated_rows(inst, t, twist):
@@ -500,7 +555,7 @@ def greene_factor(params, q):
     jacobi = gauss_product(a * b.conj() for a, b in zip(inst.chiA.chars, inst.chiB.chars))
     return (
         sign * Fraction(1, q**params.d)
-        * _gauss_denominator(inst, 1) * invert_gauss_product(jacobi)
+        * _gauss_denominator(inst) * invert_gauss_product(jacobi)
     )
 
 

@@ -143,6 +143,12 @@ def test_resource_bound_exit_code(capsys):
     assert code == 3
 
 
+def test_delta_refuses_a_large_denominator(capsys):
+    # D = 96577: the loops over the units mod D are refused, not run
+    code = main(["delta", "--alpha", "1/17,1/19", "--beta", "1/23,1/13"])
+    assert code == 3
+
+
 def test_gp_cheap_gamma_request_runs(capsys):
     code, out = run_cli(
         capsys, "gp", "--alpha", "1/2,1/2", "--beta", "0,0", "--p", "13",

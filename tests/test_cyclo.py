@@ -450,6 +450,20 @@ def test_packed_coefficient_equal_to_bound(n, bound):
     assert _same(split.read(), CycloNum.from_rational(bound, n))
 
 
+@pytest.mark.parametrize("n", PACKED_CONDUCTORS)
+@pytest.mark.parametrize("bound", EXACT_BOUNDS)
+def test_packed_galois_matches_cyclonum(n, bound):
+    # slot j to slot j*k mod n, for every unit k, at every slot width
+    rng = random.Random(n + bound)
+    for top in (1, bound // max(n, 1), bound):
+        v = [rng.randint(0, top) for _ in range(n)]
+        x = _Packed.tally(n, bound * n, enumerate(v))
+        for k in [k for k in range(1, n + 1) if gcd(k, n) == 1][:12]:
+            image = x.galois(k)
+            assert (image.n, image.width, image.total) == (x.n, x.width, x.total)
+            assert _same(image.read(), x.read().galois(k)), (n, k)
+
+
 @pytest.mark.parametrize("width", [9, 11, 16])
 def test_wide_slots_round_trip_against_to_bytes(width):
     # entries of every size up to the full slot, both ends included

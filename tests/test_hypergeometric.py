@@ -266,8 +266,13 @@ def test_fourier_rows_from_cached_gauss_entries(q, params, other, monkeypatch):
 
     clear_caches()
     inst = split_instance(HGParams.parse(*params), q)
-    for twist in (1, 2):
-        _fourier_coefficients(inst, twist)
+    _fourier_coefficients(inst, 1)
+    # one trace pass per field, and the twisted rows are rotations of the
+    # twist-1 rows: they build no Gauss entry of their own
+    assert _trace_fibres.cache_info().misses == 1
+    entries = _gauss_pair_entry.cache_info().misses
+    _fourier_coefficients(inst, 2)
+    assert _gauss_pair_entry.cache_info().misses == entries
     misses = _trace_fibres.cache_info().misses
     for twist in (1, 2):
         _fourier_coefficients(split_instance(HGParams.parse(*other), q), twist)
@@ -282,6 +287,143 @@ def test_fourier_rows_from_cached_gauss_entries(q, params, other, monkeypatch):
             chars = (inst.chiA.twist_by_norm_power(m).chars
                      + chiB_bar.twist_by_norm_power(-m).chars)
             assert row.read() == gauss_product(chars, twist)
+
+
+def _row_products(inst):
+    """Every expansion row as its own product of Gauss sums."""
+    from finhyp.charsums import _gauss_pair
+
+    qbar = inst.base.q - 1
+    bound = qbar * inst.A.unit_count() * inst.B.unit_count()
+    chiB_bar = inst.chiB.conj()
+    return [_gauss_pair(inst.chiA.twist_by_norm_power(m).chars
+                        + chiB_bar.twist_by_norm_power(-m).chars, 1, bound)
+            for m in range(qbar)]
+
+
+def _same_rows(rows, products):
+    """Equal by value; each tracked total is its vector's slot sum, which the
+    bound is checked against.  A permuted row need not match its product bit
+    for bit, nor in total: X_0 drops depend on the order of multiplication."""
+    from finhyp.cyclo import _from_slots
+
+    assert len(rows) == len(products)
+    for m, (row, product) in enumerate(zip(rows, products)):
+        assert row.psi == product.psi and row.read() == product.read(), m
+        for x in (row.x0, row.x1):
+            assert sum(_from_slots(x.value, x.width, x.n)) == x.total, m
+
+
+def _count_products(monkeypatch):
+    from finhyp import hypergeometric
+
+    calls = []
+    product = hypergeometric._gauss_pair
+    monkeypatch.setattr(hypergeometric, "_gauss_pair",
+                        lambda *args: calls.append(args) or product(*args))
+    return calls
+
+
+ORBIT_ROW_CASES = {
+    # (alpha, beta, q, products): every unit mod q-1 fixes the first two
+    "full_q23": ("1/2", "0", 23, 4),
+    "full_q49": ("1/6,5/6", "0,1/2", 49, 10),
+    "plus_minus_one_q19": ("1/9,1/2,8/9", "0,0,0", 19, 10),
+    "one_three_mod_8_q17": ("1/8,3/8", "0,1/2", 17, 7),
+    "trivial_q7": ("1/6", "1/2", 7, 6),
+}
+
+
+@pytest.mark.parametrize("case", list(ORBIT_ROW_CASES))
+def test_orbit_rows_equal_their_gauss_products(case, monkeypatch):
+    from finhyp.hypergeometric import _fourier_coefficients, _row_stabilizer
+
+    alpha, beta, q, products = ORBIT_ROW_CASES[case]
+    params = HGParams.parse(alpha, beta)
+    inst = split_instance(params, q)
+    dd = params.common_denominator()
+    # on a split instance the row stabilizer is the lift of the parameters' one
+    assert _row_stabilizer(inst, q - 1) == [
+        k for k in range(1, q) if lcm(k, q - 1) == k * (q - 1) and k % dd in params.stabilizer()]
+    _fourier_coefficients.cache_clear()
+    calls = _count_products(monkeypatch)
+    rows = _fourier_coefficients(inst, 1)
+    assert len(calls) == products
+    _same_rows(rows, _row_products(inst))
+
+
+def test_orbit_rows_with_extension_components(monkeypatch):
+    from finhyp.hypergeometric import _fourier_coefficients, _row_stabilizer
+
+    # A = F_(7^4) with a character of order 5, B = 4 F_7: k = 1, 11 mod 30 lift to big
+    inst = orbit_instance(HGParams.parse("1/5,2/5,3/5,4/5", "0,0,0,0"), 7)
+    assert _row_stabilizer(inst, 2400) == [1, 11]
+    _fourier_coefficients.cache_clear()
+    calls = _count_products(monkeypatch)
+    rows = _fourier_coefficients(inst, 1)
+    assert len(calls) == 4  # rows {0}, {1, 5}, {2, 4}, {3}
+    _same_rows(rows, _row_products(inst))
+
+
+def test_orbit_rows_of_random_instances():
+    from finhyp.checks import random_algebra_instance
+    from finhyp.hypergeometric import _fourier_coefficients, _row_stabilizer
+
+    rng = random.Random(19)
+    nontrivial = 0
+    for i in range(40):
+        p, f = rng.choice(((3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)))
+        q = p**f
+        if i % 2:
+            inst = random_algebra_instance(rng, q, max_size=81)
+        else:  # both sides closed under e -> -e: k = -1 is in the stabilizer
+            field = make_field(p, f)
+            exps = [[e for e in (rng.randrange(q - 1) for _ in range(rng.randint(1, 2)))
+                     for e in (e, -e)] for _ in range(2)]
+            A, B = (SemisimpleAlgebra(field, [field] * len(e)) for e in exps)
+            inst = HGAlgebraInstance(A, B, AlgebraChar.from_exponents(A, exps[0]),
+                                     AlgebraChar.from_exponents(B, exps[1]))
+        big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
+        nontrivial += len(_row_stabilizer(inst, big)) > 1
+        _same_rows(_fourier_coefficients(inst, 1), _row_products(inst))
+    assert nontrivial >= 15
+
+
+def test_cold_rows_cost_one_product_per_orbit(monkeypatch):
+    from finhyp.hypergeometric import _fourier_coefficients
+
+    # every odd k fixes (1/2,1/2,1/2,1/2; 0,0,0,0): one row per divisor of 342
+    params = HGParams.parse("1/2,1/2,1/2,1/2", "0,0,0,0")
+    clear_caches()
+    calls = _count_products(monkeypatch)
+    value = classic_sum(params, 343, 2)
+    assert len(calls) == 12 + 1  # tau(342) rows and the denominator
+    monkeypatch.undo()
+    _fourier_coefficients.cache_clear()
+    calls = _count_products(monkeypatch)
+    rows = _fourier_coefficients(split_instance(params, 343), 1)
+    assert len(calls) == 12 and len(rows) == 342
+    assert value.conductor == 7 * 342
+
+
+@pytest.mark.parametrize("case", ["split_q13", "orbit_q7"])
+def test_twisted_denominator_inverse_is_a_rotation(case):
+    from finhyp.charsums import _gauss_pair
+    from finhyp.hypergeometric import _denominator_inverse
+
+    if case == "split_q13":
+        inst = split_instance(HGParams.parse("1/4,3/4", "0,1/3"), 13)
+    else:
+        inst = orbit_instance(HGParams.parse("1/2,1/3,2/3", "0,1/4,3/4"), 7)
+    chars = inst.chiA.chars + inst.chiB.conj().chars
+    bound = inst.A.unit_count() * inst.B.unit_count()
+    for a in range(1, inst.base.p):
+        ref = CycloNum.one(1)
+        for chi in chars:
+            ref = ref * oracles.gauss_sum(chi.field, chi.e, a)
+        assert _denominator_inverse(inst, a) * ref == 1
+        coefficient = _gauss_pair(chars, a, bound).gamma_coefficient()
+        assert _denominator_inverse(inst, a, True) * coefficient == 1
 
 
 def _hand_built(p, a_degrees, b_degrees, a_exps, b_exps):

@@ -6,7 +6,9 @@ import pytest
 
 import oracles
 from finhyp.cyclo import root_of_unity
+from finhyp import params as params_module
 from finhyp.errors import (
+    BoundExceeded,
     DoesNotSplit,
     FinHypError,
     LengthMismatch,
@@ -196,6 +198,31 @@ def test_delta_le_global():
             seen.append(p.conjugate(k).denominator_exponent())
     assert max(seen) == cap
     assert p.denominator_exponent() <= cap
+
+
+def test_unit_loops_match_conjugate_definitions():
+    rng = random.Random(20)
+    for _ in range(40):
+        params = _random_pair(rng, max_den=10)
+        dd = params.common_denominator()
+        conjugates = [params.conjugate(k) for k in range(1, dd + 1) if gcd(k, dd) == 1]
+        assert params.global_denominator_exponent() == max(
+            c.denominator_exponent() for c in conjugates), params
+        assert params.is_defined_over_q() == all(c == params for c in conjugates), params
+
+
+def test_unit_loops_refuse_large_denominators(monkeypatch):
+    # D = 17 * 19 * 23 * 13 = 96577: each loop is priced and refused before it starts
+    params = HGParams.parse("1/17,1/19", "1/23,1/13")
+    assert params.common_denominator() == 96577
+    for helper in ("_max_drop", "_drop"):
+        monkeypatch.setattr(params_module, helper, lambda *a: pytest.fail("the loop ran"))
+    monkeypatch.setattr(HGParams, "_fixed_by", lambda *a: pytest.fail("the loop ran"))
+    for method in (params.stabilizer, params.is_defined_over_q,
+                   params.global_denominator_exponent):
+        with pytest.raises(BoundExceeded):
+            method()
+    assert issubclass(BoundExceeded, FinHypError)
 
 
 def _random_pair(rng, max_d=4, max_den=24):
