@@ -191,7 +191,8 @@ class _GaussPair:
     def twisted(self, a):
         """The product against the a-twisted trace, a in F_p^x: as g_a(chi) =
         conj(chi(a)) g(chi), X_0 and X_1 rotated by -psi[a]."""
-        return _GaussPair.rotated_sum([self], [-self.psi[a % self.p]])
+        shift = self.psi[a % self.p]
+        return _GaussPair.rotated_sum([self], [-shift]) if shift else self
 
     def gamma_coefficient(self):
         """The c in Q(zeta_big) with self = c gamma(psi): X_1 - X_0, which is

@@ -535,6 +535,8 @@ class _Packed:
         """The image under x -> x^k, k coprime to n: slot j moves to slot
         j*k mod n.  One unpack and one repack, of whole slots as array items
         or as byte strings where no array code fits; the total is kept."""
+        if not self.value:
+            return self
         n, w = self.n, self.width
         code, inv = _ARRAY_CODES.get(w), pow(k, -1, n)
         raw = self.value.to_bytes(w * n, "little")

@@ -148,9 +148,12 @@ def classic_sum(params, q, t, generator=None):
 # ------------------------------------------------------------- algebra sums
 
 
-def _gauss_denominator(inst):
-    """The normalising denominator g_A(chi_A) * g_B(conj(chi_B))."""
-    return gauss_product(inst.chiA.chars + inst.chiB.conj().chars)
+def _row_bound(inst):
+    """A bound on every coefficient of the sum of the q-1 expansion rows, and
+    so of row 0, the normalising denominator g_A(chi_A) * g_B(conj(chi_B)):
+    built at one bound, the denominator and the rows share their packed
+    Gauss entries."""
+    return (inst.base.q - 1) * inst.A.unit_count() * inst.B.unit_count()
 
 
 @lru_cache(maxsize=None)
@@ -165,10 +168,8 @@ def _denominator_inverse(inst, twist, over_big=False):
         big = lcm(*(chi.field.q - 1 for chi in chars))
         tau = sum(chi.e * chi.field.dlog(twist) * (big // (chi.field.q - 1)) for chi in chars)
         return _denominator_inverse(inst, 1, over_big) * root_of_unity(big, tau)
-    if not over_big:
-        return invert_gauss_product(_gauss_denominator(inst))
-    pair = _gauss_pair(chars, 1, inst.A.unit_count() * inst.B.unit_count())
-    return invert_gauss_product(pair.gamma_coefficient())
+    pair = _gauss_pair(chars, 1, _row_bound(inst))
+    return invert_gauss_product(pair.gamma_coefficient() if over_big else pair.read())
 
 
 def _reads_at_big(inst):
@@ -441,8 +442,7 @@ def _fourier_coefficients(inst, twist):
     1 rotated (see _GaussPair.twisted)."""
     if twist != 1:
         return tuple(row.twisted(twist) for row in _fourier_coefficients(inst, 1))
-    qbar = inst.base.q - 1
-    bound = qbar * inst.A.unit_count() * inst.B.unit_count()
+    qbar, bound = inst.base.q - 1, _row_bound(inst)
     big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
     stabilizer = _row_stabilizer(inst, big)
     chiB_bar = inst.chiB.conj()
@@ -555,7 +555,8 @@ def greene_factor(params, q):
     jacobi = gauss_product(a * b.conj() for a, b in zip(inst.chiA.chars, inst.chiB.chars))
     return (
         sign * Fraction(1, q**params.d)
-        * _gauss_denominator(inst) * invert_gauss_product(jacobi)
+        * gauss_product(inst.chiA.chars + inst.chiB.conj().chars)
+        * invert_gauss_product(jacobi)
     )
 
 
