@@ -149,11 +149,15 @@ def classic_sum(params, q, t, generator=None):
 
 
 def _row_bound(inst):
-    """A bound on every coefficient of the sum of the q-1 expansion rows, and
-    so of row 0, the normalising denominator g_A(chi_A) * g_B(conj(chi_B)):
-    built at one bound, the denominator and the rows share their packed
-    Gauss entries."""
+    """A bound on every coefficient of the sum of the q-1 expansion rows."""
     return (inst.base.q - 1) * inst.A.unit_count() * inst.B.unit_count()
+
+
+def _gauss_denominator(inst):
+    """The normalising denominator g_A(chi_A) * g_B(conj(chi_B)), row 0 of
+    the expansion, as a _GaussPair at the rows' bound: it shares their
+    packed Gauss entries."""
+    return _gauss_pair(inst.chiA.chars + inst.chiB.conj().chars, 1, _row_bound(inst))
 
 
 @lru_cache(maxsize=None)
@@ -163,13 +167,13 @@ def _denominator_inverse(inst, twist, over_big=False):
     rational |.|^2, q^f or q^f / p.  Against the twisted trace the
     denominator is conj(tau(twist)) times that of twist 1, tau its
     character on F_p^x, so its inverse is tau(twist) times theirs."""
-    chars = inst.chiA.chars + inst.chiB.conj().chars
     if twist != 1:
+        chars = inst.chiA.chars + inst.chiB.conj().chars
         big = lcm(*(chi.field.q - 1 for chi in chars))
         tau = sum(chi.e * chi.field.dlog(twist) * (big // (chi.field.q - 1)) for chi in chars)
         return _denominator_inverse(inst, 1, over_big) * root_of_unity(big, tau)
-    pair = _gauss_pair(chars, 1, _row_bound(inst))
-    return invert_gauss_product(pair.gamma_coefficient() if over_big else pair.read())
+    den = _gauss_denominator(inst)
+    return invert_gauss_product(den.gamma_coefficient() if over_big else den.read())
 
 
 def _reads_at_big(inst):
@@ -555,8 +559,7 @@ def greene_factor(params, q):
     jacobi = gauss_product(a * b.conj() for a, b in zip(inst.chiA.chars, inst.chiB.chars))
     return (
         sign * Fraction(1, q**params.d)
-        * gauss_product(inst.chiA.chars + inst.chiB.conj().chars)
-        * invert_gauss_product(jacobi)
+        * _gauss_denominator(inst).read() * invert_gauss_product(jacobi)
     )
 
 
