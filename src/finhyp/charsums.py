@@ -34,7 +34,7 @@ from functools import lru_cache, reduce
 from math import lcm, prod
 from operator import mul
 
-from .cyclo import _Packed
+from .cyclo import _Packed, _galois_order
 from .errors import FieldMismatch, InternalInconsistency, LengthMismatch, NotSubfield
 
 
@@ -183,9 +183,10 @@ class _GaussPair:
     def galois(self, k):
         """sigma_k, which fixes zeta_p and raises zeta_big to the k-th power,
         k coprime to big: it takes g(chi) to g(chi^k), so it permutes the
-        slots of X_0 and X_1 and multiplies psi by k."""
+        slots of X_0 and X_1, in one order, and multiplies psi by k."""
         n = self.x1.n
-        return _GaussPair(self.p, self.x0.galois(k), self.x1.galois(k),
+        order = _galois_order(n, k)
+        return _GaussPair(self.p, self.x0.permuted(order), self.x1.permuted(order),
                           tuple(e * k % n for e in self.psi))
 
     def twisted(self, a):

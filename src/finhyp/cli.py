@@ -13,7 +13,14 @@ import sys
 
 from .charsums import MultChar, gauss_sum
 from .checks import CHECK_NAMES, run_full_suite
-from .errors import BadPrecision, BoundExceeded, FieldTooLarge, FinHypError, NotPrime
+from .errors import (
+    BadPrecision,
+    BoundExceeded,
+    FieldTooLarge,
+    FinHypError,
+    NotPrime,
+    OutOfRange,
+)
 from .finfield import is_prime, make_field, prime_power
 from .hypergeometric import (
     algebra_sum_direct,
@@ -119,6 +126,8 @@ def _t_values(args, field):
         return [field.unit(j).to_int() for j in range(field.q - 1)]
     if args.t is None:
         raise FinHypError("need --t or --all-t")
+    if not 0 < args.t < field.q:  # a code is read mod q: refuse the aliases
+        raise OutOfRange(f"--t {args.t} is outside 1..{field.q - 1}")
     return [args.t]
 
 

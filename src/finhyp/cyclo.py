@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, and_, attrgetter, lshift, mul, rshift, sub
+from operator import add, and_, attrgetter, itemgetter, lshift, mul, rshift, sub
 
 from .errors import (
     DivisionByZero,
@@ -113,8 +113,10 @@ def _scatter(n, pairs):
     return _reduce(n, v)
 
 
+# item size -> array typecode, to move whole items at C speed
+_ITEM_CODES = {array(c).itemsize: c for c in "BHILQ"}
 # slot width -> array typecode, to pack and unpack little-endian slots at C speed
-_ARRAY_CODES = {array(c).itemsize: c for c in "BHILQ"} if sys.byteorder == "little" else {}
+_ARRAY_CODES = _ITEM_CODES if sys.byteorder == "little" else {}
 # bytes needed (up to 8) -> slot width: the narrowest array code that holds them
 _WIDTHS = tuple(min((w for w in _ARRAY_CODES if w >= k), default=k) for k in range(9))
 _WORD = (1 << 64) - 1
@@ -160,6 +162,13 @@ def _from_slots(value, width, count):
                 words.byteswap()
             out = list(map(add, out, map(lshift, words, repeat(8 * at))))
     return out
+
+
+def _galois_order(n, k):
+    """itemgetter of the slots j k^-1 mod n, j < n, for k coprime to n: the
+    order in which x -> x^k reads the slots of a vector of length n."""
+    inv = pow(k, -1, n)
+    return itemgetter(*[j * inv % n for j in range(n)])
 
 
 def _convolve(a, b):
@@ -533,16 +542,33 @@ class _Packed:
 
     def galois(self, k):
         """The image under x -> x^k, k coprime to n: slot j moves to slot
-        j*k mod n.  One unpack and one repack, of whole slots as array items
-        or as byte strings where no array code fits; the total is kept."""
-        if not self.value:
+        j*k mod n (see permuted)."""
+        return self.permuted(_galois_order(self.n, k))
+
+    def permuted(self, order):
+        """The vector whose slot j holds slot index[j] of self, for order =
+        itemgetter(*index) of a permutation index of the n slots.  One unpack
+        and one repack, of whole slots as array items or, where the width is
+        no item size, of up to 8 byte lanes at a time gathered into items;
+        the total is kept, and a zero vector is its own image."""
+        if not self.value or self.n == 1:
             return self
         n, w = self.n, self.width
-        code, inv = _ARRAY_CODES.get(w), pow(k, -1, n)
         raw = self.value.to_bytes(w * n, "little")
-        slots = memoryview(raw).cast(code) if code else [raw[i : i + w] for i in range(0, w * n, w)]
-        out = [slots[j * inv % n] for j in range(n)]  # slot j holds slot j/k
-        out = array(code, out).tobytes() if code else b"".join(out)
+        if w in _ITEM_CODES:
+            out = array(_ITEM_CODES[w], order(memoryview(raw).cast(_ITEM_CODES[w]))).tobytes()
+        else:
+            out = bytearray(w * n)
+            for at in range(0, w, 8):
+                lanes = min(8, w - at)
+                size = min(s for s in _ITEM_CODES if s >= lanes)
+                words = bytearray(size * n)
+                for k in range(lanes):
+                    words[k::size] = raw[at + k :: w]
+                code = _ITEM_CODES[size]
+                words = array(code, order(memoryview(words).cast(code))).tobytes()
+                for k in range(lanes):
+                    out[at + k :: w] = words[k::size]
         return _Packed(n, self.bound, w, int.from_bytes(out, "little"), self.total)
 
     def cut(self, starts, step, n, spacing, shift):

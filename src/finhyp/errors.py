@@ -67,6 +67,11 @@ class ZeroArgument(FinHypError):
     """The hypergeometric argument t must be a unit."""
 
 
+class OutOfRange(FinHypError):
+    """An integer code lies outside its range, such as a --t code outside
+    1..q-1, which would otherwise be read mod q."""
+
+
 class BadPrime(FinHypError):
     """The prime divides a parameter denominator."""
 

@@ -12,16 +12,17 @@ q-1 rotated rows, each row a product of Gauss sums (see charsums), built
 one orbit of the instance's row stabilizer at a time: one Gauss product
 per orbit, the other rows its Galois images, as slot permutations (see
 _fourier_coefficients).  Every twist of the trace shares the rows and the
-denominator inverse of twist 1, rotated.  A
-direct value is the correlation of the norm classes of A and B, each kept
-as its fibres 0 and 1, which the action of F_p^x turns into the rest (see
-_direct_classes).  When p-1 divides dim A - dim B, as in every
-equidimensional instance, either value lies in Q(zeta_big) and is read
-there; otherwise it is lifted to length p big and read there.  Either is
-reduced once and multiplied once by the inverse of the denominator.  The
-norm-class tallies are convolved one component at a time, as a dict while
-their support is small and then as one packed grid over (c/g, norm dlog),
-g the gcd of every c, by one shift-add per histogram key.
+denominator inverse of twist 1, rotated.  A direct value reads one joint
+tally per instance: the unit pairs of A x B by norm class, trace fibre 0
+or 1 and character, which the action of F_p^x turns into the other
+fibres, so every t and twist shares it (see _direct_tally).  When p-1
+divides dim A - dim B, as in every equidimensional instance, either value
+lies in Q(zeta_big) and is read there; otherwise it is lifted to length p
+big and read there.  Either is reduced once and multiplied once by the
+inverse of the denominator.  The tally is convolved one component at a
+time, by the fibre rule of the Gauss products with its Jacobi sums as 2-D
+shifts, on one packed grid per fibre over (c/g, norm class), g the gcd of
+every character step c, by one shift-add per histogram key.
 
 Two normalization choices make the three forms one function: the
 denominator is g_A(chi_A) * g_B(conj(chi_B)), and the whole B side of the
@@ -41,6 +42,7 @@ from .charsums import (
     SemisimpleAlgebra,
     _GaussPair,
     _gauss_pair,
+    _trace_fibres,
     gauss_product,
     invert_gauss_product,
 )
@@ -184,30 +186,6 @@ def _reads_at_big(inst):
     return (inst.A.dim - inst.B.dim) % (inst.base.p - 1) == 0
 
 
-# One dict update of a tally step costs about as much as shift-adding this
-# many bytes of a packed grid: 220-270 ns against 1.1-1.6 ns per byte
-# (2-core Xeon, Python 3.11.7).
-_DICT_UPDATE_BYTES = 200
-
-
-def _dict_step(acc, hist, rows, qbar):
-    """The convolution of two dict tallies keyed by grid slot (see
-    _norm_classes).  A sum of two keys has row < 2 rows and norm dlog <
-    2(q-1) - 1, so it is folded by at most one subtraction of each."""
-    span = 2 * qbar - 1
-    top = rows * span
-    out = {}
-    for key, cnt in acc.items():
-        for key_i, cnt_i in hist.items():
-            k = key + key_i
-            if k >= top:
-                k -= top
-            if k % span >= qbar:
-                k -= qbar
-            out[k] = out.get(k, 0) + cnt * cnt_i
-    return out
-
-
 @lru_cache(maxsize=None)
 def _norm_fold_mask(rows, qbar, width):
     """The mask of the slots with norm dlog >= q-1 in every row of a grid."""
@@ -215,194 +193,124 @@ def _norm_fold_mask(rows, qbar, width):
     return int.from_bytes(row * rows, "little")
 
 
-def _grid_step(grid, hist, rows, qbar):
-    """A packed grid tally times a histogram: one shift-add per key, the rows
-    folded by the packing and the norm dlogs >= q-1 folded within their row."""
-    grid = grid.times(hist.items())
+def _fold_norms(grid, rows, qbar):
+    """The grid with the norm dlogs >= q-1 of every row folded onto k - (q-1)."""
     high = grid.value & _norm_fold_mask(rows, qbar, grid.width)
     grid.value += (high >> 8 * grid.width * qbar) - high
     return grid
 
 
-def _norm_classes(alg, exps, at_minus_y, n, bound):
-    """Per norm dlog k < q-1, the trace fibres 0 and 1 of the units of alg
-    with norm dlog k, the trace and character taken at -y when at_minus_y is
-    set, from one histogram per component on (c, norm dlog), c as in
-    _direct_classes.  Every c is a multiple of g = gcd(n, all c), and so is
-    every sum mod n: c is kept as the row c/g < rows = n/g of a grid whose
-    rows have span = 2(q-1) - 1 slots, room for a sum of two norm dlogs.
-    The histograms are convolved into a dict keyed by grid slot while |acc|
-    dict updates cost less than one shift-add of the grid, then into the
-    packed grid.  Fibre u takes the rows r = r_u + p i, i < big/g, those with
-    g r big^-1 = u mod p, at character exponent (g r - u big)/p."""
-    p, qbar = alg.base.p, alg.base.q - 1
-    big, span = n // p, 2 * qbar - 1
-    hists = []
-    for comp, e, nf in zip(alg.components, exps, alg._norm_factors):
-        h = comp.minus_one_dlog if at_minus_y else 0
-        step = (-e if at_minus_y else e) * (big // (comp.q - 1)) * p
-        hists.append(Counter(((big * comp.trace_of_unit(j + h) + step * (j + h)) % n,
-                              j * nf % qbar) for j in range(comp.q - 1)))
-    g = gcd(n, *(c for hist in hists for c, _ in hist))
-    rows, width = n // g, _Packed.slot_width(bound)
-    acc, *hists = [{c // g * span + k: w for (c, k), w in hist.items()} for hist in hists]
-    for hist in hists:
-        if type(acc) is dict and len(acc) * _DICT_UPDATE_BYTES < rows * span * width:
-            acc = _dict_step(acc, hist, rows, qbar)
-            continue
-        if type(acc) is dict:  # the support has outgrown the dict: pack it once
-            acc = _Packed.tally(rows * span, bound, acc.items())
-        acc = _grid_step(acc, hist, rows, qbar)
-    firsts = [u * big * pow(g, -1, p) % p for u in (0, 1)]
-    if type(acc) is not dict:
-        return tuple(acc.cut([r * span + k for k in range(qbar)], p * span, big, g,
-                             (g * r - u * big) // p) for u, r in enumerate(firsts))
-    fibres = ([[0] * big for _ in range(qbar)], [[0] * big for _ in range(qbar)])
-    for key, cnt in acc.items():
-        r, k = divmod(key, span)
-        for u in (0, 1):
-            if (r - firsts[u]) % p == 0:
-                fibres[u][k][(g * r - u * big) // p % big] += cnt
-    return tuple([_Packed.vector(bound, v) for v in side] for side in fibres)
+def _grid_step(grid, hist, rows, qbar):
+    """A packed grid tally times a histogram: one shift-add per key, the rows
+    folded by the packing and the norm dlogs >= q-1 folded within their row."""
+    return _fold_norms(grid.times(hist.items()), rows, qbar)
 
 
-def _side_map(alg, chi, big):
-    """Per u in F_p: x -> u x moves the norm class k of x to k + shift and
-    multiplies chi(x) by zeta_big^rotation; (shift, rotation) = (0, 0) at
-    u = 0.  Both are linear in the dlog of u, so they are read off one
-    generator r of F_p^x, u = r^m."""
-    base, p = alg.base, alg.base.p
-    step = (base.q - 1) // (p - 1)
-    r = base.unit(step).to_int()  # g^step generates F_p^x inside F_q
-    rot_r = sum(e * c.dlog(r) * (big // (c.q - 1)) for c, e in zip(alg.components, chi.exponents))
-    out, u = [(0, 0)] * p, 1
-    for m in range(p - 1):
-        out[u] = (alg.dim * step * m % (base.q - 1), rot_r * m % big)
-        u = u * r % p
-    return out
+def _grid_sum(terms, rows, qbar):
+    """The sum of grid times hist over the (grid, hist) terms with a nonempty
+    hist, by one shift-add per key (see _Packed.times), folded once."""
+    parts = [grid.times(hist.items()) for grid, hist in terms if hist]
+    return _fold_norms(_Packed.rotated_sum(parts, [0] * len(parts)), rows, qbar)
+
+
+def _component_fibres(comp, step, norm_step, h, big, qbar):
+    """Fibres 0 and 1 of one component: per unit g_i^j with Tr g_i^j = u, its
+    (character exponent, norm class) (step j mod big, norm_step (j + h) mod
+    q-1); and sigma, the (rotation, class shift) of z -> a z per a in F_p,
+    read off the dlogs of F_p^x (sigma(0) = (0, 0))."""
+    zero, one, dlogs = _trace_fibres(comp)
+    fibres = [[(step * j % big, norm_step * (j + h) % qbar) for j in js] for js in (zero, one)]
+    return fibres, [(step * d % big, norm_step * d % qbar) for d in dlogs]
 
 
 @lru_cache(maxsize=None)
-def _direct_classes(inst, twist):
-    """The norm classes of both sides as trace fibres, the side maps, and
-    per read of the total (a fibre v, or "lifted") the (A fibres, table)
-    pairs of its dot.
+def _direct_tally(inst):
+    """The joint norm-class tally of the unit pairs (x, y) of A x B: per
+    trace fibre u in {0, 1}, a packed grid whose row r and norm slot s hold
+    the number of pairs with dlog N(y) - dlog N(x) = s, Tr x + Tr(-y) = u
+    and chi_A(x) conj(chi_B)(-y) = zeta_big^(g r); with sigma, the
+    (rotation, class shift) of (x, y) -> (u x, u y) per u in F_p, g, and
+    the span of a row.
 
-    A_(k,u) tallies, as powers of zeta_big, chi_A(x) over the units x of A
-    with norm dlog k and Tr x = u; B_(k,u) tallies conj(chi_B)(-y) over
-    the units y of B with norm dlog k and Tr(-y) = u.  Only the fibres
-    u = 0, 1 are kept: by _side_map, A_(k,u) = zeta_big^rot_A(u)
-    A_(k - shift_A(u), 1) for u != 0, and B likewise with rot_B negated,
-    the character being conjugated there.  Against the twisted trace, twist
-    Tr = u is Tr = u / twist, so every twist shares the fibres of twist 1
-    and reads the side maps at u / twist.  Fibre v of the total is then
+    Every (rotation, shift) is a sum over the components, A's at x and B's
+    at -y with its norm dlog negated, so the tally is the convolution of
+    one pair of fibre histograms per component (see _component_fibres):
+    fibre u of a component tallies its units z with Tr z = u, and fibre a
+    != 0 is fibre 1 moved by sigma(a).  A step from P to PG takes the fibre
+    rule of _GaussPair.__mul__ with its Jacobi sums as 2-D shifts:
 
-        T_v(s) = sum over k and a of A_(k,a) B_(k+s, v-a)
-               = sum over k, i of A_(k,i) X_(v,i)[k+s],
+        (PG)_0 = P_0 G_0 + sum over a != 0 of sigma_P(a) sigma_G(-a) P_1 G_1,
+        (PG)_1 = P_0 G_1 + P_1 G_0 + sum over a != 0, 1 of sigma_P(a) sigma_G(1-a) P_1 G_1,
 
-    X_(v,i)[m] the sum over the a with i = [a != 0] of zeta_big^(rot_A(a)
-    - rot_B(v-a)) B_(m + shift_A(a) - shift_B(v-a), j), j = [v-a != 0].
-    The tables X do not depend on t, so they are built once, and a value
-    costs one dot per fibre.  Where _reads_at_big holds, fibres 0 and 1
-    suffice, and fibre 1 alone when tau is nontrivial, as T_0 = tau(b) T_0
-    is then 0; otherwise all p are needed, and their tables are lifted to
-    p big once, so that a value is one dot there.
-
-    The classes are built at n = p big with c = trace * big + character
-    exponent * p, which is linear in the unit, so each side is the
-    convolution of one histogram of H keys (c, norm dlog) per component,
-    on a grid of n/g rows c/g by q-1 norm dlogs (see _norm_classes).  The
-    running tally is a dict while its support S is small: a dict step costs
-    S * H dict updates.  A grid step costs H shift-adds of the one packed
-    grid and two masked folds.  Each step takes the cheaper by the measured
-    ratio above, and a tally once packed stays packed: the support never
-    shrinks.  A side of one component is its histogram, and never packs.
-    """
+    each product a shift-add per histogram key on a grid of big/g rows
+    (g | big the gcd of every character step, so every row exponent is a
+    multiple of g) of span = 2(q-1) - 1 norm slots, room for a sum of two
+    norm dlogs.  Components with a trivial character come first: their
+    rows are all 0, so the packed ints stay one row long until the others
+    come in.  The bound |A^x| |B^x| holds every partial total."""
     p, qbar = inst.base.p, inst.base.q - 1
     big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
-    if twist == 1:
-        # N(y) = t N(x) pairs each unit x with (#B units)/(q-1) units y
-        bound = inst.A.unit_count() * inst.B.unit_count() // qbar
-        # the whole B side is evaluated at -y: additive and multiplicative part
-        a_side = _norm_classes(inst.A, inst.chiA.exponents, False, p * big, bound)
-        b_side = _norm_classes(inst.B, inst.chiB.exponents, True, p * big, bound)
-        ma, mb = _side_map(inst.A, inst.chiA, big), _side_map(inst.B, inst.chiB, big)
-    else:
-        a_side, b_side, ma, mb, _ = _direct_classes(inst, 1)
-        inv = pow(twist, -1, p)
-        ma, mb = ([m[u * inv % p] for u in range(p)] for m in (ma, mb))
-    if not _reads_at_big(inst):
-        fibres = range(p)
-    elif any(ma[u][1] != mb[u][1] for u in range(1, p)):
-        fibres = (1,)
-    else:
-        fibres = (0, 1)
-    tables = {}
-    for v in fibres:
-        groups = {}  # (i, j) -> the (rotation, shift) of each a
-        for a in range(p):
-            b = (v - a) % p
-            groups.setdefault((a > 0, b > 0), []).append(
-                ((ma[a][1] - mb[b][1]) % big, (ma[a][0] - mb[b][0]) % qbar))
-        tables[v] = [(i, _class_table(b_side[j], terms)) for (i, j), terms in groups.items()]
-    if _reads_at_big(inst):
-        return a_side, b_side, ma, mb, {
-            v: [(a_side[i], table) for i, table in groups] for v, groups in tables.items()}
-    # The lifted total sum_v zeta_p^v T_v, zeta_p = x^big at length n = p big,
-    # is one dot of the A fibres with Y_i[m] = sum_v zeta_p^v X_(v,i)[m], all
-    # spread to n: spreading is a ring map from length big to n.
-    n = p * big
-    lifted = []
-    for i in (False, True):
-        parts = [(v, table) for v, groups in tables.items() for gi, table in groups if gi == i]
-        y = [_Packed.rotated_sum([table[m].spread(n) for _, table in parts],
-                                 [v * big for v, _ in parts]) for m in range(qbar)]
-        lifted.append(([c.spread(n) for c in a_side[i]], y))
-    return a_side, b_side, ma, mb, {"lifted": lifted}
+    comps = [(c, e * (big // (c.q - 1)), -nf, 0) for c, e, nf in
+             zip(inst.A.components, inst.chiA.exponents, inst.A._norm_factors)]
+    comps += [(c, -e * (big // (c.q - 1)), nf, c.minus_one_dlog) for c, e, nf in
+              zip(inst.B.components, inst.chiB.exponents, inst.B._norm_factors)]
+    comps.sort(key=lambda comp: comp[1] % big != 0)
+    g = gcd(big, *(step for _, step, *_ in comps))
+    rows, span, bound = big // g, 2 * qbar - 1, inst.A.unit_count() * inst.B.unit_count()
 
+    def keys(pairs):  # (exponent, class) pairs as grid slots
+        return Counter(r // g * span + k for r, k in pairs)
 
-def _class_table(classes, terms):
-    """X[m], the sum of classes[m + shift] * x^rotation over the (rotation,
-    shift) terms, for every class m; classes itself for the one term (0, 0)."""
-    if terms == [(0, 0)]:
-        return classes
-    m = len(classes)
-    return [_Packed.rotated_sum([classes[(k + d) % m] for _, d in terms], [e for e, _ in terms])
-            for k in range(m)]
+    acc = sigma = None
+    for comp in comps:
+        fibres, sig = _component_fibres(*comp, big, qbar)
+        hists = [keys(fibre) for fibre in fibres]
+        if acc is None:
+            acc, sigma = [_Packed.tally(rows * span, bound, hist.items()) for hist in hists], sig
+            continue
 
+        def jacobi(pairs):  # sigma_P(a) sigma_G(b) over the (a, b) pairs
+            return keys(((sigma[a][0] + sig[b][0]) % big, (sigma[a][1] + sig[b][1]) % qbar)
+                        for a, b in pairs)
 
-def _direct_totals(inst, s, twist):
-    """{v: T_v(s)} for the fibres v that _direct_classes lists, packed at
-    length big, or {"lifted": the total at length p big}: per entry, one dot
-    of the A fibres with the tables rotated to s."""
-    out = {}
-    for v, groups in _direct_classes(inst, twist)[4].items():
-        xs, ys = [], []
-        for classes, table in groups:
-            xs += classes
-            ys += table[s:] + table[:s]
-        out[v] = _Packed.dot(xs, ys)
-    return out
+        top = _grid_step(acc[1], hists[1], rows, qbar)
+        acc = [_grid_sum([(acc[0], hists[0]), (top, jacobi((a, p - a) for a in range(1, p)))],
+                         rows, qbar),
+               _grid_sum([(acc[0], hists[1]), (acc[1], hists[0]),
+                          (top, jacobi((a, p + 1 - a) for a in range(2, p)))], rows, qbar)]
+        sigma = [((r + r_g) % big, (s + s_g) % qbar) for (r, s), (r_g, s_g) in zip(sigma, sig)]
+    return acc, sigma, g, span
 
 
 def algebra_sum_direct(inst, t, twist=1):
     """The norm-equation exponential sum over unit pairs, exactly.
 
     Every summand is a root of unity, and the pairs with N(y) = t N(x) are
-    those of the classes A_k, B_(k + dlog t), kept as trace fibres (see
-    _direct_classes).  Where _reads_at_big holds, the total is (T_1 - T_0)
-    gamma(tau) and the denominator c_D gamma(tau), so the value is -(T_1 -
-    T_0) / c_D: one reduction at big, one product with the inverse that
-    the Fourier route caches, one embedding into Q(zeta_(p big)).
-    Otherwise the total sum_u T_u zeta_p^u is one dot of fibres and tables
-    lifted to p big, read there.
+    class s = dlog t of the joint tally (see _direct_tally), whose fibre u
+    != 0 is fibre 1 at class s - shift(u) rotated by rot(u).  Against the
+    a-twisted trace the total is the sum over u of zeta_p^(a u) times fibre
+    u.  Where _reads_at_big holds, every shift is 0 and rot is tau on
+    F_p^x, so the total is (tau(1/a) T_1 - T_0) gamma(tau), T_0 = tau(b) T_0
+    being 0 when tau is nontrivial; the denominator is c_D gamma(tau), and
+    the value -(tau(1/a) T_1 - T_0) / c_D is one reduction at big, one
+    product with the inverse that the Fourier route caches, one embedding
+    into Q(zeta_(p big)).  Otherwise the p fibres are cut out of the tally
+    at length p big, each at its rotation there, and read at once.
     """
     t, twist = _unit_args(inst.base, t, twist)
-    totals = _direct_totals(inst, inst.base.dlog(t), twist)
-    if not _reads_at_big(inst):
-        return totals["lifted"].read() * (-1) * _denominator_inverse(inst, twist)
-    value = -totals[1].read(minus=totals.get(0)) * _denominator_inverse(inst, twist, True)
-    return value.embed(inst.base.p * totals[1].n)
+    (zero, one), sigma, g, span = _direct_tally(inst)
+    p, qbar, s = inst.base.p, inst.base.q - 1, inst.base.dlog(t)
+    big = zero.n // span * g
+    if _reads_at_big(inst):
+        total = one.cut([s], span, big, g, sigma[pow(twist, -1, p)][0])[0]
+        minus = zero.cut([s], span, big, g, 0)[0] if not any(r for r, _ in sigma) else None
+        value = -total.read(minus) * _denominator_inverse(inst, twist, True)
+        return value.embed(p * big)
+    n = p * big
+    fibres = [zero.cut([s], span, n, g * p, 0)[0]]
+    fibres += [one.cut([(s - shift) % qbar], span, n, g * p, rot * p + twist * u * big)[0]
+               for u, (rot, shift) in enumerate(sigma) if u]
+    return _Packed.rotated_sum(fibres, [0] * p).read() * (-1) * _denominator_inverse(inst, twist)
 
 
 def _row_stabilizer(inst, big):

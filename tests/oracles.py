@@ -113,6 +113,46 @@ def direct_sum(inst, t, a=1):
     return -total / den
 
 
+def direct_tally(inst):
+    """The joint norm-class tally of the unit pairs (x, y) of A x B, as
+    {(u, s): {c: count}} for u in {0, 1}: the pairs with Tr x + Tr(-y) = u
+    and dlog N(y) - dlog N(x) = s whose chi_A(x) conj(chi_B)(-y) is
+    zeta_big^c, big = lcm(q_i - 1).  Each side is tallied over its units by
+    (trace, norm dlog, character exponent), from explicit elements one
+    component at a time, and the pairs of the two tallies are summed key by
+    key."""
+    base, p, qbar = inst.base, inst.base.p, inst.base.q - 1
+    big = math.lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
+
+    def side(chi, on_b):
+        acc = {(0, 0, 0): 1}
+        for comp, e in zip(chi.algebra.components, chi.exponents):
+            hist = {}
+            for z in comp.units():
+                w = -z if on_b else z  # B's trace and character are taken at -y
+                key = (comp.trace_int(w), base.dlog(comp.norm_to(z, base.f)),
+                       e * comp.dlog(w) * (big // (comp.q - 1)))
+                hist[key] = hist.get(key, 0) + 1
+            out = {}
+            for (tr, nd, ch), cnt in acc.items():
+                for (tr_i, nd_i, ch_i), cnt_i in hist.items():
+                    key = ((tr + tr_i) % p, (nd + nd_i) % qbar, (ch + ch_i) % big)
+                    out[key] = out.get(key, 0) + cnt * cnt_i
+            acc = out
+        return acc
+
+    out = {}
+    b_side = side(inst.chiB.conj(), True)
+    for (tr_x, nd_x, ch_x), cnt_x in side(inst.chiA, False).items():
+        for (tr_y, nd_y, ch_y), cnt_y in b_side.items():
+            u = (tr_x + tr_y) % p
+            if u < 2:
+                fibre = out.setdefault((u, (nd_y - nd_x) % qbar), {})
+                c = (ch_x + ch_y) % big
+                fibre[c] = fibre.get(c, 0) + cnt_x * cnt_y
+    return out
+
+
 def trace_fibre(field, e, c, a=1):
     """S_c, the sum of chi(x) over the units x of field with a Tr x = c."""
     total = CycloNum.zero(1)

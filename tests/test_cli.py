@@ -7,6 +7,8 @@ import finhyp.cli as cli
 from finhyp.checks import CheckReport
 from finhyp.cli import main
 from finhyp.cyclo import CycloNum
+from finhyp.errors import OutOfRange
+from finhyp.finfield import make_field
 from finhyp.hypergeometric import algebra_sum_fourier, orbit_instance
 from finhyp.params import HGParams
 
@@ -135,6 +137,21 @@ def test_verify_has_no_size_flags(capsys, flag):
 def test_semantic_error_exit_code(capsys):
     code = main(["hq", "--alpha", "1/5", "--beta", "0", "--q", "7", "--t", "1"])
     assert code == 2  # assumption fails at q = 7
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["hq", "--alpha", "1/2", "--beta", "0", "--q", "9", "--t", "10", "--json"], (3, 2)),
+    (["hq", "--alpha", "1/2", "--beta", "0", "--q", "9", "--t", "-1", "--json"], (3, 2)),
+    (["gp", "--alpha", "1/2", "--beta", "0", "--p", "5", "--t", "6"], (5, 1)),
+])
+def test_t_out_of_range_is_usage_error(argv, field, capsys):
+    # codes are not reduced mod q (or mod p): --t 10 at q = 9 is refused, not read as 1
+    field = make_field(*field)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"outside 1..{field.q - 1}" in captured.err
+    with pytest.raises(OutOfRange):
+        cli._t_values(cli._build_parser().parse_args(argv), field)
 
 
 def test_resource_bound_exit_code(capsys):

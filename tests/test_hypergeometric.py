@@ -14,7 +14,7 @@ from finhyp.charsums import (
     gauss_sum,
 )
 from finhyp import clear_caches
-from finhyp.cyclo import CycloNum, _Packed, root_of_unity
+from finhyp.cyclo import CycloNum, _Packed, _from_slots, root_of_unity
 from finhyp.errors import (
     AssumptionFails,
     FieldMismatch,
@@ -26,7 +26,8 @@ from finhyp.errors import (
 from finhyp.finfield import make_field
 from finhyp.hypergeometric import (
     HGAlgebraInstance,
-    _direct_classes,
+    _direct_tally,
+    _reads_at_big,
     algebra_sum_direct,
     algebra_sum_fourier,
     classic_sum,
@@ -649,96 +650,32 @@ def test_random_instances_direct_equals_fourier():
             assert algebra_sum_direct(inst, t) == algebra_sum_fourier(inst, t)
 
 
-def _unit_tally_reference(alg, exps, big, at_minus_y):
-    """Counts of (trace mod p, character exponent mod big, norm dlog) over
-    the units y of alg, the first two taken at -y when at_minus_y is set,
-    as one dict convolution over the components."""
-    p, qbar = alg.base.p, alg.base.q - 1
-    acc = {(0, 0, 0): 1}
-    for comp, e, nf in zip(alg.components, exps, alg._norm_factors):
-        order = comp.q - 1
-        h = comp.minus_one_dlog if at_minus_y else 0
-        step = (-e if at_minus_y else e) * (big // order)
-        hist = {}
-        for j in range(order):
-            key = (comp.trace_of_unit(j + h), step * (j + h) % big, j * nf % qbar)
-            hist[key] = hist.get(key, 0) + 1
-        out = {}
-        for (tr, ch, nd), cnt in acc.items():
-            for (tr_i, ch_i, nd_i), cnt_i in hist.items():
-                key = ((tr + tr_i) % p, (ch + ch_i) % big, (nd + nd_i) % qbar)
-                out[key] = out.get(key, 0) + cnt * cnt_i
-        acc = out
-    return acc
-
-
-def _direct_classes_reference(inst):
-    """The trace fibres 0 and 1 of the packed norm classes of _direct_classes,
-    from the dict tallies."""
-    qbar = inst.base.q - 1
-    big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
-    bound = inst.A.unit_count() * inst.B.unit_count() // qbar
-
-    def pack(alg, chi, at_minus_y):
-        fibres = [[[] for _ in range(qbar)] for _ in (0, 1)]
-        for (tr, ch, nd), cnt in _unit_tally_reference(alg, chi.exponents, big, at_minus_y).items():
-            if tr < 2:
-                fibres[tr][nd].append((ch, cnt))
-        return [[_Packed.tally(big, bound, c) for c in fibre] for fibre in fibres]
-
-    return pack(inst.A, inst.chiA, False), pack(inst.B, inst.chiB, True)
-
-
-def _count_tally_steps(monkeypatch):
-    """Record "dict" or "grid" for every step of the direct-sum tallies."""
-    from finhyp import hypergeometric
-
-    steps = []
-    dict_step, grid_step = hypergeometric._dict_step, hypergeometric._grid_step
-    monkeypatch.setattr(hypergeometric, "_dict_step",
-                        lambda *args: steps.append("dict") or dict_step(*args))
-    monkeypatch.setattr(hypergeometric, "_grid_step",
-                        lambda *args: steps.append("grid") or grid_step(*args))
-    return steps
-
-
-def _dict_steps_only(monkeypatch):
-    """Price dict updates at nothing, so that every step is a dict step."""
-    from finhyp import hypergeometric
-
-    monkeypatch.setattr(hypergeometric, "_DICT_UPDATE_BYTES", 0)
-
-
-def _packed_fields(classes):
-    return [(c.n, c.width, c.value, c.total) for c in classes]
-
-
-def _same_fibres(got, ref):
-    for side, ref_side in zip(got, ref):
-        for fibre, ref_fibre in zip(side, ref_side):
-            assert _packed_fields(fibre) == _packed_fields(ref_fibre)
+def _tally_against_unit_pairs(inst):
+    """Fibres 0 and 1 of the joint tally, class by class as slot counts at
+    length big, against the tally of the unit pairs."""
+    ref = oracles.direct_tally(inst)
+    (zero, one), _, g, span = _direct_tally(inst)
+    big = zero.n // span * g
+    for u, grid in enumerate((zero, one)):
+        for s in range(inst.base.q - 1):
+            column = grid.cut([s], span, big, g, 0)[0]
+            want = [0] * big
+            for c, count in ref.get((u, s), {}).items():
+                want[c] = count
+            assert _from_slots(column.value, column.width, big) == want, (u, s)
 
 
 @pytest.mark.parametrize("case", ["sparse", "dense", "orbit_mixed", "d2_grid"])
-def test_norm_classes_against_dict_tally(case, monkeypatch):
-    if case == "sparse":  # d = 2 at q = 49: the support stays small
+def test_norm_classes_against_dict_tally(case):
+    if case == "sparse":  # d = 2 at q = 49: few character rows
         inst = split_instance(HGParams.parse("1/6,5/6", "1/4,3/4"), 49)
-    elif case == "d2_grid":  # d = 2 at q = 49 with a support that outgrows the dict
+    elif case == "d2_grid":  # d = 2 at q = 49 with a trivial character on B
         inst = split_instance(HGParams.parse("1/6,5/6", "0,1/2"), 49)
     elif case == "dense":
         inst = split_instance(HGParams.parse("1/13,1/2,12/13", "0,0,0"), 27)
     else:  # components of degree 1, 2 and 3 over F_3
         inst = orbit_instance(HGParams.parse("1/2,1/13,3/13,9/13", "0,1/4,3/4,0"), 3)
-    steps = _count_tally_steps(monkeypatch)
-    ref = _direct_classes_reference(inst)
-    for twist in (1, 2):
-        _direct_classes.cache_clear()
-        steps.clear()
-        got = _direct_classes(inst, twist)
-        assert ("grid" in steps) == (case != "sparse")
-        # the fibres do not depend on the twist: twist 2 reuses those of twist 1
-        assert got[0] is _direct_classes(inst, 1)[0] and got[1] is _direct_classes(inst, 1)[1]
-        _same_fibres(got[:2], ref)
+    _tally_against_unit_pairs(inst)
 
 
 def _grid_cases():
@@ -751,71 +688,41 @@ def _grid_cases():
 
 
 @pytest.mark.parametrize("case", list(_grid_cases()))
-def test_grid_tally_against_dict_tally(case, monkeypatch):
+def test_grid_tally_against_dict_tally(case):
     inst = _grid_cases()[case]
-    steps = _count_tally_steps(monkeypatch)
-    _direct_classes.cache_clear()
-    got = _direct_classes(inst, 1)[:2]
-    assert "grid" in steps
-    _dict_steps_only(monkeypatch)
-    _direct_classes.cache_clear()
-    steps.clear()
-    ref = _direct_classes(inst, 1)[:2]
-    _direct_classes.cache_clear()
-    assert "grid" not in steps
-    _same_fibres(got, ref)
-    if case != "q125":  # the (trace, character, norm) tallies are too large there
-        _same_fibres(got, _direct_classes_reference(inst))
+    _tally_against_unit_pairs(inst)
+    # big/g rows of 2(q-1) - 1 norm slots, wide enough for |A^x| |B^x|
+    (zero, one), _, g, span = _direct_tally(inst)
+    big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
+    for grid in (zero, one):
+        assert (grid.n, grid.bound) == (big // g * span, inst.A.unit_count() * inst.B.unit_count())
+        assert grid.width == _Packed.slot_width(grid.bound)
 
 
-def test_cold_direct_classes_step_counts(monkeypatch):
-    # every c at q = 81 and 125 is a multiple of g = 10 or more, so the grids
-    # have at most n/10 rows and take every step after the first component
-    cases = [
-        ("1/2,1/2,1/2,1/2", "0,0,0,0", 125, ["grid"] * 6),
-        ("1/8,1/2,7/8", "0,0,0", 81, ["grid"] * 4),
-        # a single component per side never packs
-        ("1/2", "0", 81, []),
-    ]
-    steps = _count_tally_steps(monkeypatch)
-    for alpha, beta, q, expected in cases:
-        clear_caches()
-        inst = split_instance(HGParams.parse(alpha, beta), q)
-        steps.clear()
-        _direct_classes(inst, 1)
-        assert steps == expected
-
-
-def test_direct_against_bruteforce(monkeypatch):
+def test_direct_against_bruteforce():
     split = split_instance(HGParams([F(1, 6), F(5, 6)], [0, F(1, 2)]), 7)
     split_d3 = split_instance(HGParams.parse("1/4,1/2,3/4", "0,0,0"), 5)
     mixed = orbit_instance(HGParams([F(1, 2), F(1, 4), F(3, 4)], [0, F(1, 8), F(3, 8)]), 3)
     assert sorted(c.f for c in mixed.A.components) == [1, 2]
     assert sorted(c.f for c in mixed.B.components) == [1, 2]
-    steps = _count_tally_steps(monkeypatch)
     for inst in (split, split_d3, mixed):
-        _direct_classes.cache_clear()
-        steps.clear()
-        a_side, b_side = _direct_classes(inst, 1)[:2]
-        # at q <= 9 a grid has at most a few hundred slots: every step packs
-        assert steps == ["grid"] * (len(inst.A.components) + len(inst.B.components) - 2)
-        # fibre 0 and p-1 copies of fibre 1 (x -> u x) count every unit once
+        (zero, one), *_ = _direct_tally(inst)
+        # fibre 0 and p-1 copies of fibre 1 ((x, y) -> (u x, u y)) count every pair once
         p = inst.base.p
-        for side, count in ((a_side, inst.A.unit_count()), (b_side, inst.B.unit_count())):
-            assert sum(c.total for c in side[0]) + (p - 1) * sum(c.total for c in side[1]) == count
+        assert zero.total + (p - 1) * one.total == inst.A.unit_count() * inst.B.unit_count()
         for j in range(inst.base.q - 1):
             t = inst.base.unit(j)
             assert algebra_sum_direct(inst, t) == oracles.direct_sum(inst, t)
-            # twist 2 reads the fibres of twist 1 at u / 2
+            # twist 2 reads the tally of twist 1 at a rotation
             assert algebra_sum_direct(inst, t, 2) == oracles.direct_sum(inst, t, 2)
-        # the same fibres by dict steps alone
-        with monkeypatch.context() as m:
-            _dict_steps_only(m)
-            _direct_classes.cache_clear()
-            steps.clear()
-            _same_fibres(_direct_classes(inst, 1)[:2], (a_side, b_side))
-            assert set(steps) <= {"dict"}
-        _direct_classes.cache_clear()
+
+
+def _fibres_read(inst):
+    """The fibres a value reads: 0 and 1 at big, 1 alone where tau is
+    nontrivial, or all p lifted to p big."""
+    if not _reads_at_big(inst):
+        return ("lifted",)
+    return (1,) if any(rot for rot, _ in _direct_tally(inst)[1]) else (0, 1)
 
 
 def _direct_cases():
@@ -838,8 +745,8 @@ def _direct_cases():
 def test_direct_fibres_against_oracle_and_fourier(case):
     inst, fibres = _direct_cases()[case]
     p = inst.base.p
-    for twist in sorted({1, p - 1}):
-        assert tuple(_direct_classes(inst, twist)[4]) == fibres
+    assert _fibres_read(inst) == fibres
+    for twist in sorted({1, 2, p - 1}) if p > 2 else [1]:
         for j in range(inst.base.q - 1):
             t = inst.base.unit(j)
             value = algebra_sum_direct(inst, t, twist)
@@ -851,23 +758,23 @@ def test_direct_fibres_against_oracle_and_fourier(case):
 def test_direct_fibre_mutations_fail_the_oracle(mutation, monkeypatch):
     from finhyp import hypergeometric
 
-    side_map = hypergeometric._side_map
+    component_fibres = hypergeometric._component_fibres
     for inst in (split_instance(HGParams.parse("1/4,3/4", "0,1/2"), 13),
                  _hand_built(7, [1, 1], [1], [1, 2], [3])):
-        def mutated(alg, chi, big):
-            out = side_map(alg, chi, big)
+        def mutated(comp, step, norm_step, h, big, qbar):
+            fibres, sigma = component_fibres(comp, step, norm_step, h, big, qbar)
             if mutation == "shift_sign":
-                return [(-shift, rot) for shift, rot in out]
-            return [(shift, 0) for shift, _ in out] if alg is inst.B else out
+                return fibres, [(rot, -shift) for rot, shift in sigma]
+            return fibres, [(0, shift) for _, shift in sigma] if h else sigma  # B only
 
-        monkeypatch.setattr(hypergeometric, "_side_map", mutated)
-        _direct_classes.cache_clear()
+        monkeypatch.setattr(hypergeometric, "_component_fibres", mutated)
+        _direct_tally.cache_clear()
         try:
             units = [inst.base.unit(j) for j in range(inst.base.q - 1)]
             assert any(algebra_sum_direct(inst, t) != oracles.direct_sum(inst, t) for t in units)
         finally:
             monkeypatch.undo()
-            _direct_classes.cache_clear()
+            _direct_tally.cache_clear()
 
 
 def test_direct_after_classic_builds_no_inverse(monkeypatch):
@@ -893,13 +800,12 @@ def test_direct_after_classic_builds_no_inverse(monkeypatch):
                                           ("1/4,3/4", "0,1/2", 9)])
 def test_warm_equidimensional_direct_value_reads_at_big(alpha, beta, q, monkeypatch):
     inst = split_instance(HGParams.parse(alpha, beta), q)
-    algebra_sum_direct(inst, 2)  # fills the class and denominator caches
+    algebra_sum_direct(inst, 2)  # fills the tally and denominator caches
     big, p = q - 1, inst.base.p
     calls = _count_reductions(monkeypatch)
     lengths = []
-    dot = _Packed.dot
-    monkeypatch.setattr(_Packed, "dot", staticmethod(
-        lambda xs, ys: lengths.append(xs[0].n) or dot(xs, ys)))
+    cut = _Packed.cut
+    monkeypatch.setattr(_Packed, "cut", lambda self, *args: lengths.append(args[2]) or cut(self, *args))
     for t in range(1, q):
         calls.clear()
         algebra_sum_direct(inst, t)
@@ -908,21 +814,34 @@ def test_warm_equidimensional_direct_value_reads_at_big(alpha, beta, q, monkeypa
     assert lengths and set(lengths) == {big}
 
 
-def test_warm_lifted_direct_value_is_one_dot(monkeypatch):
-    # dim A - dim B = 1 at p = 3: the tables are lifted to p big once per
-    # twist, so a warm value is one dot there and spreads nothing
+def test_warm_lifted_direct_value_is_one_read(monkeypatch):
+    # dim A - dim B = 1 at p = 3: the p fibres are cut out of the tally at
+    # length p big, so a warm value is one reduction there and spreads nothing
     inst = _hand_built(3, [2], [1], [3], [1])
-    for twist in (1, 2):
-        algebra_sum_direct(inst, 1, twist)  # fills the class and denominator caches
-    lengths, spreads = [], []
-    dot, spread = _Packed.dot, _Packed.spread
-    monkeypatch.setattr(_Packed, "dot", staticmethod(
-        lambda xs, ys: lengths.append(xs[0].n) or dot(xs, ys)))
+    algebra_sum_direct(inst, 1)  # fills the tally and denominator caches
+    algebra_sum_direct(inst, 1, 2)
+    calls = _count_reductions(monkeypatch)
+    spreads = []
+    spread = _Packed.spread
     monkeypatch.setattr(_Packed, "spread", lambda self, m: spreads.append(m) or spread(self, m))
     for twist in (1, 2):
         for j in range(inst.base.q - 1):
             t = inst.base.unit(j)
-            lengths.clear()
-            assert algebra_sum_direct(inst, t, twist) == oracles.direct_sum(inst, t, twist)
-            assert lengths == [3 * 8]
+            calls.clear()
+            value = algebra_sum_direct(inst, t, twist)
+            assert calls == [3 * 8, 3 * 8]  # the read and the product with the inverse
+            assert value == oracles.direct_sum(inst, t, twist)
     assert spreads == []
+
+
+def test_one_tally_per_instance():
+    inst = _hand_built(7, [1, 1], [1], [1, 2], [3])
+    clear_caches()
+    algebra_sum_direct(inst, 3)
+    tally = _direct_tally(inst)
+    for twist in range(1, 7):
+        for j in range(inst.base.q - 1):
+            assert algebra_sum_direct(inst, inst.base.unit(j), twist) == oracles.direct_sum(
+                inst, inst.base.unit(j), twist)
+    # every twist reads the one tally built for twist 1
+    assert _direct_tally.cache_info().currsize == 1 and _direct_tally(inst) is tally

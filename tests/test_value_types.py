@@ -14,7 +14,7 @@ from finhyp.checks import CheckReport
 from finhyp.finfield import make_field
 from finhyp.hypergeometric import (
     HGAlgebraInstance,
-    _direct_classes,
+    _direct_tally,
     algebra_sum_direct,
     split_instance,
 )
@@ -129,9 +129,9 @@ def test_equal_instance_hits_the_direct_cache():
                              AlgebraChar.from_exponents(inst.A, inst.chiA.exponents),
                              AlgebraChar.from_exponents(inst.B, inst.chiB.exponents))
     assert twin is not inst and twin == inst and hash(twin) == hash(inst)
-    before = _direct_classes.cache_info()
+    before = _direct_tally.cache_info()
     assert algebra_sum_direct(twin, 2) == algebra_sum_direct(inst, 2)
-    after = _direct_classes.cache_info()
+    after = _direct_tally.cache_info()
     assert (after.hits, after.misses) == (before.hits + 2, before.misses)
 
 
