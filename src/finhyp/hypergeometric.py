@@ -261,6 +261,10 @@ def _direct_tally(inst):
     def keys(pairs):  # (exponent, class) pairs as grid slots
         return Counter(r // g * span + k for r, k in pairs)
 
+    def jacobi(sig, pairs):  # sigma_P(a) sigma_G(b) over the (a, b) pairs
+        return keys(((sigma[a][0] + sig[b][0]) % big, (sigma[a][1] + sig[b][1]) % qbar)
+                    for a, b in pairs)
+
     acc = sigma = None
     for comp in comps:
         fibres, sig = _component_fibres(*comp, big, qbar)
@@ -268,16 +272,11 @@ def _direct_tally(inst):
         if acc is None:
             acc, sigma = [_Packed.tally(rows * span, bound, hist.items()) for hist in hists], sig
             continue
-
-        def jacobi(pairs):  # sigma_P(a) sigma_G(b) over the (a, b) pairs
-            return keys(((sigma[a][0] + sig[b][0]) % big, (sigma[a][1] + sig[b][1]) % qbar)
-                        for a, b in pairs)
-
         top = _grid_step(acc[1], hists[1], rows, qbar)
-        acc = [_grid_sum([(acc[0], hists[0]), (top, jacobi((a, p - a) for a in range(1, p)))],
-                         rows, qbar),
-               _grid_sum([(acc[0], hists[1]), (acc[1], hists[0]),
-                          (top, jacobi((a, p + 1 - a) for a in range(2, p)))], rows, qbar)]
+        j0 = jacobi(sig, ((a, p - a) for a in range(1, p)))
+        j1 = jacobi(sig, ((a, p + 1 - a) for a in range(2, p)))
+        acc = [_grid_sum([(acc[0], hists[0]), (top, j0)], rows, qbar),
+               _grid_sum([(acc[0], hists[1]), (acc[1], hists[0]), (top, j1)], rows, qbar)]
         sigma = [((r + r_g) % big, (s + s_g) % qbar) for (r, s), (r_g, s_g) in zip(sigma, sig)]
     return acc, sigma, g, span
 

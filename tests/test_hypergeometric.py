@@ -667,9 +667,9 @@ def _tally_against_unit_pairs(inst):
 
 @pytest.mark.parametrize("case", ["sparse", "dense", "orbit_mixed", "d2_grid"])
 def test_norm_classes_against_dict_tally(case):
-    if case == "sparse":  # d = 2 at q = 49: few character rows
+    if case == "sparse":  # d = 2 at q = 49, no trivial character: 12 rows (g = 4)
         inst = split_instance(HGParams.parse("1/6,5/6", "1/4,3/4"), 49)
-    elif case == "d2_grid":  # d = 2 at q = 49 with a trivial character on B
+    elif case == "d2_grid":  # d = 2 at q = 49, B's trivial character first: 6 rows
         inst = split_instance(HGParams.parse("1/6,5/6", "0,1/2"), 49)
     elif case == "dense":
         inst = split_instance(HGParams.parse("1/13,1/2,12/13", "0,0,0"), 27)
@@ -765,7 +765,8 @@ def test_direct_fibre_mutations_fail_the_oracle(mutation, monkeypatch):
             fibres, sigma = component_fibres(comp, step, norm_step, h, big, qbar)
             if mutation == "shift_sign":
                 return fibres, [(rot, -shift) for rot, shift in sigma]
-            return fibres, [(0, shift) for _, shift in sigma] if h else sigma  # B only
+            # h, the dlog of -1, is nonzero on B's components only (p is odd here)
+            return fibres, [(0, shift) for _, shift in sigma] if h else sigma
 
         monkeypatch.setattr(hypergeometric, "_component_fibres", mutated)
         _direct_tally.cache_clear()
@@ -805,7 +806,8 @@ def test_warm_equidimensional_direct_value_reads_at_big(alpha, beta, q, monkeypa
     calls = _count_reductions(monkeypatch)
     lengths = []
     cut = _Packed.cut
-    monkeypatch.setattr(_Packed, "cut", lambda self, *args: lengths.append(args[2]) or cut(self, *args))
+    monkeypatch.setattr(_Packed, "cut",
+                        lambda self, *args: lengths.append(args[2]) or cut(self, *args))
     for t in range(1, q):
         calls.clear()
         algebra_sum_direct(inst, t)
