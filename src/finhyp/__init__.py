@@ -40,17 +40,18 @@ __version__ = "0.1.0"
 
 def clear_caches():
     """Empty every cache of the package: fields, split instances, cyclotomic
-    structure, trace fibres and Gauss sums, the joint direct-sum tallies and
-    the masks of their grids, expansion rows, denominators, Gamma_p values
-    and blocks, p-adic unit terms, and term and denominator exponents.
+    structure, the slot orbits of traced reads, trace fibres and Gauss sums,
+    the joint direct-sum tallies and the masks of their grids, the expansion
+    rows of each orbit, denominators, Gamma_p values and blocks, p-adic unit
+    terms, and term and denominator exponents.
 
     Fields are cached objects too, and their elements equal only elements of
     the same field object: fields, elements and instances built before the
     call must not be used after it; build them again.
     """
     for fn in (
-        cyclo.cyclotomic_polynomial, cyclo._structure, charsums._trace_fibres,
-        charsums._gauss_pair_entry, finfield._make_field_cached,
+        cyclo.cyclotomic_polynomial, cyclo._structure, cyclo._slot_orbits,
+        charsums._trace_fibres, charsums._gauss_pair_entry, finfield._make_field_cached,
         finfield.FqField._embedding_data, hypergeometric._denominator_inverse,
         hypergeometric._direct_tally, hypergeometric._fourier_coefficients,
         hypergeometric._norm_fold_mask, hypergeometric.split_instance,

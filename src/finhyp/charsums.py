@@ -20,13 +20,14 @@ packed integers at length big.  A pair is lifted into Q(zeta_(p big)) once,
 when its value is read; its coefficient of gamma(psi) is read in
 Q(zeta_big) itself.
 
-Two Galois actions act on these pairs as permutations.  sigma_k, which
-fixes zeta_p and raises zeta_big to the k-th power, takes g(chi) to
-g(chi^k): it moves slot j of X_0 and X_1 to slot j k mod big and
-multiplies psi by k (_GaussPair.galois).  A twist a in F_p^x of the trace
-gives g_a(chi) = conj(chi(a)) g(chi): X_0 and X_1 rotated by -psi[a]
-(_GaussPair.twisted).  So every twist shares the trace pass and the
-packed entries of twist 1.
+A twist a in F_p^x of the trace gives g_a(chi) = conj(chi(a)) g(chi): X_0
+and X_1 rotated by -psi[a] (_GaussPair.twisted).  So every twist shares
+the trace pass and the packed entries of twist 1.  The automorphism
+sigma_k, which fixes zeta_p and raises zeta_big to the k-th power, takes
+g(chi) to g(chi^k): it moves slot j of X_0 and X_1 to slot j k mod big and
+multiplies psi by k.  No image is built; the character expansion (see
+hypergeometric) meets sigma_k only in the traced read of one packed sum
+(_Packed.read).
 """
 
 from collections import Counter
@@ -34,7 +35,7 @@ from functools import lru_cache, reduce
 from math import lcm, prod
 from operator import mul
 
-from .cyclo import _Packed, _galois_order
+from .cyclo import _Packed
 from .errors import FieldMismatch, InternalInconsistency, LengthMismatch, NotSubfield
 
 
@@ -174,26 +175,14 @@ class _GaussPair:
         return _GaussPair(p, _Packed(n, bound, width, v0, t0),
                           _Packed(n, bound, width, v1, t1), psi)
 
-    @staticmethod
-    def rotated_sum(pairs, shifts):
-        """The sum of pairs[i] * zeta_big^shifts[i], for pairs of one psi."""
-        return _GaussPair(pairs[0].p, _Packed.rotated_sum([x.x0 for x in pairs], shifts),
-                          _Packed.rotated_sum([x.x1 for x in pairs], shifts), pairs[0].psi)
-
-    def galois(self, k):
-        """sigma_k, which fixes zeta_p and raises zeta_big to the k-th power,
-        k coprime to big: it takes g(chi) to g(chi^k), so it permutes the
-        slots of X_0 and X_1, in one order, and multiplies psi by k."""
-        n = self.x1.n
-        order = _galois_order(n, k)
-        return _GaussPair(self.p, self.x0.permuted(order), self.x1.permuted(order),
-                          tuple(e * k % n for e in self.psi))
-
     def twisted(self, a):
         """The product against the a-twisted trace, a in F_p^x: as g_a(chi) =
         conj(chi(a)) g(chi), X_0 and X_1 rotated by -psi[a]."""
         shift = self.psi[a % self.p]
-        return _GaussPair.rotated_sum([self], [-shift]) if shift else self
+        if not shift:
+            return self
+        x0, x1 = (_Packed.rotated_sum([x], [-shift]) for x in (self.x0, self.x1))
+        return _GaussPair(self.p, x0, x1, self.psi)
 
     def gamma_coefficient(self):
         """The c in Q(zeta_big) with self = c gamma(psi): X_1 - X_0, which is

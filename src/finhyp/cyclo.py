@@ -18,7 +18,8 @@ galois, root_of_unity) scatter their exponents into a length-N vector and
 reduce it the same way, so no table of powers is kept per conductor.  The
 nonnegative tallies behind character sums are multiplied and summed
 unreduced, as vectors mod x^N - 1 packed into one int each (_Packed), and
-reduced once when read: Phi_N divides x^N - 1.
+reduced once when read: Phi_N divides x^N - 1.  A read may also average
+over a group of automorphisms z -> z^k, orbit by orbit of the slots.
 
 Binary operations on elements with different conductors silently promote
 both sides into Q(zeta_lcm).
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, and_, attrgetter, itemgetter, lshift, mul, rshift, sub
+from operator import add, and_, lshift, mul, rshift, sub
 
 from .errors import (
     DivisionByZero,
@@ -113,10 +114,8 @@ def _scatter(n, pairs):
     return _reduce(n, v)
 
 
-# item size -> array typecode, to move whole items at C speed
-_ITEM_CODES = {array(c).itemsize: c for c in "BHILQ"}
 # slot width -> array typecode, to pack and unpack little-endian slots at C speed
-_ARRAY_CODES = _ITEM_CODES if sys.byteorder == "little" else {}
+_ARRAY_CODES = {array(c).itemsize: c for c in "BHILQ"} if sys.byteorder == "little" else {}
 # bytes needed (up to 8) -> slot width: the narrowest array code that holds them
 _WIDTHS = tuple(min((w for w in _ARRAY_CODES if w >= k), default=k) for k in range(9))
 _WORD = (1 << 64) - 1
@@ -162,13 +161,6 @@ def _from_slots(value, width, count):
                 words.byteswap()
             out = list(map(add, out, map(lshift, words, repeat(8 * at))))
     return out
-
-
-def _galois_order(n, k):
-    """itemgetter of the slots j k^-1 mod n, j < n, for k coprime to n: the
-    order in which x -> x^k reads the slots of a vector of length n."""
-    inv = pow(k, -1, n)
-    return itemgetter(*[j * inv % n for j in range(n)])
 
 
 def _convolve(a, b):
@@ -464,7 +456,20 @@ def root_of_unity(conductor, k=1):
 
 # --------------------------------------------------------- packed tallies
 
-_VALUE, _TOTAL = attrgetter("value"), attrgetter("total")
+
+@lru_cache(maxsize=None)
+def _slot_orbits(n, group):
+    """The orbits {j k mod n : k in group} of the slots j < n under a group
+    of units mod n: per slot the index of its orbit, and per orbit |group|
+    over its size."""
+    label, scale = [None] * n, []
+    for j in range(n):
+        if label[j] is None:
+            orbit = {j * k % n for k in group}
+            for i in orbit:
+                label[i] = len(scale)
+            scale.append(len(group) // len(orbit))
+    return label, scale
 
 
 class _Packed:
@@ -505,13 +510,6 @@ class _Packed:
         width = _Packed.slot_width(bound)
         return _Packed(len(v), bound, width, _to_slots(v, width), sum(v))
 
-    @staticmethod
-    def dot(xs, ys):
-        """The sum of xs[i] * ys[i]: one multiply per pair."""
-        value = sum(map(mul, map(_VALUE, xs), map(_VALUE, ys)))
-        total = sum(map(mul, map(_TOTAL, xs), map(_TOTAL, ys)))
-        return _Packed(xs[0].n, xs[0].bound, xs[0].width, value, total)
-
     def times(self, terms):
         """The product with the sum of w * x^e over the (e, w) items of terms,
         w >= 1: one shift-add per term, by Horner's rule from the largest e,
@@ -525,11 +523,14 @@ class _Packed:
         return _Packed(self.n, self.bound, self.width, value << bits * last, total)
 
     @staticmethod
-    def rotated_sum(rows, shifts):
-        """The sum of rows[i] * x^shifts[i]: one shift per row."""
+    def rotated_sum(rows, shifts, weights=None):
+        """The sum of weights[i] * rows[i] * x^shifts[i], every weight 1 if
+        none are given: one shift per row."""
         n, bits = rows[0].n, 8 * rows[0].width
-        value = sum(r.value << (bits * (s % n)) for r, s in zip(rows, shifts))
-        return _Packed(n, rows[0].bound, rows[0].width, value, sum(r.total for r in rows))
+        weights = weights or [1] * len(rows)
+        value = sum(r.value * w << (bits * (s % n)) for r, s, w in zip(rows, shifts, weights))
+        total = sum(r.total * w for r, w in zip(rows, weights))
+        return _Packed(n, rows[0].bound, rows[0].width, value, total)
 
     def spread(self, m):
         """The same vector at length m, a multiple of n: slot j moves to slot
@@ -540,63 +541,40 @@ class _Packed:
             out[k :: w * (m // self.n)] = raw[k :: w]
         return _Packed(m, self.bound, w, int.from_bytes(out, "little"), self.total)
 
-    def galois(self, k):
-        """The image under x -> x^k, k coprime to n: slot j moves to slot
-        j*k mod n (see permuted)."""
-        return self.permuted(_galois_order(self.n, k))
-
-    def permuted(self, order):
-        """The vector whose slot j holds slot index[j] of self, for order =
-        itemgetter(*index) of a permutation index of the n slots.  One unpack
-        and one repack, of whole slots as array items or, where the width is
-        no item size, of up to 8 byte lanes at a time gathered into items;
-        the total is kept, and a zero vector is its own image."""
-        if not self.value or self.n == 1:
-            return self
-        n, w = self.n, self.width
-        raw = self.value.to_bytes(w * n, "little")
-        if w in _ITEM_CODES:
-            out = array(_ITEM_CODES[w], order(memoryview(raw).cast(_ITEM_CODES[w]))).tobytes()
-        else:
-            out = bytearray(w * n)
-            for at in range(0, w, 8):
-                lanes = min(8, w - at)
-                size = min(s for s in _ITEM_CODES if s >= lanes)
-                words = bytearray(size * n)
-                for k in range(lanes):
-                    words[k::size] = raw[at + k :: w]
-                code = _ITEM_CODES[size]
-                words = array(code, order(memoryview(words).cast(code))).tobytes()
-                for k in range(lanes):
-                    out[at + k :: w] = words[k::size]
-        return _Packed(n, self.bound, w, int.from_bytes(out, "little"), self.total)
-
-    def cut(self, starts, step, n, spacing, shift):
-        """Per start, the vector at length n whose slot shift + i*spacing
-        (mod n) holds slot start + i*step (mod self.n) of self, for i <
-        n/spacing: one strided copy of whole slots, or one per byte lane
-        where slots are wider than 8 bytes."""
+    def cut(self, start, step, n, spacing, shift):
+        """The vector at length n whose slot shift + i*spacing (mod n) holds
+        slot start + i*step (mod self.n) of self, for i < n/spacing: one
+        strided copy of whole slots, or one per byte lane where slots are
+        wider than 8 bytes."""
         w, count = self.width, n // spacing
         code = _ARRAY_CODES.get(w)
         unit = 1 if code else w  # view items per slot
         raw = self.value.to_bytes(w * self.n, "little")
         src = memoryview(raw + raw).cast(code or "B")  # read cyclically
         turn, first = divmod(shift % n, spacing)
-        out = []
-        for start in starts:
-            buf = bytearray(w * n)
-            dst, at, total = memoryview(buf).cast(code or "B"), (start - turn * step) % self.n, 0
-            for k in range(unit):
-                seq = src[unit * at + k :: unit * step][:count]
-                dst[unit * first + k :: unit * spacing] = seq
-                total += sum(seq) << 8 * k
-            out.append(_Packed(n, self.bound, w, int.from_bytes(buf, "little"), total))
-        return out
+        buf = bytearray(w * n)
+        dst, at, total = memoryview(buf).cast(code or "B"), (start - turn * step) % self.n, 0
+        for k in range(unit):
+            seq = src[unit * at + k :: unit * step][:count]
+            dst[unit * first + k :: unit * spacing] = seq
+            total += sum(seq) << 8 * k
+        return _Packed(n, self.bound, w, int.from_bytes(buf, "little"), total)
 
-    def read(self, minus=None):
+    def read(self, minus=None, group=(1,)):
         """The element sum v[j] zeta_n^j of Q(zeta_n), less the one that minus
-        holds if given: one unpack per vector, one reduction."""
+        holds if given, traced over group, a group of units mod n: the mean of
+        its images under zeta_n -> zeta_n^k, k in group.  Slot j of that mean
+        is the mean of v over the orbit of j (see _slot_orbits), so the trace
+        is one pass over the slots and moves none; one unpack per vector, one
+        reduction."""
         v = _from_slots(self.value, self.width, self.n)
         if minus is not None and minus.value:
             v = list(map(sub, v, _from_slots(minus.value, minus.width, minus.n)))
-        return _make(self.n, _reduce(self.n, v))
+        if len(group) > 1:
+            label, scale = _slot_orbits(self.n, group)
+            sums = [0] * len(scale)
+            for i, x in zip(label, v):
+                sums[i] += x
+            sums = list(map(mul, sums, scale))
+            v = [sums[i] for i in label]
+        return _make(self.n, _reduce(self.n, v), len(group))

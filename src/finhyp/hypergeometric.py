@@ -8,10 +8,13 @@ over F_q for a parameter pair, is the character expansion on the split
 instance (d copies of F_q on both sides), whose terms are the series
 terms one for one.  Both routes keep packed, unreduced exponent tallies
 as two trace fibres at length big = lcm(q_i - 1).  An expansion value is
-q-1 rotated rows, each row a product of Gauss sums (see charsums), built
-one orbit of the instance's row stabilizer at a time: one Gauss product
-per orbit, the other rows its Galois images, as slot permutations (see
-_fourier_coefficients).  Every twist of the trace shares the rows and the
+the sum of q-1 rotated rows, each row a product of Gauss sums (see
+charsums).  The group G of units k mod big that permute the characters of
+each side takes row m to row k m by sigma_k, so one Gauss product per
+orbit of G is built and kept, with the orbit's size, and the sum of all
+rows is the mean over G of sigma_k of the representatives' weighted sum:
+one traced read of one packed sum, which moves no slot (see _rotated_rows
+and _Packed.read).  Every twist of the trace shares the rows and the
 denominator inverse of twist 1, rotated.  A direct value reads one joint
 tally per instance: the unit pairs of A x B by norm class, trace fibre 0
 or 1 and character, which the action of F_p^x turns into the other
@@ -40,7 +43,6 @@ from math import gcd, lcm
 from .charsums import (
     AlgebraChar,
     SemisimpleAlgebra,
-    _GaussPair,
     _gauss_pair,
     _trace_fibres,
     gauss_product,
@@ -200,15 +202,10 @@ def _fold_norms(grid, rows, qbar):
     return grid
 
 
-def _grid_step(grid, hist, rows, qbar):
-    """A packed grid tally times a histogram: one shift-add per key, the rows
-    folded by the packing and the norm dlogs >= q-1 folded within their row."""
-    return _fold_norms(grid.times(hist.items()), rows, qbar)
-
-
 def _grid_sum(terms, rows, qbar):
     """The sum of grid times hist over the (grid, hist) terms with a nonempty
-    hist, by one shift-add per key (see _Packed.times), folded once."""
+    hist, by one shift-add per key (see _Packed.times): the rows folded by
+    the packing, and the norm dlogs >= q-1 folded within their row once."""
     parts = [grid.times(hist.items()) for grid, hist in terms if hist]
     return _fold_norms(_Packed.rotated_sum(parts, [0] * len(parts)), rows, qbar)
 
@@ -272,7 +269,7 @@ def _direct_tally(inst):
         if acc is None:
             acc, sigma = [_Packed.tally(rows * span, bound, hist.items()) for hist in hists], sig
             continue
-        top = _grid_step(acc[1], hists[1], rows, qbar)
+        top = _grid_sum([(acc[1], hists[1])], rows, qbar)
         j0 = jacobi(sig, ((a, p - a) for a in range(1, p)))
         j1 = jacobi(sig, ((a, p + 1 - a) for a in range(2, p)))
         acc = [_grid_sum([(acc[0], hists[0]), (top, j0)], rows, qbar),
@@ -301,94 +298,87 @@ def algebra_sum_direct(inst, t, twist=1):
     p, qbar, s = inst.base.p, inst.base.q - 1, inst.base.dlog(t)
     big = zero.n // span * g
     if _reads_at_big(inst):
-        total = one.cut([s], span, big, g, sigma[pow(twist, -1, p)][0])[0]
-        minus = zero.cut([s], span, big, g, 0)[0] if not any(r for r, _ in sigma) else None
+        total = one.cut(s, span, big, g, sigma[pow(twist, -1, p)][0])
+        minus = zero.cut(s, span, big, g, 0) if not any(r for r, _ in sigma) else None
         value = -total.read(minus) * _denominator_inverse(inst, twist, True)
         return value.embed(p * big)
     n = p * big
-    fibres = [zero.cut([s], span, n, g * p, 0)[0]]
-    fibres += [one.cut([(s - shift) % qbar], span, n, g * p, rot * p + twist * u * big)[0]
+    fibres = [zero.cut(s, span, n, g * p, 0)]
+    fibres += [one.cut((s - shift) % qbar, span, n, g * p, rot * p + twist * u * big)
                for u, (rot, shift) in enumerate(sigma) if u]
     return _Packed.rotated_sum(fibres, [0] * p).read() * (-1) * _denominator_inverse(inst, twist)
 
 
 def _row_stabilizer(inst, big):
-    """The units k mod big such that, on each side, e -> k e mod (q_i - 1)
-    maps the multiset of (component field, exponent) pairs to itself.  For
-    B this is the same set as for conj(chi_B).  Whether k qualifies depends
-    only on k mod L, L the lcm of the orders of the exponents, and the row
-    that sigma_k moves (see _fourier_coefficients) only on k mod q-1: k runs
-    over the units mod M = lcm(L, q-1), a divisor of big, each lifted to a
-    unit mod big."""
+    """The group of units k mod big such that, on each side, e -> k e mod
+    (q_i - 1) maps the multiset of (component field, exponent) pairs to
+    itself.  For B this is the same group as for conj(chi_B)."""
     groups = []
     for alg, chi in ((inst.A, inst.chiA), (inst.B, inst.chiB)):
         by_field = {}
         for comp, e in zip(alg.components, chi.exponents):
             by_field.setdefault(comp, []).append(e)
         groups += [(comp.q - 1, sorted(es)) for comp, es in by_field.items()]
-    m = lcm(inst.base.q - 1, *(n // gcd(n, e) for n, es in groups for e in es))
-    out = []
-    for k in range(1, m + 1):
-        if gcd(k, m) == 1 and all(sorted(k * e % n for e in es) == es for n, es in groups):
-            while gcd(k, big) != 1:
-                k += m
-            out.append(k)
-    return out
+    return tuple(k for k in range(1, big + 1) if gcd(k, big) == 1
+                 and all(sorted(k * e % n for e in es) == es for n, es in groups))
 
 
 @lru_cache(maxsize=None)
 def _fourier_coefficients(inst, twist):
-    """rows[m], the m-th Gauss product g_A(chi_A omega^m) g_B(conj(chi_B)
-    omega^-m), as an unreduced _GaussPair at big = lcm(q_i - 1), with a bound
-    that admits the sum of all rows.
+    """The expansion rows, one per orbit of G = _row_stabilizer on m mod q-1:
+    G, and per orbit O_m its least m, |O_m| and row m, the Gauss product
+    g_A(chi_A omega^m) g_B(conj(chi_B) omega^-m) as an unreduced _GaussPair
+    at big = lcm(q_i - 1), with a bound that admits the sum of all q-1 rows.
 
     sigma_k, which fixes zeta_p and raises zeta_big to the k-th power, takes
-    g(chi) to g(chi^k).  For k in the row stabilizer it permutes the
-    characters of row m among those of row k m mod q-1, the components of
-    one field sharing their norm shift, so row k m = sigma_k(row m).  One
-    row per orbit is a product of Gauss sums; the rest of its orbit are its
-    slot permutations.  A permuted row equals the product in value, not
-    always bit for bit, as X_0 is dropped wherever a partial product's psi
-    is nontrivial.  The rows against the a-twisted trace are those of twist
-    1 rotated (see _GaussPair.twisted)."""
+    g(chi) to g(chi^k).  For k in G it permutes the characters of row m
+    among those of row k m mod q-1, the components of one field sharing
+    their norm shift, so row k m = sigma_k(row m): the other rows of an
+    orbit are never built (see _rotated_rows).  The rows against the
+    a-twisted trace are those of twist 1 rotated (see _GaussPair.twisted)."""
     if twist != 1:
-        return tuple(row.twisted(twist) for row in _fourier_coefficients(inst, 1))
+        group, reps = _fourier_coefficients(inst, 1)
+        return group, tuple((m, size, row.twisted(twist)) for m, size, row in reps)
     qbar, bound = inst.base.q - 1, _row_bound(inst)
     big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
-    stabilizer = _row_stabilizer(inst, big)
+    group = _row_stabilizer(inst, big)
     chiB_bar = inst.chiB.conj()
-    rows = [None] * qbar
+    seen, reps = set(), []
     for m in range(qbar):
-        if rows[m] is None:
-            rows[m] = _gauss_pair(
-                inst.chiA.twist_by_norm_power(m).chars + chiB_bar.twist_by_norm_power(-m).chars,
-                1, bound)
-            for k in stabilizer:
-                if rows[k * m % qbar] is None:
-                    rows[k * m % qbar] = rows[m].galois(k)
-    return tuple(rows)
+        if m not in seen:
+            orbit = {k * m % qbar for k in group}
+            seen |= orbit
+            chars = inst.chiA.twist_by_norm_power(m).chars + chiB_bar.twist_by_norm_power(-m).chars
+            reps.append((m, len(orbit), _gauss_pair(chars, 1, bound)))
+    return group, tuple(reps)
 
 
 def _rotated_rows(inst, t, twist):
-    """The rows and their rotations: row m times chi(arg)^m, with arg =
-    N(-1) t and N(-1) = (-1)^(dim B), is row m rotated in Q(zeta_big)."""
-    qbar = inst.base.q - 1
-    rows = _fourier_coefficients(inst, twist)
-    step = rows[0].x1.n // qbar * (inst.base.dlog(t) + inst.B.dim * inst.base.minus_one_dlog)
-    return rows, [step * m for m in range(qbar)]
+    """G, and the representative rows with their rotations and weights.  Row
+    m times chi(arg)^m, with arg = N(-1) t and N(-1) = (-1)^(dim B), is row m
+    rotated by step m in Q(zeta_big), y_m.  As sigma_k moves that rotation
+    with the row, the orbit of m adds up to sigma_k(y_m) over k in G times
+    |O_m| / |G|, so the sum of all q-1 rotated rows is the mean over G of
+    sigma_k(W), W the sum of |O_m| y_m over the representatives: one traced
+    read of W (see _Packed.read)."""
+    group, reps = _fourier_coefficients(inst, twist)
+    rows = [row for _, _, row in reps]
+    step = rows[0].x1.n // (inst.base.q - 1) * (
+        inst.base.dlog(t) + inst.B.dim * inst.base.minus_one_dlog)
+    return group, rows, [step * m for m, _, _ in reps], [size for _, size, _ in reps]
 
 
 def _expansion_times_denominator(inst, t, twist):
     """The expansion at a unit t before the division by the denominator:
-    -1/(q-1) times the sum of the rotated rows.  The rows of one psi are
-    summed as pairs and lifted once; the lifts are summed and read at p big."""
-    classes = {}
-    for row, shift in zip(*_rotated_rows(inst, t, twist)):
-        rows, shifts = classes.setdefault(row.psi, ([], []))
-        rows.append(row)
-        shifts.append(shift)
-    lifted = [_GaussPair.rotated_sum(*c).lift() for c in classes.values()]
-    return _Packed.rotated_sum(lifted, [0] * len(lifted)).read() * Fraction(-1, inst.base.q - 1)
+    -1/(q-1) times the sum of the rotated rows.  Each representative is
+    lifted once, and W is summed and traced at length p big, where sigma_k
+    is the unit k mod big and 1 mod p, as it fixes zeta_p."""
+    group, rows, shifts, sizes = _rotated_rows(inst, t, twist)
+    p, big = inst.base.p, rows[0].x1.n
+    total = _Packed.rotated_sum([row.lift() for row in rows], [p * s for s in shifts], sizes)
+    inv = pow(big, -1, p)
+    lifted = tuple(k + big * ((1 - k) * inv % p) for k in group)
+    return total.read(group=lifted) * Fraction(-1, inst.base.q - 1)
 
 
 def algebra_sum_fourier(inst, t, twist=1):
@@ -398,15 +388,21 @@ def algebra_sum_fourier(inst, t, twist=1):
     omega has order p-1 there.  When p-1 divides dim A - dim B, as it does
     for every equidimensional instance, all rows and the denominator D are
     multiples of one gamma(tau): rows = c gamma(tau), D = c_D gamma(tau).
-    The value -(sum of rotated rows) / ((q-1) D) is then -c(t) / ((q-1) c_D)
-    in Q(zeta_big): one reduction at big, one product with the cached
+    sigma_k takes gamma(tau) to gamma(tau^k), which is gamma(tau) for k in
+    G, as row k m carries tau too; so G acts on the c of the rows as on the
+    rows.  The value -(sum of rotated rows) / ((q-1) D) is then -c(t) /
+    ((q-1) c_D) in Q(zeta_big), c(t) the traced read of X_1 - X_0 of W (see
+    _rotated_rows): one reduction at big, one product with the cached
     inverse of c_D, and one embedding into Q(zeta_(p big)), the conductor of
     every value of this function.
     """
     t, twist = _unit_args(inst.base, t, twist)
     if not _reads_at_big(inst):
         return _expansion_times_denominator(inst, t, twist) * _denominator_inverse(inst, twist)
-    total = _GaussPair.rotated_sum(*_rotated_rows(inst, t, twist)).gamma_coefficient()
+    group, rows, shifts, sizes = _rotated_rows(inst, t, twist)
+    x0 = _Packed.rotated_sum([row.x0 for row in rows], shifts, sizes)
+    x1 = _Packed.rotated_sum([row.x1 for row in rows], shifts, sizes)
+    total = x1.read(x0, group)
     value = total * _denominator_inverse(inst, twist, True) * Fraction(-1, inst.base.q - 1)
     return value.embed(inst.base.p * total.conductor)
 

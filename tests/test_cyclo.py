@@ -360,6 +360,12 @@ def _same(a, b):
     return (a.conductor, a.num, a.den) == (b.conductor, b.num, b.den)
 
 
+def _times(x, y):
+    """The packed product as _GaussPair.__mul__ forms it: one multiply of the
+    packed ints, folded once, its total the product of the totals."""
+    return _Packed(x.n, x.bound, x.width, x.value * y.value, x.total * y.total)
+
+
 @pytest.mark.parametrize("n", PACKED_CONDUCTORS)
 @pytest.mark.parametrize("top", [1, 200, 2**20, 2**40])
 def test_packed_product_matches_cyclonum(n, top):
@@ -367,7 +373,7 @@ def test_packed_product_matches_cyclonum(n, top):
     rng = random.Random(n * top)
     for a, b in zip(*[iter(_vectors(rng, n, 6, top))] * 2):
         bound = max(sum(a) * sum(b), sum(a), sum(b))
-        prod = _Packed.dot([_pack(n, bound, a)], [_pack(n, bound, b)])
+        prod = _times(_pack(n, bound, a), _pack(n, bound, b))
         assert prod.total == sum(a) * sum(b)
         assert _same(prod.read(), _powers(n, a) * _powers(n, b))
         assert _same(_pack(n, bound, a).read(), _powers(n, a))
@@ -386,9 +392,17 @@ def test_packed_rotated_sum_and_dot_match_cyclonum(n):
         ref = sum((_powers(n, x) * root_of_unity(n, s) for x, s in zip(xs, shifts)),
                   CycloNum.zero(n))
         assert _same(rotated.read(), ref)
-        dot = _Packed.dot(px, py)
+        dot = _Packed.rotated_sum([_times(x, y) for x, y in zip(px, py)], [0] * len(px))
         ref = sum((_powers(n, x) * _powers(n, y) for x, y in zip(xs, ys)), CycloNum.zero(n))
         assert _same(dot.read(), ref)
+        # with weights: each row once, times its weight
+        weights = [rng.randint(1, 3) for _ in xs]
+        px = [_pack(n, 3 * bound, x) for x in xs]
+        weighted = _Packed.rotated_sum(px, shifts, weights)
+        assert weighted.total == sum(w * sum(x) for x, w in zip(xs, weights))
+        ref = sum((_powers(n, x) * root_of_unity(n, s) * w
+                   for x, s, w in zip(xs, shifts, weights)), CycloNum.zero(n))
+        assert _same(weighted.read(), ref)
 
 
 @pytest.mark.parametrize("n", PACKED_CONDUCTORS)
@@ -413,7 +427,7 @@ def test_packed_class_products_match_cyclonum(n, weighted):
     # the norm-class grid step: m classes of length n as the rows of one packed
     # grid with rows of 2n - 1 slots; row k of the product is the sum of
     # w * classes[k - d] * x^e over the terms ((e, d), w), classes indexed mod m
-    from finhyp.hypergeometric import _grid_step
+    from finhyp.hypergeometric import _grid_sum
 
     rng = random.Random(n + weighted)
     span = 2 * n - 1
@@ -424,8 +438,8 @@ def test_packed_class_products_match_cyclonum(n, weighted):
         bound = sum(map(sum, classes)) * sum(terms.values())
         grid = _Packed.tally(m * span, bound, ((k * span + j, c) for k, v in enumerate(classes)
                                                for j, c in enumerate(v)))
-        out = _grid_step(grid, {d * span + e: w for (e, d), w in terms.items()}, m, n)
-        rows = out.cut([k * span for k in range(m)], 1, n, 1, 0)
+        out = _grid_sum([(grid, {d * span + e: w for (e, d), w in terms.items()})], m, n)
+        rows = [out.cut(k * span, 1, n, 1, 0) for k in range(m)]
         assert out.total == sum(row.total for row in rows) == bound
         for k, got in enumerate(rows):
             ref = sum((_powers(n, classes[(k - d) % m]) * root_of_unity(n, e) * w
@@ -444,24 +458,36 @@ def test_packed_coefficient_equal_to_bound(n, bound):
     ref = CycloNum.from_powers(n, {n // 2: bound})
     assert _same(x.read(), ref)
     one = _pack(n, bound, [0, 1])
-    assert _same(_Packed.dot([x], [one]).read(), ref * root_of_unity(n, 1))
+    assert _same(_times(x, one).read(), ref * root_of_unity(n, 1))
     assert _same(_Packed.rotated_sum([x], [n + 5]).read(), ref * root_of_unity(n, 5))
     split = _Packed.rotated_sum([_pack(n, bound, [bound - 1]), _pack(n, bound, [1])], [0, 0])
     assert _same(split.read(), CycloNum.from_rational(bound, n))
 
 
+def _small_groups(n):
+    """Groups of units mod n: the one that -1 generates, and the one that the
+    least unit k > 1 of order 3 to 12 generates, if there is one."""
+    def generated(k):
+        return tuple(sorted({pow(k, i, n) or 1 for i in range(13)}))
+    units = [k for k in range(2, n) if gcd(k, n) == 1]
+    return [generated(n - 1)] + [generated(k) for k in units if 2 < len(generated(k)) <= 12][:1]
+
+
 @pytest.mark.parametrize("n", PACKED_CONDUCTORS)
 @pytest.mark.parametrize("bound", EXACT_BOUNDS)
 def test_packed_galois_matches_cyclonum(n, bound):
-    # slot j to slot j*k mod n, for every unit k, at every slot width
+    # the read traced over a group of units is the mean of the CycloNum Galois
+    # images, with and without minus, at every slot width
     rng = random.Random(n + bound)
     for top in (1, bound // max(n, 1), bound):
-        v = [rng.randint(0, top) for _ in range(n)]
-        x = _Packed.tally(n, bound * n, enumerate(v))
-        for k in [k for k in range(1, n + 1) if gcd(k, n) == 1][:12]:
-            image = x.galois(k)
-            assert (image.n, image.width, image.total) == (x.n, x.width, x.total)
-            assert _same(image.read(), x.read().galois(k)), (n, k)
+        v, w = ([rng.randint(0, top) for _ in range(n)] for _ in range(2))
+        x, y = (_Packed.tally(n, bound * n, enumerate(u)) for u in (v, w))
+        for group in _small_groups(n):
+            mean = Fraction(1, len(group))
+            ref = sum((x.read().galois(k) for k in group), CycloNum.zero(n)) * mean
+            assert _same(x.read(group=group), ref), (n, group)
+            ref -= sum((y.read().galois(k) for k in group), CycloNum.zero(n)) * mean
+            assert _same(x.read(y, group), ref), (n, group)
 
 
 @pytest.mark.parametrize("width", [9, 11, 16])
@@ -485,16 +511,16 @@ def test_packed_cut_inverts_spread(n, step):
         vs = [[rng.randint(0, bound // n) for _ in range(m)] for _ in range(2)]
         xs = [_pack(m, bound, v) for v in vs]
         spread = xs[0].spread(n)
-        assert _packed_fields(spread.cut([0], step, m, 1, 0)[0]) == _packed_fields(xs[0])
+        assert _packed_fields(spread.cut(0, step, m, 1, 0)) == _packed_fields(xs[0])
         # slots start + i*step, i < m, spread by 3 and rotated by shift
         start, shift = rng.randrange(step), rng.randrange(-3 * m, 3 * m)
-        got = spread.times([(start, 1)]).cut([start], step, 3 * m, 3, shift)[0]
+        got = spread.times([(start, 1)]).cut(start, step, 3 * m, 3, shift)
         ref = _Packed.rotated_sum([xs[0].spread(3 * m)], [shift])
         assert _packed_fields(got) == _packed_fields(ref) and got.total == sum(vs[0])
         if step > 1:  # one cut per start: slots 0 and 1 of every step hold xs[0] and xs[1]
             both = _Packed.rotated_sum([x.spread(n) for x in xs], [0, 1])
-            assert list(map(_packed_fields, both.cut([0, 1], step, m, 1, 0))) == [
-                _packed_fields(x) for x in xs]
+            for start, x in enumerate(xs):
+                assert _packed_fields(both.cut(start, step, m, 1, 0)) == _packed_fields(x)
 
 
 @pytest.mark.parametrize("n,step", [(1, 1), (12, 3), (78, 3), (342, 19), (506, 2)])
@@ -506,7 +532,7 @@ def test_packed_strided_inverts_spread(n, step):
         v = [rng.randint(0, bound // n) for _ in range(n // step)]
         x = _pack(n // step, bound, v)
         start = rng.randrange(n)
-        got = _Packed.rotated_sum([x.spread(n)], [start]).cut([start], step, n // step, 1, 0)[0]
+        got = _Packed.rotated_sum([x.spread(n)], [start]).cut(start, step, n // step, 1, 0)
         assert _packed_fields(got) == _packed_fields(x) and got.total == sum(v)
 
 
@@ -523,11 +549,14 @@ def test_packed_sum_over_bound_raises(n):
         _pack(n, sa - 1, a)
     x, y = _pack(n, sa * sb - 1, a), _pack(n, sa * sb - 1, b)
     with pytest.raises(InternalInconsistency):
-        _Packed.dot([x], [y])
+        _times(x, y)
     x, y = _pack(n, sa + sb - 1, a), _pack(n, sa + sb - 1, b)
     with pytest.raises(InternalInconsistency):
         _Packed.rotated_sum([x, y], [0, 3])
     assert _Packed.rotated_sum([x], [3]).total == sa
+    with pytest.raises(InternalInconsistency):  # weights count against the bound
+        _Packed.rotated_sum([x, y], [0, 3], [1, 2])
+    assert _Packed.rotated_sum([x, y], [0, 3], [1, 0]).total == sa
 
 
 # ------------------------------------------------------ hash/eq contract

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -151,9 +151,10 @@ def test_fourier_coefficient_at_zero_is_one():
         AlgebraChar.from_exponents(A, [3, 7]),
         AlgebraChar.from_exponents(B, [1, 0, 2]),
     )
-    # row 0 is the denominator itself, kept unnormalised
-    rows = _fourier_coefficients(inst, 1)
-    assert rows[0].read() * _denominator_inverse(inst, 1) == 1
+    # row 0 is the denominator itself, kept unnormalised, alone in its orbit
+    m, size, row = _fourier_coefficients(inst, 1)[1][0]
+    assert (m, size) == (0, 1)
+    assert row.read() * _denominator_inverse(inst, 1) == 1
 
 
 def _fourier_per_term(inst, t, twist=1):
@@ -253,8 +254,10 @@ def test_cold_fourier_rows_are_not_reduced(monkeypatch):
     inst = split_instance(HGParams.parse("1/4,3/4", "0,1/2"), 13)
     _fourier_coefficients.cache_clear()
     calls = _count_reductions(monkeypatch)
-    rows = _fourier_coefficients(inst, 1)
-    assert len(rows) == 12 and calls == []
+    group, reps = _fourier_coefficients(inst, 1)
+    # all four units mod 12 fix (1/4,3/4; 0,1/2): one row per divisor of 12
+    assert group == (1, 5, 7, 11) and [m for m, _, _ in reps] == [0, 1, 2, 3, 4, 6]
+    assert sum(size for _, size, _ in reps) == 12 and calls == []
 
 
 @pytest.mark.parametrize("q,params,other", [
@@ -284,7 +287,7 @@ def test_fourier_rows_from_cached_gauss_entries(q, params, other, monkeypatch):
     monkeypatch.setattr(charsums, "_gauss_pair_entry", _gauss_pair_entry.__wrapped__)
     chiB_bar = inst.chiB.conj()
     for twist in (1, 2):
-        for m, row in enumerate(_fourier_coefficients(inst, twist)):
+        for m, _, row in _fourier_coefficients(inst, twist)[1]:
             chars = (inst.chiA.twist_by_norm_power(m).chars
                      + chiB_bar.twist_by_norm_power(-m).chars)
             assert row.read() == gauss_product(chars, twist)
@@ -302,17 +305,32 @@ def _row_products(inst):
             for m in range(qbar)]
 
 
-def _same_rows(rows, products):
-    """Equal by value; each tracked total is its vector's slot sum, which the
-    bound is checked against.  A permuted row need not match its product bit
-    for bit, nor in total: X_0 drops depend on the order of multiplication."""
-    from finhyp.cyclo import _from_slots
-
-    assert len(rows) == len(products)
-    for m, (row, product) in enumerate(zip(rows, products)):
-        assert row.psi == product.psi and row.read() == product.read(), m
+def _same_reps(inst, coefficients):
+    """Each representative is its own Gauss product, bit for bit, with each
+    tracked total its vector's slot sum, which the bound is checked against;
+    the orbits partition m mod q-1 with the stored sizes; and the product of
+    every row of an orbit is the image of its representative's under
+    sigma_k, k in G taken mod big and 1 mod p."""
+    group, reps = coefficients
+    products = _row_products(inst)
+    qbar, p, big = inst.base.q - 1, inst.base.p, products[0].x1.n
+    covered = set()
+    for m, size, row in reps:
+        product = products[m]
+        assert (row.psi, row.x0.value, row.x1.value) == (
+            product.psi, product.x0.value, product.x1.value), m
         for x in (row.x0, row.x1):
             assert sum(_from_slots(x.value, x.width, x.n)) == x.total, m
+        images = {}
+        for k in group:
+            images.setdefault(k * m % qbar, k)
+        assert len(images) == size and not covered & images.keys(), m
+        covered |= images.keys()
+        value = row.read()
+        for image, k in images.items():
+            lifted = k + big * ((1 - k) * pow(big, -1, p) % p)
+            assert products[image].read() == value.galois(lifted), (m, image)
+    assert sum(size for _, size, _ in reps) == qbar and covered == set(range(qbar))
 
 
 def _count_products(monkeypatch):
@@ -344,26 +362,30 @@ def test_orbit_rows_equal_their_gauss_products(case, monkeypatch):
     inst = split_instance(params, q)
     dd = params.common_denominator()
     # on a split instance the row stabilizer is the lift of the parameters' one
-    assert _row_stabilizer(inst, q - 1) == [
-        k for k in range(1, q) if lcm(k, q - 1) == k * (q - 1) and k % dd in params.stabilizer()]
+    assert _row_stabilizer(inst, q - 1) == tuple(
+        k for k in range(1, q) if lcm(k, q - 1) == k * (q - 1) and k % dd in params.stabilizer())
     _fourier_coefficients.cache_clear()
     calls = _count_products(monkeypatch)
-    rows = _fourier_coefficients(inst, 1)
-    assert len(calls) == products
-    _same_rows(rows, _row_products(inst))
+    coefficients = _fourier_coefficients(inst, 1)
+    assert len(calls) == len(coefficients[1]) == products
+    _same_reps(inst, coefficients)
 
 
 def test_orbit_rows_with_extension_components(monkeypatch):
     from finhyp.hypergeometric import _fourier_coefficients, _row_stabilizer
 
-    # A = F_(7^4) with a character of order 5, B = 4 F_7: k = 1, 11 mod 30 lift to big
+    # A = F_(7^4) with a character of order 5, B = 4 F_7: the units k = 1 mod 5
+    # of Z/2400, which are k = 1, 11 mod 30
     inst = orbit_instance(HGParams.parse("1/5,2/5,3/5,4/5", "0,0,0,0"), 7)
-    assert _row_stabilizer(inst, 2400) == [1, 11]
+    group = _row_stabilizer(inst, 2400)
+    assert group == tuple(k for k in range(1, 2400) if gcd(k, 2400) == 1 and k % 5 == 1)
+    assert {k % 30 for k in group} == {1, 11}
     _fourier_coefficients.cache_clear()
     calls = _count_products(monkeypatch)
-    rows = _fourier_coefficients(inst, 1)
+    coefficients = _fourier_coefficients(inst, 1)
     assert len(calls) == 4  # rows {0}, {1, 5}, {2, 4}, {3}
-    _same_rows(rows, _row_products(inst))
+    assert [(m, size) for m, size, _ in coefficients[1]] == [(0, 1), (1, 2), (2, 2), (3, 1)]
+    _same_reps(inst, coefficients)
 
 
 def test_orbit_rows_of_random_instances():
@@ -371,7 +393,7 @@ def test_orbit_rows_of_random_instances():
     from finhyp.hypergeometric import _fourier_coefficients, _row_stabilizer
 
     rng = random.Random(19)
-    nontrivial = 0
+    merged = 0
     for i in range(40):
         p, f = rng.choice(((3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)))
         q = p**f
@@ -385,9 +407,11 @@ def test_orbit_rows_of_random_instances():
             inst = HGAlgebraInstance(A, B, AlgebraChar.from_exponents(A, exps[0]),
                                      AlgebraChar.from_exponents(B, exps[1]))
         big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
-        nontrivial += len(_row_stabilizer(inst, big)) > 1
-        _same_rows(_fourier_coefficients(inst, 1), _row_products(inst))
-    assert nontrivial >= 15
+        coefficients = _fourier_coefficients(inst, 1)
+        assert coefficients[0] == _row_stabilizer(inst, big)
+        merged += len(coefficients[1]) < q - 1
+        _same_reps(inst, coefficients)
+    assert merged >= 15
 
 
 def test_cold_rows_cost_one_product_per_orbit(monkeypatch):
@@ -402,9 +426,42 @@ def test_cold_rows_cost_one_product_per_orbit(monkeypatch):
     monkeypatch.undo()
     _fourier_coefficients.cache_clear()
     calls = _count_products(monkeypatch)
-    rows = _fourier_coefficients(split_instance(params, 343), 1)
-    assert len(calls) == 12 and len(rows) == 342
+    group, reps = _fourier_coefficients(split_instance(params, 343), 1)
+    assert len(calls) == len(reps) == 12 and sum(size for _, size, _ in reps) == 342
     assert value.conductor == 7 * 342
+
+
+def _held_rows(value):
+    """The Gauss products that a cached value holds, through nested tuples."""
+    from finhyp.charsums import _GaussPair
+
+    if isinstance(value, _GaussPair):
+        return 1
+    return sum(map(_held_rows, value)) if isinstance(value, tuple) else 0
+
+
+def test_fourier_cache_holds_one_row_per_orbit():
+    from finhyp.hypergeometric import _fourier_coefficients
+
+    # a cold classic_sum keeps the tau(342) = 12 representatives, not 342 rows
+    params = HGParams.parse("1/2,1/2,1/2,1/2", "0,0,0,0")
+    clear_caches()
+    classic_sum(params, 343, 2)
+    assert _fourier_coefficients.cache_info().currsize == 1
+    assert _held_rows(_fourier_coefficients(split_instance(params, 343), 1)) == 12
+
+
+def test_wide_slot_rows_fourier_equals_direct():
+    from finhyp.hypergeometric import _gauss_denominator, _row_stabilizer
+
+    # the rows' bound 168^9 at q = 169 needs 9-byte slots, which no array item
+    # holds, and the rows are read as traces over a nontrivial group
+    inst = split_instance(HGParams.parse("1/4,1/2,1/2,3/4", "0,0,0,0"), 169)
+    assert _gauss_denominator(inst).x1.width == 9 and len(_row_stabilizer(inst, 168)) > 1
+    for j in random.Random(169).sample(range(168), 12):
+        t = inst.base.unit(j)
+        for twist in (1, 2, 12):
+            assert algebra_sum_fourier(inst, t, twist) == algebra_sum_direct(inst, t, twist)
 
 
 @pytest.mark.parametrize("case", ["split_q13", "orbit_q7"])
@@ -453,7 +510,7 @@ def test_fourier_read_against_per_term_expansion(case):
     from finhyp.hypergeometric import _fourier_coefficients
 
     inst, twist, nontrivial = _expansion_cases()[case]
-    rows = _fourier_coefficients(inst, twist)
+    rows = [row for _, _, row in _fourier_coefficients(inst, twist)[1]]
     if nontrivial is None:
         assert len({row.psi for row in rows}) > 1
     else:
@@ -658,7 +715,7 @@ def _tally_against_unit_pairs(inst):
     big = zero.n // span * g
     for u, grid in enumerate((zero, one)):
         for s in range(inst.base.q - 1):
-            column = grid.cut([s], span, big, g, 0)[0]
+            column = grid.cut(s, span, big, g, 0)
             want = [0] * big
             for c, count in ref.get((u, s), {}).items():
                 want[c] = count
