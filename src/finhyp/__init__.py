@@ -42,8 +42,8 @@ def clear_caches():
     """Empty every cache of the package: fields, split instances, cyclotomic
     structure, the slot orbits of traced reads, trace fibres and Gauss sums,
     the joint direct-sum tallies and the masks of their grids, the expansion
-    rows of each orbit, denominators, Gamma_p values and blocks, p-adic unit
-    terms, and term and denominator exponents.
+    rows of each orbit and their lifts, denominators, Gamma_p values and
+    blocks, p-adic unit terms, and term and denominator exponents.
 
     Fields are cached objects too, and their elements equal only elements of
     the same field object: fields, elements and instances built before the
@@ -54,7 +54,8 @@ def clear_caches():
         charsums._trace_fibres, charsums._gauss_pair_entry, finfield._make_field_cached,
         finfield.FqField._embedding_data, hypergeometric._denominator_inverse,
         hypergeometric._direct_tally, hypergeometric._fourier_coefficients,
-        hypergeometric._norm_fold_mask, hypergeometric.split_instance,
+        hypergeometric._lifted_rows, hypergeometric._norm_fold_mask,
+        hypergeometric.split_instance,
         params._denominator_exponent, params._term_exponents,
     ):
         fn.cache_clear()

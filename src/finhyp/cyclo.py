@@ -18,7 +18,7 @@ galois, root_of_unity) scatter their exponents into a length-N vector and
 reduce it the same way, so no table of powers is kept per conductor.  The
 nonnegative tallies behind character sums are multiplied and summed
 unreduced, as vectors mod x^N - 1 packed into one int each (_Packed), and
-reduced once when read: Phi_N divides x^N - 1.  A read may also average
+reduced once when read: Phi_N divides x^N - 1.  A read may also trace
 over a group of automorphisms z -> z^k, orbit by orbit of the slots.
 
 Binary operations on elements with different conductors silently promote
@@ -562,11 +562,11 @@ class _Packed:
 
     def read(self, minus=None, group=(1,)):
         """The element sum v[j] zeta_n^j of Q(zeta_n), less the one that minus
-        holds if given, traced over group, a group of units mod n: the mean of
-        its images under zeta_n -> zeta_n^k, k in group.  Slot j of that mean
-        is the mean of v over the orbit of j (see _slot_orbits), so the trace
-        is one pass over the slots and moves none; one unpack per vector, one
-        reduction."""
+        holds if given, traced over group, a group of units mod n: the sum of
+        its images under zeta_n -> zeta_n^k, k in group.  Slot j of that sum
+        is |group| / |[j]| times the sum of v over the orbit [j] of j (see
+        _slot_orbits), so the trace is one pass over the slots and moves
+        none; one unpack per vector, one reduction."""
         v = _from_slots(self.value, self.width, self.n)
         if minus is not None and minus.value:
             v = list(map(sub, v, _from_slots(minus.value, minus.width, minus.n)))
@@ -577,4 +577,4 @@ class _Packed:
                 sums[i] += x
             sums = list(map(mul, sums, scale))
             v = [sums[i] for i in label]
-        return _make(self.n, _reduce(self.n, v), len(group))
+        return _make(self.n, _reduce(self.n, v))

@@ -12,9 +12,9 @@ the sum of q-1 rotated rows, each row a product of Gauss sums (see
 charsums).  The group G of units k mod big that permute the characters of
 each side takes row m to row k m by sigma_k, so one Gauss product per
 orbit of G is built and kept, with the orbit's size, and the sum of all
-rows is the mean over G of sigma_k of the representatives' weighted sum:
-one traced read of one packed sum, which moves no slot (see _rotated_rows
-and _Packed.read).  Every twist of the trace shares the rows and the
+rows is 1/|G| times the trace over G of the representatives' weighted
+sum: one traced read of one packed sum, which moves no slot (see
+_rotated_rows and _Packed.read).  Every twist of the trace shares the rows and the
 denominator inverse of twist 1, rotated.  A direct value reads one joint
 tally per instance: the unit pairs of A x B by norm class, trace fibre 0
 or 1 and character, which the action of F_p^x turns into the other
@@ -358,8 +358,8 @@ def _rotated_rows(inst, t, twist):
     m times chi(arg)^m, with arg = N(-1) t and N(-1) = (-1)^(dim B), is row m
     rotated by step m in Q(zeta_big), y_m.  As sigma_k moves that rotation
     with the row, the orbit of m adds up to sigma_k(y_m) over k in G times
-    |O_m| / |G|, so the sum of all q-1 rotated rows is the mean over G of
-    sigma_k(W), W the sum of |O_m| y_m over the representatives: one traced
+    |O_m| / |G|, so the sum of all q-1 rotated rows is 1/|G| times the trace
+    over G of W, the sum of |O_m| y_m over the representatives: one traced
     read of W (see _Packed.read)."""
     group, reps = _fourier_coefficients(inst, twist)
     rows = [row for _, _, row in reps]
@@ -368,17 +368,27 @@ def _rotated_rows(inst, t, twist):
     return group, rows, [step * m for m, _, _ in reps], [size for _, size, _ in reps]
 
 
+@lru_cache(maxsize=None)
+def _lifted_rows(inst, twist):
+    """The representative rows of _fourier_coefficients, each lifted once to
+    length p big, and G moved to Z/(p big) by k -> (k mod big, 1 mod p),
+    since sigma_k fixes zeta_p."""
+    group, reps = _fourier_coefficients(inst, twist)
+    p, big = inst.base.p, reps[0][2].x1.n
+    inv = pow(big, -1, p)
+    return (tuple(k + big * ((1 - k) * inv % p) for k in group),
+            tuple(row.lift() for _, _, row in reps))
+
+
 def _expansion_times_denominator(inst, t, twist):
     """The expansion at a unit t before the division by the denominator:
-    -1/(q-1) times the sum of the rotated rows.  Each representative is
-    lifted once, and W is summed and traced at length p big, where sigma_k
-    is the unit k mod big and 1 mod p, as it fixes zeta_p."""
-    group, rows, shifts, sizes = _rotated_rows(inst, t, twist)
-    p, big = inst.base.p, rows[0].x1.n
-    total = _Packed.rotated_sum([row.lift() for row in rows], [p * s for s in shifts], sizes)
-    inv = pow(big, -1, p)
-    lifted = tuple(k + big * ((1 - k) * inv % p) for k in group)
-    return total.read(group=lifted) * Fraction(-1, inst.base.q - 1)
+    -1/(q-1) times the sum of the rotated rows, which is the trace of the
+    lifted W at length p big over -(q-1) |G|."""
+    group, _, shifts, sizes = _rotated_rows(inst, t, twist)
+    lifted_group, lifted = _lifted_rows(inst, twist)
+    p = inst.base.p
+    total = _Packed.rotated_sum(lifted, [p * s for s in shifts], sizes)
+    return total.read(group=lifted_group) * Fraction(-1, (inst.base.q - 1) * len(group))
 
 
 def algebra_sum_fourier(inst, t, twist=1):
@@ -391,8 +401,8 @@ def algebra_sum_fourier(inst, t, twist=1):
     sigma_k takes gamma(tau) to gamma(tau^k), which is gamma(tau) for k in
     G, as row k m carries tau too; so G acts on the c of the rows as on the
     rows.  The value -(sum of rotated rows) / ((q-1) D) is then -c(t) /
-    ((q-1) c_D) in Q(zeta_big), c(t) the traced read of X_1 - X_0 of W (see
-    _rotated_rows): one reduction at big, one product with the cached
+    ((q-1) |G| c_D) in Q(zeta_big), c(t) the traced read of X_1 - X_0 of W
+    (see _rotated_rows): one reduction at big, one product with the cached
     inverse of c_D, and one embedding into Q(zeta_(p big)), the conductor of
     every value of this function.
     """
@@ -403,7 +413,8 @@ def algebra_sum_fourier(inst, t, twist=1):
     x0 = _Packed.rotated_sum([row.x0 for row in rows], shifts, sizes)
     x1 = _Packed.rotated_sum([row.x1 for row in rows], shifts, sizes)
     total = x1.read(x0, group)
-    value = total * _denominator_inverse(inst, twist, True) * Fraction(-1, inst.base.q - 1)
+    value = total * _denominator_inverse(inst, twist, True) * Fraction(
+        -1, (inst.base.q - 1) * len(group))
     return value.embed(inst.base.p * total.conductor)
 
 

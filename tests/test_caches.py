@@ -8,6 +8,7 @@ from finhyp.hypergeometric import (
     algebra_sum_direct,
     algebra_sum_fourier,
     classic_sum,
+    katz_unnormalized,
     orbit_instance,
 )
 from finhyp.padic import padic_sum_direct
@@ -38,13 +39,14 @@ def _caches():
 def test_clear_caches_empties_every_cache():
     params = HGParams([F(1, 4), F(3, 4)], [0, F(1, 2)])
     classic_sum(params, 5, 2)
+    katz_unnormalized(params, 5, 2)  # the lift path and its cache
     inst = orbit_instance(HGParams.parse("1/2,1/4,3/4", "0,1/8,3/8"), 3)
     value = algebra_sum_direct(inst, 2)
     algebra_sum_fourier(inst, 2)
     padic_sum_direct(params, 5, 2, 4)
     params.denominator_exponent()
     before = _caches()
-    assert len(before) == 17
+    assert len(before) == 18
     assert all(before.values()), before
     clear_caches()
     assert not any(_caches().values())

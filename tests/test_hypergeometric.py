@@ -523,6 +523,30 @@ def test_fourier_read_against_per_term_expansion(case):
         assert value.conductor == inst.base.p * rows[0].x1.n
 
 
+def test_warm_lifted_fourier_value_lifts_nothing(monkeypatch):
+    # each representative is lifted once per (instance, twist): a warm value on
+    # the lift path is one weighted sum, traced and read at p big
+    from finhyp.charsums import _GaussPair
+
+    inst = _expansion_cases()["not_shared"][0]
+    assert not _reads_at_big(inst)
+    for twist in (1, 3):
+        algebra_sum_fourier(inst, 1, twist)
+    lifts = []
+    lift = _GaussPair.lift
+    monkeypatch.setattr(_GaussPair, "lift", lambda self: lifts.append(1) or lift(self))
+    calls = _count_reductions(monkeypatch)
+    for twist in (1, 3):
+        for j in range(4):
+            t = inst.base.unit(j)
+            ref = _fourier_per_term(inst, t, twist)
+            calls.clear()
+            lifts.clear()
+            assert _same_value(algebra_sum_fourier(inst, t, twist), ref)
+            assert calls == [5 * 24, 5 * 24]  # the read and the product with the inverse
+            assert lifts == []
+
+
 @pytest.mark.parametrize("alpha,beta,q", [("1/2", "0", 13), ("1/4,3/4", "0,1/2", 9)])
 def test_katz_against_per_term_expansion(alpha, beta, q):
     params = HGParams.parse(alpha, beta)
