@@ -39,11 +39,12 @@ __version__ = "0.1.0"
 
 
 def clear_caches():
-    """Empty every cache of the package: fields, split instances, cyclotomic
-    structure, the slot orbits of traced reads, trace fibres and Gauss sums,
-    the joint direct-sum tallies and the masks of their grids, the expansion
-    rows of each orbit and their lifts, denominators, Gamma_p values and
-    blocks, p-adic unit terms, and term and denominator exponents.
+    """Empty every cache of the package: fields, split and orbit instances,
+    cyclotomic structure, the slot orbits of traced reads, trace fibres and
+    Gauss sums, the joint direct-sum tallies and the masks of their grids,
+    the expansion rows of each orbit and their lifts, denominators and their
+    inverses, Gamma_p values and blocks, p-adic unit terms, and term and
+    denominator exponents.
 
     Fields are cached objects too, and their elements equal only elements of
     the same field object: fields, elements and instances built before the
@@ -54,7 +55,8 @@ def clear_caches():
         charsums._trace_fibres, charsums._gauss_pair_entry, finfield._make_field_cached,
         finfield.FqField._embedding_data, hypergeometric._denominator_inverse,
         hypergeometric._direct_tally, hypergeometric._fourier_coefficients,
-        hypergeometric._lifted_rows, hypergeometric._norm_fold_mask,
+        hypergeometric._gauss_denominator, hypergeometric._lifted_rows,
+        hypergeometric._norm_fold_mask, hypergeometric.orbit_instance,
         hypergeometric.split_instance,
         params._denominator_exponent, params._term_exponents,
     ):

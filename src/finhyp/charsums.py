@@ -20,14 +20,14 @@ packed integers at length big.  A pair is lifted into Q(zeta_(p big)) once,
 when its value is read; its coefficient of gamma(psi) is read in
 Q(zeta_big) itself.
 
-A twist a in F_p^x of the trace gives g_a(chi) = conj(chi(a)) g(chi): X_0
-and X_1 rotated by -psi[a] (_GaussPair.twisted).  So every twist shares
-the trace pass and the packed entries of twist 1.  The automorphism
-sigma_k, which fixes zeta_p and raises zeta_big to the k-th power, takes
-g(chi) to g(chi^k): it moves slot j of X_0 and X_1 to slot j k mod big and
-multiplies psi by k.  No image is built; the character expansion (see
-hypergeometric) meets sigma_k only in the traced read of one packed sum
-(_Packed.read).
+A twist a in F_p^x of the trace gives g_a(chi) = conj(chi(a)) g(chi), and
+chi(a) = zeta_big^psi[a]: gauss_product reads the product against the
+trace itself and multiplies it by zeta_big^-psi[a], so no pair is ever
+twisted.  The automorphism sigma_k, which fixes zeta_p and raises
+zeta_big to the k-th power, takes g(chi) to g(chi^k): it moves slot j of
+X_0 and X_1 to slot j k mod big and multiplies psi by k.  No image is
+built; the character expansion (see hypergeometric) meets sigma_k only in
+the traced read of one packed sum (_Packed.read).
 """
 
 from collections import Counter
@@ -35,7 +35,7 @@ from functools import lru_cache, reduce
 from math import lcm, prod
 from operator import mul
 
-from .cyclo import _Packed
+from .cyclo import _Packed, root_of_unity
 from .errors import FieldMismatch, InternalInconsistency, LengthMismatch, NotSubfield
 
 
@@ -175,15 +175,6 @@ class _GaussPair:
         return _GaussPair(p, _Packed(n, bound, width, v0, t0),
                           _Packed(n, bound, width, v1, t1), psi)
 
-    def twisted(self, a):
-        """The product against the a-twisted trace, a in F_p^x: as g_a(chi) =
-        conj(chi(a)) g(chi), X_0 and X_1 rotated by -psi[a]."""
-        shift = self.psi[a % self.p]
-        if not shift:
-            return self
-        x0, x1 = (_Packed.rotated_sum([x], [-shift]) for x in (self.x0, self.x1))
-        return _GaussPair(self.p, x0, x1, self.psi)
-
     def gamma_coefficient(self):
         """The c in Q(zeta_big) with self = c gamma(psi): X_1 - X_0, which is
         X_1 unless psi is trivial, and then gamma(psi) = -1.  One reduction."""
@@ -204,19 +195,22 @@ class _GaussPair:
         return self.lift().read()
 
 
-def _gauss_pair(chars, a, bound):
-    """The product of the Gauss sums of chars against the a-twisted trace, as
-    a _GaussPair at big = lcm(q_i - 1) with coefficients up to bound: the
-    product against the trace itself, twisted once."""
+def _gauss_pair(chars, bound):
+    """The product of the Gauss sums of chars as a _GaussPair at big =
+    lcm(q_i - 1) with coefficients up to bound."""
     big = lcm(*(chi.field.q - 1 for chi in chars))
-    return reduce(mul, (_gauss_pair_entry(chi, big, bound) for chi in chars)).twisted(a)
+    return reduce(mul, (_gauss_pair_entry(chi, big, bound) for chi in chars))
 
 
 def gauss_product(chars, a=1):
     """Product of the Gauss sums of chars against the a-twisted trace: their
-    trace-fibre pairs multiplied in packed form, lifted and reduced once."""
+    trace-fibre pairs multiplied in packed form, lifted and reduced once, and
+    multiplied by conj(chi(a)) = zeta_big^-psi[a] when that is not 1."""
     chars = tuple(chars)
-    return _gauss_pair(chars, a, prod(chi.field.q - 1 for chi in chars)).read()
+    pair = _gauss_pair(chars, prod(chi.field.q - 1 for chi in chars))
+    shift = pair.psi[a % pair.p]
+    value = pair.read()
+    return value * root_of_unity(pair.x1.n, -shift) if shift else value
 
 
 # --------------------------------------------------------------- algebras

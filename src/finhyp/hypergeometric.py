@@ -14,12 +14,12 @@ each side takes row m to row k m by sigma_k, so one Gauss product per
 orbit of G is built and kept, with the orbit's size, and the sum of all
 rows is 1/|G| times the trace over G of the representatives' weighted
 sum: one traced read of one packed sum, which moves no slot (see
-_rotated_rows and _Packed.read).  Every twist of the trace shares the rows and the
-denominator inverse of twist 1, rotated.  A direct value reads one joint
-tally per instance: the unit pairs of A x B by norm class, trace fibre 0
-or 1 and character, which the action of F_p^x turns into the other
-fibres, so every t and twist shares it (see _direct_tally).  When p-1
-divides dim A - dim B, as in every equidimensional instance, either value
+_rotated_rows and _Packed.read).  A twist of the trace is applied to each
+value, never tabulated, so every cache is keyed by the instance alone.  A
+direct value reads one joint tally per instance: the unit pairs of A x B
+by norm class, trace fibre 0 or 1 and character, which the action of
+F_p^x turns into the other fibres, so every t and twist shares it (see
+_direct_tally).  When p-1 divides dim A - dim B, as in every equidimensional instance, either value
 lies in Q(zeta_big) and is read there; otherwise it is lifted to length p
 big and read there.  Either is reduced once and multiplied once by the
 inverse of the denominator.  The tally is convolved one component at a
@@ -157,25 +157,20 @@ def _row_bound(inst):
     return (inst.base.q - 1) * inst.A.unit_count() * inst.B.unit_count()
 
 
+@lru_cache(maxsize=None)
 def _gauss_denominator(inst):
     """The normalising denominator g_A(chi_A) * g_B(conj(chi_B)), row 0 of
     the expansion, as a _GaussPair at the rows' bound: it shares their
-    packed Gauss entries."""
-    return _gauss_pair(inst.chiA.chars + inst.chiB.conj().chars, 1, _row_bound(inst))
+    packed Gauss entries, and its psi is its character tau on F_p^x."""
+    return _gauss_pair(inst.chiA.chars + inst.chiB.conj().chars, _row_bound(inst))
 
 
 @lru_cache(maxsize=None)
-def _denominator_inverse(inst, twist, over_big=False):
+def _denominator_inverse(inst, over_big=False):
     """The inverse of the denominator in Q(zeta_(p big)) or, with over_big,
     that of its coefficient of gamma(psi) in Q(zeta_big); either has a
-    rational |.|^2, q^f or q^f / p.  Against the twisted trace the
-    denominator is conj(tau(twist)) times that of twist 1, tau its
-    character on F_p^x, so its inverse is tau(twist) times theirs."""
-    if twist != 1:
-        chars = inst.chiA.chars + inst.chiB.conj().chars
-        big = lcm(*(chi.field.q - 1 for chi in chars))
-        tau = sum(chi.e * chi.field.dlog(twist) * (big // (chi.field.q - 1)) for chi in chars)
-        return _denominator_inverse(inst, 1, over_big) * root_of_unity(big, tau)
+    rational |.|^2, q^f or q^f / p.  Against the trace itself; a twist
+    rotates it (see algebra_sum_direct)."""
     den = _gauss_denominator(inst)
     return invert_gauss_product(den.gamma_coefficient() if over_big else den.read())
 
@@ -285,28 +280,31 @@ def algebra_sum_direct(inst, t, twist=1):
     class s = dlog t of the joint tally (see _direct_tally), whose fibre u
     != 0 is fibre 1 at class s - shift(u) rotated by rot(u).  Against the
     a-twisted trace the total is the sum over u of zeta_p^(a u) times fibre
-    u.  Where _reads_at_big holds, every shift is 0 and rot is tau on
+    u, and the denominator is conj(tau(a)) times that of twist 1, tau read
+    off its Gauss entries (_gauss_denominator): the total is rotated by
+    tau(a).  Where _reads_at_big holds, every shift is 0 and rot is tau on
     F_p^x, so the total is (tau(1/a) T_1 - T_0) gamma(tau), T_0 = tau(b) T_0
     being 0 when tau is nontrivial; the denominator is c_D gamma(tau), and
-    the value -(tau(1/a) T_1 - T_0) / c_D is one reduction at big, one
-    product with the inverse that the Fourier route caches, one embedding
-    into Q(zeta_(p big)).  Otherwise the p fibres are cut out of the tally
-    at length p big, each at its rotation there, and read at once.
+    the value -(tau(1/a) T_1 - T_0) tau(a) / c_D is one reduction at big,
+    one product with the inverse that the Fourier route caches, one
+    embedding into Q(zeta_(p big)).  Otherwise the p fibres are cut out of
+    the tally at length p big, each at its rotation there, and read at once.
     """
     t, twist = _unit_args(inst.base, t, twist)
     (zero, one), sigma, g, span = _direct_tally(inst)
     p, qbar, s = inst.base.p, inst.base.q - 1, inst.base.dlog(t)
     big = zero.n // span * g
+    tau = _gauss_denominator(inst).psi[twist] if twist != 1 else 0
     if _reads_at_big(inst):
-        total = one.cut(s, span, big, g, sigma[pow(twist, -1, p)][0])
+        total = one.cut(s, span, big, g, sigma[pow(twist, -1, p)][0] + tau)
         minus = zero.cut(s, span, big, g, 0) if not any(r for r, _ in sigma) else None
-        value = -total.read(minus) * _denominator_inverse(inst, twist, True)
+        value = -total.read(minus) * _denominator_inverse(inst, True)
         return value.embed(p * big)
     n = p * big
     fibres = [zero.cut(s, span, n, g * p, 0)]
     fibres += [one.cut((s - shift) % qbar, span, n, g * p, rot * p + twist * u * big)
                for u, (rot, shift) in enumerate(sigma) if u]
-    return _Packed.rotated_sum(fibres, [0] * p).read() * (-1) * _denominator_inverse(inst, twist)
+    return _Packed.rotated_sum(fibres, [p * tau] * p).read() * (-1) * _denominator_inverse(inst)
 
 
 def _row_stabilizer(inst, big):
@@ -324,7 +322,7 @@ def _row_stabilizer(inst, big):
 
 
 @lru_cache(maxsize=None)
-def _fourier_coefficients(inst, twist):
+def _fourier_coefficients(inst):
     """The expansion rows, one per orbit of G = _row_stabilizer on m mod q-1:
     G, and per orbit O_m its least m, |O_m| and row m, the Gauss product
     g_A(chi_A omega^m) g_B(conj(chi_B) omega^-m) as an unreduced _GaussPair
@@ -334,11 +332,8 @@ def _fourier_coefficients(inst, twist):
     g(chi) to g(chi^k).  For k in G it permutes the characters of row m
     among those of row k m mod q-1, the components of one field sharing
     their norm shift, so row k m = sigma_k(row m): the other rows of an
-    orbit are never built (see _rotated_rows).  The rows against the
-    a-twisted trace are those of twist 1 rotated (see _GaussPair.twisted)."""
-    if twist != 1:
-        group, reps = _fourier_coefficients(inst, 1)
-        return group, tuple((m, size, row.twisted(twist)) for m, size, row in reps)
+    orbit are never built (see _rotated_rows).  They are the rows against
+    the trace itself; algebra_sum_fourier applies a twist to t instead."""
     qbar, bound = inst.base.q - 1, _row_bound(inst)
     big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
     group = _row_stabilizer(inst, big)
@@ -349,11 +344,11 @@ def _fourier_coefficients(inst, twist):
             orbit = {k * m % qbar for k in group}
             seen |= orbit
             chars = inst.chiA.twist_by_norm_power(m).chars + chiB_bar.twist_by_norm_power(-m).chars
-            reps.append((m, len(orbit), _gauss_pair(chars, 1, bound)))
+            reps.append((m, len(orbit), _gauss_pair(chars, bound)))
     return group, tuple(reps)
 
 
-def _rotated_rows(inst, t, twist):
+def _rotated_rows(inst, t):
     """G, and the representative rows with their rotations and weights.  Row
     m times chi(arg)^m, with arg = N(-1) t and N(-1) = (-1)^(dim B), is row m
     rotated by step m in Q(zeta_big), y_m.  As sigma_k moves that rotation
@@ -361,7 +356,7 @@ def _rotated_rows(inst, t, twist):
     |O_m| / |G|, so the sum of all q-1 rotated rows is 1/|G| times the trace
     over G of W, the sum of |O_m| y_m over the representatives: one traced
     read of W (see _Packed.read)."""
-    group, reps = _fourier_coefficients(inst, twist)
+    group, reps = _fourier_coefficients(inst)
     rows = [row for _, _, row in reps]
     step = rows[0].x1.n // (inst.base.q - 1) * (
         inst.base.dlog(t) + inst.B.dim * inst.base.minus_one_dlog)
@@ -369,23 +364,23 @@ def _rotated_rows(inst, t, twist):
 
 
 @lru_cache(maxsize=None)
-def _lifted_rows(inst, twist):
+def _lifted_rows(inst):
     """The representative rows of _fourier_coefficients, each lifted once to
     length p big, and G moved to Z/(p big) by k -> (k mod big, 1 mod p),
     since sigma_k fixes zeta_p."""
-    group, reps = _fourier_coefficients(inst, twist)
+    group, reps = _fourier_coefficients(inst)
     p, big = inst.base.p, reps[0][2].x1.n
     inv = pow(big, -1, p)
     return (tuple(k + big * ((1 - k) * inv % p) for k in group),
             tuple(row.lift() for _, _, row in reps))
 
 
-def _expansion_times_denominator(inst, t, twist):
+def _expansion_times_denominator(inst, t):
     """The expansion at a unit t before the division by the denominator:
     -1/(q-1) times the sum of the rotated rows, which is the trace of the
     lifted W at length p big over -(q-1) |G|."""
-    group, _, shifts, sizes = _rotated_rows(inst, t, twist)
-    lifted_group, lifted = _lifted_rows(inst, twist)
+    group, _, shifts, sizes = _rotated_rows(inst, t)
+    lifted_group, lifted = _lifted_rows(inst)
     p = inst.base.p
     total = _Packed.rotated_sum(lifted, [p * s for s in shifts], sizes)
     return total.read(group=lifted_group) * Fraction(-1, (inst.base.q - 1) * len(group))
@@ -404,16 +399,21 @@ def algebra_sum_fourier(inst, t, twist=1):
     ((q-1) |G| c_D) in Q(zeta_big), c(t) the traced read of X_1 - X_0 of W
     (see _rotated_rows): one reduction at big, one product with the cached
     inverse of c_D, and one embedding into Q(zeta_(p big)), the conductor of
-    every value of this function.
+    every value of this function.  Against the a-twisted trace, row m and
+    D gain conj(tau(a)) omega(a)^(m (dim B - dim A)) and conj(tau(a)), as
+    g_a(chi) = conj(chi(a)) g(chi): the value is that of twist 1 at
+    t a^(dim B - dim A).
     """
     t, twist = _unit_args(inst.base, t, twist)
+    if twist != 1:
+        t *= inst.base.elem(twist) ** (inst.B.dim - inst.A.dim)
     if not _reads_at_big(inst):
-        return _expansion_times_denominator(inst, t, twist) * _denominator_inverse(inst, twist)
-    group, rows, shifts, sizes = _rotated_rows(inst, t, twist)
+        return _expansion_times_denominator(inst, t) * _denominator_inverse(inst)
+    group, rows, shifts, sizes = _rotated_rows(inst, t)
     x0 = _Packed.rotated_sum([row.x0 for row in rows], shifts, sizes)
     x1 = _Packed.rotated_sum([row.x1 for row in rows], shifts, sizes)
     total = x1.read(x0, group)
-    value = total * _denominator_inverse(inst, twist, True) * Fraction(
+    value = total * _denominator_inverse(inst, True) * Fraction(
         -1, (inst.base.q - 1) * len(group))
     return value.embed(inst.base.p * total.conductor)
 
@@ -437,12 +437,14 @@ def split_instance(params, q):
     return HGAlgebraInstance(A, B, chiA, chiB)
 
 
+@lru_cache(maxsize=None)
 def orbit_instance(params, p):
     """Algebras assembled from the orbits of multiplication by p.
 
     Each orbit of length l contributes one component F_{p^l} whose
     character exponent is rep * (p^l - 1); that exponent is an integer
-    precisely because l is the orbit length.
+    precisely because l is the orbit length.  Built once per (params, p),
+    as algebras compare by identity and instances key the sum caches.
     """
     base = make_field(p)
     alpha_orbits, beta_orbits = params.p_orbits(p)
@@ -480,4 +482,4 @@ def greene_factor(params, q):
 def katz_unnormalized(params, q, t):
     """classic_sum with the Gauss-sum denominator multiplied back in."""
     inst = split_instance(params, q)
-    return _expansion_times_denominator(inst, *_unit_args(inst.base, t, 1))
+    return _expansion_times_denominator(inst, _unit_args(inst.base, t, 1)[0])

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import finhyp
 from finhyp import clear_caches, padic
+from finhyp.charsums import AlgebraChar, SemisimpleAlgebra
+from finhyp.finfield import make_field
 from finhyp.hypergeometric import (
+    HGAlgebraInstance,
+    _denominator_inverse,
+    _fourier_coefficients,
+    _lifted_rows,
+    _reads_at_big,
     algebra_sum_direct,
     algebra_sum_fourier,
     classic_sum,
@@ -46,7 +53,7 @@ def test_clear_caches_empties_every_cache():
     padic_sum_direct(params, 5, 2, 4)
     params.denominator_exponent()
     before = _caches()
-    assert len(before) == 18
+    assert len(before) == 20
     assert all(before.values()), before
     clear_caches()
     assert not any(_caches().values())
@@ -56,3 +63,25 @@ def test_clear_caches_empties_every_cache():
     # a new instance over the new fields computes the same value from cold
     inst = orbit_instance(HGParams.parse("1/2,1/4,3/4", "0,1/8,3/8"), 3)
     assert algebra_sum_direct(inst, 2) == algebra_sum_fourier(inst, 2) == value
+
+
+def test_twisted_values_share_the_caches_of_twist_1():
+    # rows, lifts and denominator inverses are keyed by the instance alone: a
+    # twist is applied to each value, not tabulated
+    clear_caches()
+    f5 = make_field(5)
+    A = SemisimpleAlgebra(f5, [f5, make_field(5, 2)])
+    B = SemisimpleAlgebra(f5, [f5])
+    lifted = HGAlgebraInstance(A, B, AlgebraChar.from_exponents(A, [3, 7]),
+                               AlgebraChar.from_exponents(B, [2]))
+    at_big = orbit_instance(HGParams.parse("1/4,3/4", "0,1/2"), 5)
+    assert not _reads_at_big(lifted) and _reads_at_big(at_big)
+    for inst in (lifted, at_big):
+        for twist in (1, 2, 4):
+            for t in (1, 2, 3):
+                algebra_sum_fourier(inst, t, twist)
+                algebra_sum_direct(inst, t, twist)
+    assert _fourier_coefficients.cache_info().currsize == 2
+    assert _lifted_rows.cache_info().currsize == 1
+    # the lifted instance reads the inverse in Q(zeta_(p big)), the other in Q(zeta_big)
+    assert _denominator_inverse.cache_info().currsize == 2

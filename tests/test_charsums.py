@@ -169,8 +169,8 @@ def test_gauss_pair_product_against_oracle(case):
     chars, a = _pair_cases()[case]
     p = chars[0].field.p
     big = lcm(*(chi.field.q - 1 for chi in chars))
-    pair = _gauss_pair(chars, a, prod(chi.field.q - 1 for chi in chars))
-    fibres = oracles.product_fibres(chars, a)
+    pair = _gauss_pair(chars, prod(chi.field.q - 1 for chi in chars))
+    fibres = oracles.product_fibres(chars)
     # the two fibres of the product, each in Q(zeta_big)
     assert pair.x0.read() == fibres[0] and pair.x1.read() == fibres[1]
     assert pair.x0.read().conductor == big
@@ -186,10 +186,16 @@ def test_gauss_pair_product_against_oracle(case):
         gamma = gamma + psi_b * root_of_unity(p, b)
     ref = CycloNum.one(1)
     for chi in chars:
-        ref = ref * oracles.gauss_sum(chi.field, chi.e, a)
+        ref = ref * oracles.gauss_sum(chi.field, chi.e)
     value = pair.read()
     assert value == ref and value.conductor == p * big
     assert pair.gamma_coefficient() * gamma == ref
+    # against the a-twisted trace: the same pair, read and rotated by -psi[a]
+    twisted = CycloNum.one(1)
+    for chi in chars:
+        twisted = twisted * oracles.gauss_sum(chi.field, chi.e, a)
+    value = gauss_product(chars, a)
+    assert value == twisted and value.conductor == p * big
 
 
 def test_mismatched_structures_raise_typed_errors():

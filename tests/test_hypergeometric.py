@@ -152,9 +152,9 @@ def test_fourier_coefficient_at_zero_is_one():
         AlgebraChar.from_exponents(B, [1, 0, 2]),
     )
     # row 0 is the denominator itself, kept unnormalised, alone in its orbit
-    m, size, row = _fourier_coefficients(inst, 1)[1][0]
+    m, size, row = _fourier_coefficients(inst)[1][0]
     assert (m, size) == (0, 1)
-    assert row.read() * _denominator_inverse(inst, 1) == 1
+    assert row.read() * _denominator_inverse(inst) == 1
 
 
 def _fourier_per_term(inst, t, twist=1):
@@ -254,7 +254,7 @@ def test_cold_fourier_rows_are_not_reduced(monkeypatch):
     inst = split_instance(HGParams.parse("1/4,3/4", "0,1/2"), 13)
     _fourier_coefficients.cache_clear()
     calls = _count_reductions(monkeypatch)
-    group, reps = _fourier_coefficients(inst, 1)
+    group, reps = _fourier_coefficients(inst)
     # all four units mod 12 fix (1/4,3/4; 0,1/2): one row per divisor of 12
     assert group == (1, 5, 7, 11) and [m for m, _, _ in reps] == [0, 1, 2, 3, 4, 6]
     assert sum(size for _, size, _ in reps) == 12 and calls == []
@@ -270,27 +270,29 @@ def test_fourier_rows_from_cached_gauss_entries(q, params, other, monkeypatch):
 
     clear_caches()
     inst = split_instance(HGParams.parse(*params), q)
-    _fourier_coefficients(inst, 1)
-    # one trace pass per field, and the twisted rows are rotations of the
-    # twist-1 rows: they build no Gauss entry of their own
+    algebra_sum_fourier(inst, 2)
+    # one trace pass per field, and a twisted value is a value of twist 1 at
+    # another t: it builds no Gauss entry and no row of its own
     assert _trace_fibres.cache_info().misses == 1
     entries = _gauss_pair_entry.cache_info().misses
-    _fourier_coefficients(inst, 2)
+    algebra_sum_fourier(inst, 2, 2)
     assert _gauss_pair_entry.cache_info().misses == entries
+    assert _fourier_coefficients.cache_info().currsize == 1
     misses = _trace_fibres.cache_info().misses
     for twist in (1, 2):
-        _fourier_coefficients(split_instance(HGParams.parse(*other), q), twist)
+        algebra_sum_fourier(split_instance(HGParams.parse(*other), q), 2, twist)
     # a second instance over the same field makes no new trace pass
     assert _trace_fibres.cache_info().misses == misses
-    # each row equals its Gauss product with every entry tallied afresh
+    # each row equals its Gauss product with every entry tallied afresh, and
+    # against the twisted trace that product is the row rotated by -psi[2]
     monkeypatch.setattr(charsums, "_trace_fibres", _trace_fibres.__wrapped__)
     monkeypatch.setattr(charsums, "_gauss_pair_entry", _gauss_pair_entry.__wrapped__)
     chiB_bar = inst.chiB.conj()
-    for twist in (1, 2):
-        for m, _, row in _fourier_coefficients(inst, twist)[1]:
-            chars = (inst.chiA.twist_by_norm_power(m).chars
-                     + chiB_bar.twist_by_norm_power(-m).chars)
-            assert row.read() == gauss_product(chars, twist)
+    for m, _, row in _fourier_coefficients(inst)[1]:
+        chars = (inst.chiA.twist_by_norm_power(m).chars
+                 + chiB_bar.twist_by_norm_power(-m).chars)
+        assert row.read() == gauss_product(chars)
+        assert row.read() * root_of_unity(row.x1.n, -row.psi[2]) == gauss_product(chars, 2)
 
 
 def _row_products(inst):
@@ -301,7 +303,7 @@ def _row_products(inst):
     bound = qbar * inst.A.unit_count() * inst.B.unit_count()
     chiB_bar = inst.chiB.conj()
     return [_gauss_pair(inst.chiA.twist_by_norm_power(m).chars
-                        + chiB_bar.twist_by_norm_power(-m).chars, 1, bound)
+                        + chiB_bar.twist_by_norm_power(-m).chars, bound)
             for m in range(qbar)]
 
 
@@ -366,7 +368,7 @@ def test_orbit_rows_equal_their_gauss_products(case, monkeypatch):
         k for k in range(1, q) if lcm(k, q - 1) == k * (q - 1) and k % dd in params.stabilizer())
     _fourier_coefficients.cache_clear()
     calls = _count_products(monkeypatch)
-    coefficients = _fourier_coefficients(inst, 1)
+    coefficients = _fourier_coefficients(inst)
     assert len(calls) == len(coefficients[1]) == products
     _same_reps(inst, coefficients)
 
@@ -382,7 +384,7 @@ def test_orbit_rows_with_extension_components(monkeypatch):
     assert {k % 30 for k in group} == {1, 11}
     _fourier_coefficients.cache_clear()
     calls = _count_products(monkeypatch)
-    coefficients = _fourier_coefficients(inst, 1)
+    coefficients = _fourier_coefficients(inst)
     assert len(calls) == 4  # rows {0}, {1, 5}, {2, 4}, {3}
     assert [(m, size) for m, size, _ in coefficients[1]] == [(0, 1), (1, 2), (2, 2), (3, 1)]
     _same_reps(inst, coefficients)
@@ -407,7 +409,7 @@ def test_orbit_rows_of_random_instances():
             inst = HGAlgebraInstance(A, B, AlgebraChar.from_exponents(A, exps[0]),
                                      AlgebraChar.from_exponents(B, exps[1]))
         big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
-        coefficients = _fourier_coefficients(inst, 1)
+        coefficients = _fourier_coefficients(inst)
         assert coefficients[0] == _row_stabilizer(inst, big)
         merged += len(coefficients[1]) < q - 1
         _same_reps(inst, coefficients)
@@ -426,7 +428,7 @@ def test_cold_rows_cost_one_product_per_orbit(monkeypatch):
     monkeypatch.undo()
     _fourier_coefficients.cache_clear()
     calls = _count_products(monkeypatch)
-    group, reps = _fourier_coefficients(split_instance(params, 343), 1)
+    group, reps = _fourier_coefficients(split_instance(params, 343))
     assert len(calls) == len(reps) == 12 and sum(size for _, size, _ in reps) == 342
     assert value.conductor == 7 * 342
 
@@ -448,7 +450,7 @@ def test_fourier_cache_holds_one_row_per_orbit():
     clear_caches()
     classic_sum(params, 343, 2)
     assert _fourier_coefficients.cache_info().currsize == 1
-    assert _held_rows(_fourier_coefficients(split_instance(params, 343), 1)) == 12
+    assert _held_rows(_fourier_coefficients(split_instance(params, 343))) == 12
 
 
 def test_wide_slot_rows_fourier_equals_direct():
@@ -467,21 +469,29 @@ def test_wide_slot_rows_fourier_equals_direct():
 @pytest.mark.parametrize("case", ["split_q13", "orbit_q7"])
 def test_twisted_denominator_inverse_is_a_rotation(case):
     from finhyp.charsums import _gauss_pair
-    from finhyp.hypergeometric import _denominator_inverse
+    from finhyp.hypergeometric import _denominator_inverse, _gauss_denominator
 
     if case == "split_q13":
         inst = split_instance(HGParams.parse("1/4,3/4", "0,1/3"), 13)
     else:
         inst = orbit_instance(HGParams.parse("1/2,1/3,2/3", "0,1/4,3/4"), 7)
     chars = inst.chiA.chars + inst.chiB.conj().chars
+    big = lcm(*(chi.field.q - 1 for chi in chars))
     bound = inst.A.unit_count() * inst.B.unit_count()
+    coefficient = _gauss_pair(chars, bound).gamma_coefficient()
+    assert _denominator_inverse(inst, True) * coefficient == 1
+    # the direct route divides by the denominator of twist a as tau(a) times
+    # the inverse of twist 1, tau(a) read off the denominator's Gauss entries
+    tau = _gauss_denominator(inst).psi
     for a in range(1, inst.base.p):
-        ref = CycloNum.one(1)
+        ref, tau_a = CycloNum.one(1), CycloNum.one(1)
         for chi in chars:
             ref = ref * oracles.gauss_sum(chi.field, chi.e, a)
-        assert _denominator_inverse(inst, a) * ref == 1
-        coefficient = _gauss_pair(chars, a, bound).gamma_coefficient()
-        assert _denominator_inverse(inst, a, True) * coefficient == 1
+            tau_a = tau_a * oracles.char_value(chi.field, chi.e, chi.field.elem(a))
+        assert root_of_unity(big, tau[a]) == tau_a
+        assert _denominator_inverse(inst) * tau_a * ref == 1
+        for t in (1, 2):
+            assert algebra_sum_direct(inst, t, a) == algebra_sum_fourier(inst, t, a)
 
 
 def _hand_built(p, a_degrees, b_degrees, a_exps, b_exps):
@@ -510,7 +520,7 @@ def test_fourier_read_against_per_term_expansion(case):
     from finhyp.hypergeometric import _fourier_coefficients
 
     inst, twist, nontrivial = _expansion_cases()[case]
-    rows = [row for _, _, row in _fourier_coefficients(inst, twist)[1]]
+    rows = [row for _, _, row in _fourier_coefficients(inst)[1]]
     if nontrivial is None:
         assert len({row.psi for row in rows}) > 1
     else:
@@ -524,8 +534,8 @@ def test_fourier_read_against_per_term_expansion(case):
 
 
 def test_warm_lifted_fourier_value_lifts_nothing(monkeypatch):
-    # each representative is lifted once per (instance, twist): a warm value on
-    # the lift path is one weighted sum, traced and read at p big
+    # each representative is lifted once per instance, for every twist: a warm
+    # value on the lift path is one weighted sum, traced and read at p big
     from finhyp.charsums import _GaussPair
 
     inst = _expansion_cases()["not_shared"][0]
@@ -696,6 +706,39 @@ def test_greene_factor_against_generic_inverse(alpha, beta, q):
 def test_split_instance_is_cached():
     params = HGParams.parse("1/4,3/4", "0,1/2")
     assert split_instance(params, 5) is split_instance(params, 5)
+
+
+def test_orbit_instance_is_cached(monkeypatch):
+    # algebras compare by identity, so only the same instance hits the caches
+    params = HGParams.parse("1/5,2/5,3/5,4/5", "0,0,0,0")
+    clear_caches()
+    inst = orbit_instance(params, 7)
+    value = algebra_sum_fourier(inst, 3)
+    calls = _count_products(monkeypatch)
+    again = orbit_instance(params, 7)
+    assert again is inst
+    assert algebra_sum_fourier(again, 3) == value and calls == []
+
+
+def test_twist_is_a_change_of_argument():
+    # g_a(chi) = conj(chi(a)) g(chi): the expansion against the a-twisted
+    # trace at t is that of twist 1 at t a^(dim B - dim A), bit for bit
+    from finhyp.checks import random_algebra_instance
+
+    rng = random.Random(23)
+    unequal = 0
+    for i in range(30):
+        q = (3, 4, 5, 7, 8, 9)[i % 6]
+        inst = random_algebra_instance(rng, q, max_size=81)
+        base, p = inst.base, inst.base.p
+        unequal += not inst.is_equidimensional
+        for a in sorted({1, 2 % p, p - 1} - {0}):
+            shift = base.elem(a) ** (inst.B.dim - inst.A.dim)
+            for j in rng.sample(range(q - 1), min(3, q - 1)):
+                t = base.unit(j)
+                assert _same_value(algebra_sum_fourier(inst, t, a),
+                                   algebra_sum_fourier(inst, t * shift))
+    assert unequal >= 5
 
 
 def test_non_prime_power_q():
