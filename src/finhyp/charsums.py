@@ -35,37 +35,21 @@ from functools import lru_cache, reduce
 from math import lcm, prod
 from operator import mul
 
+from ._value import Value
 from .cyclo import _Packed, root_of_unity
 from .errors import FieldMismatch, InternalInconsistency, LengthMismatch, NotSubfield
 
 
-class MultChar:
+class MultChar(Value):
     """chi(g^j) = zeta_(q-1)^(e*j) on the units of a fixed field.
 
-    Immutable, and hashed once: characters are parts of the AlgebraChar
-    and HGAlgebraInstance keys of the sum caches."""
+    A Value, so immutable and hashed once: characters are parts of the
+    AlgebraChar and HGAlgebraInstance keys of the sum caches."""
 
-    __slots__ = ("field", "e", "_hash")
+    __slots__ = _fields = ("field", "e")
 
     def __init__(self, field, e):
-        e %= field.q - 1
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "_hash", hash((field, e)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"MultChar is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.e) == (other.field, other.e)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"MultChar(field={self.field!r}, e={self.e!r})"
+        self._init(field, e % (field.q - 1))
 
     @property
     def is_trivial(self):
@@ -184,11 +168,11 @@ class _GaussPair:
         """The pair packed at length p big, zeta_big = zeta_(p big)^p and
         zeta_p = zeta_(p big)^big: X_0 and X_1 spread from slot j to slot j p,
         plus p-1 rotations of the spread X_1, one per term psi(b) zeta_p^b of
-        gamma(psi)."""
+        gamma(psi).  A spread is a cut of every slot, spaced by p."""
         p, n = self.p, self.x1.n
-        spread = [self.x0.spread(p * n)] + [self.x1.spread(p * n)] * (p - 1)
+        x0, x1 = (x.cut(0, 1, p * n, p, 0) for x in (self.x0, self.x1))
         shifts = [0] + [e * p + b * n for b, e in enumerate(self.psi) if b]
-        return _Packed.rotated_sum(spread, shifts)
+        return _Packed.rotated_sum([x0] + [x1] * (p - 1), shifts)
 
     def read(self):
         """The value in Q(zeta_(p big)): one lift, one reduction."""
@@ -248,11 +232,11 @@ class SemisimpleAlgebra:
         return f"[{comps} over {self.base!r}]"
 
 
-class AlgebraChar:
+class AlgebraChar(Value):
     """A multiplicative character of an algebra, one field character per
-    component.  Immutable and hashed once, like MultChar."""
+    component.  A Value, like MultChar: immutable and hashed once."""
 
-    __slots__ = ("algebra", "chars", "_hash")
+    __slots__ = _fields = ("algebra", "chars")
 
     def __init__(self, algebra, chars):
         if len(chars) != len(algebra.components):
@@ -260,23 +244,7 @@ class AlgebraChar:
         for chi, comp in zip(chars, algebra.components):
             if chi.field is not comp:
                 raise FieldMismatch("character field does not match component")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "chars", chars)
-        object.__setattr__(self, "_hash", hash((algebra, chars)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"AlgebraChar is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.algebra, self.chars) == (other.algebra, other.chars)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"AlgebraChar(algebra={self.algebra!r}, chars={self.chars!r})"
+        self._init(algebra, chars)
 
     @classmethod
     def from_exponents(cls, algebra, exponents):

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from random import Random
 
+from ._value import Value
 from .charsums import AlgebraChar, SemisimpleAlgebra, gauss_norm_exponent
 from .errors import AssumptionFails, DoesNotSplit, InternalInconsistency, LengthMismatch
 from .finfield import make_field, prime_power
@@ -35,27 +36,17 @@ from .padic import (
 from .params import HGParams
 
 
-class CheckReport:
+class CheckReport(Value):
     """One check's verdict: "pass", "fail" or "inconclusive", with an
-    optional witness dict and the time taken.  Mutable, so unhashable."""
+    optional witness dict and the time taken.  A Value that stays mutable,
+    so unhashable."""
 
-    __slots__ = ("check", "instance", "verdict", "witness", "millis")
+    __slots__ = _fields = ("check", "instance", "verdict", "witness", "millis")
+    __hash__ = None
+    __setattr__ = object.__setattr__
 
     def __init__(self, check, instance, verdict, witness=None, millis=0):
-        self.check, self.instance, self.verdict = check, instance, verdict
-        self.witness, self.millis = witness, millis
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.check, self.instance, self.verdict, self.witness, self.millis)
-                == (other.check, other.instance, other.verdict, other.witness, other.millis))
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"CheckReport(check={self.check!r}, instance={self.instance!r}, "
-                f"verdict={self.verdict!r}, witness={self.witness!r}, millis={self.millis!r})")
+        self._init(check, instance, verdict, witness, millis)
 
     @property
     def passed(self):

@@ -502,13 +502,8 @@ class _Packed:
         v = [0] * n
         for e, w in weights:
             v[e % n] += w
-        return _Packed.vector(bound, v)
-
-    @staticmethod
-    def vector(bound, v):
-        """The list v of nonnegative ints as a vector of length len(v)."""
         width = _Packed.slot_width(bound)
-        return _Packed(len(v), bound, width, _to_slots(v, width), sum(v))
+        return _Packed(n, bound, width, _to_slots(v, width), sum(v))
 
     def times(self, terms):
         """The product with the sum of w * x^e over the (e, w) items of terms,
@@ -531,15 +526,6 @@ class _Packed:
         value = sum(r.value * w << (bits * (s % n)) for r, s, w in zip(rows, shifts, weights))
         total = sum(r.total * w for r, w in zip(rows, weights))
         return _Packed(n, rows[0].bound, rows[0].width, value, total)
-
-    def spread(self, m):
-        """The same vector at length m, a multiple of n: slot j moves to slot
-        j*m/n, one byte lane at a time."""
-        w = self.width
-        raw, out = self.value.to_bytes(w * self.n, "little"), bytearray(w * m)
-        for k in range(w):
-            out[k :: w * (m // self.n)] = raw[k :: w]
-        return _Packed(m, self.bound, w, int.from_bytes(out, "little"), self.total)
 
     def cut(self, start, step, n, spacing, shift):
         """The vector at length n whose slot shift + i*spacing (mod n) holds

@@ -468,7 +468,9 @@ def make_field(p, f=1):
 
 
 class FqElem:
-    """An element of an FqField; immutable coefficient tuple."""
+    """An element of an FqField; immutable coefficient tuple.  It equals an
+    int only at its exact code, to_int(), with no reduction mod q, and
+    hashes like that int."""
 
     __slots__ = ("field", "coeffs")
 
@@ -520,13 +522,13 @@ class FqElem:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = self.field.elem(other)
+            return self.to_int() == other
         if not isinstance(other, FqElem):
             return NotImplemented
         return self.field is other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash(self.to_int())
 
     def to_int(self):
         """Integer code: sum of c_i * p^i."""

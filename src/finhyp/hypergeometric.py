@@ -40,6 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from ._value import Value
 from .charsums import (
     AlgebraChar,
     SemisimpleAlgebra,
@@ -53,40 +54,20 @@ from .errors import AssumptionFails, FieldMismatch, NotCoprime, ZeroArgument
 from .finfield import make_field, prime_power
 
 
-class HGAlgebraInstance:
+class HGAlgebraInstance(Value):
     """Two semisimple algebras over one base field, with their characters.
 
-    Immutable, and hashed once: instances key the denominator, direct-sum
-    and expansion caches."""
+    A Value, so immutable and hashed once: instances key the denominator,
+    direct-sum and expansion caches."""
 
-    __slots__ = ("A", "B", "chiA", "chiB", "_hash")
+    __slots__ = _fields = ("A", "B", "chiA", "chiB")
 
     def __init__(self, A, B, chiA, chiB):
         if A.base is not B.base:
             raise FieldMismatch("algebras must share the base field")
         if chiA.algebra is not A or chiB.algebra is not B:
             raise FieldMismatch("characters must live on the given algebras")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "chiA", chiA)
-        object.__setattr__(self, "chiB", chiB)
-        object.__setattr__(self, "_hash", hash((A, B, chiA, chiB)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"HGAlgebraInstance is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.A, self.B, self.chiA, self.chiB)
-                == (other.A, other.B, other.chiA, other.chiB))
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return (f"HGAlgebraInstance(A={self.A!r}, B={self.B!r}, "
-                f"chiA={self.chiA!r}, chiB={self.chiB!r})")
+        self._init(A, B, chiA, chiB)
 
     @property
     def base(self):

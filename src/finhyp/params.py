@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from ._value import Value
 from .cyclo import CycloNum, root_of_unity
 from .errors import (
     BoundExceeded,
@@ -40,41 +41,28 @@ def parse_fraction_list(text):
         raise MalformedValue(f"not a list of fractions: {text!r}") from None
 
 
-class POrbit:
-    """One orbit of multiplication by p on a parameter multiset; immutable."""
+class POrbit(Value):
+    """One orbit of multiplication by p on a parameter multiset; a Value."""
 
-    __slots__ = ("rep", "values")
+    __slots__ = _fields = ("rep", "values")
 
     def __init__(self, rep, values):
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"POrbit is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rep, self.values) == (other.rep, other.values)
-
-    def __hash__(self):
-        return hash((self.rep, self.values))
-
-    def __repr__(self):
-        return f"POrbit(rep={self.rep!r}, values={self.values!r})"
+        self._init(rep, values)
 
     @property
     def length(self):
         return len(self.values)
 
 
-class HGParams:
+class HGParams(Value):
     """A pair of parameter multisets, stored sorted with entries in [0, 1).
-    Immutable, and hashed once: parameters key the split-instance and
-    p-adic series caches.  The scaled numerators D*alpha_i and D*beta_j,
-    D the common denominator, are kept as ints."""
+    The scaled numerators D*alpha_i and D*beta_j, D the common denominator,
+    are kept as ints, and they are the Value's one field: parameters compare
+    and hash, once, as ints, and key the split-instance and p-adic series
+    caches."""
 
-    __slots__ = ("alpha", "beta", "d", "_hash", "_scaled")
+    __slots__ = ("alpha", "beta", "d", "_scaled")
+    _fields = ("_scaled",)
 
     def __init__(self, alpha, beta):
         a = tuple(sorted(Fraction(x) % 1 for x in alpha))
@@ -89,9 +77,8 @@ class HGParams:
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "d", len(a))
-        object.__setattr__(self, "_hash", hash((a, b)))
         dd = lcm(*(x.denominator for x in a + b))
-        object.__setattr__(self, "_scaled", (
+        self._init((
             dd,
             tuple(x.numerator * (dd // x.denominator) for x in a),
             tuple(x.numerator * (dd // x.denominator) for x in b),
@@ -100,17 +87,6 @@ class HGParams:
     @classmethod
     def parse(cls, alpha_text, beta_text):
         return cls(parse_fraction_list(alpha_text), parse_fraction_list(beta_text))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"HGParams is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, HGParams):
-            return NotImplemented
-        return self._scaled == other._scaled
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"HGParams({list(self.alpha)}, {list(self.beta)})"

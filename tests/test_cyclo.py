@@ -509,15 +509,16 @@ def test_packed_cut_inverts_spread(n, step):
     for bound in (255, 2**64 - 1, 2**80):
         vs = [[rng.randint(0, bound // n) for _ in range(m)] for _ in range(2)]
         xs = [_pack(m, bound, v) for v in vs]
-        spread = xs[0].spread(n)
+        spread = _spread(n, bound, vs[0])
+        assert _packed_fields(xs[0].cut(0, 1, n, step, 0)) == _packed_fields(spread)
         assert _packed_fields(spread.cut(0, step, m, 1, 0)) == _packed_fields(xs[0])
         # slots start + i*step, i < m, spread by 3 and rotated by shift
         start, shift = rng.randrange(step), rng.randrange(-3 * m, 3 * m)
         got = spread.times([(start, 1)]).cut(start, step, 3 * m, 3, shift)
-        ref = _Packed.rotated_sum([xs[0].spread(3 * m)], [shift])
+        ref = _Packed.rotated_sum([_spread(3 * m, bound, vs[0])], [shift])
         assert _packed_fields(got) == _packed_fields(ref) and got.total == sum(vs[0])
         if step > 1:  # one cut per start: slots 0 and 1 of every step hold xs[0] and xs[1]
-            both = _Packed.rotated_sum([x.spread(n) for x in xs], [0, 1])
+            both = _Packed.rotated_sum([_spread(n, bound, v) for v in vs], [0, 1])
             for start, x in enumerate(xs):
                 assert _packed_fields(both.cut(start, step, m, 1, 0)) == _packed_fields(x)
 
@@ -531,8 +532,13 @@ def test_packed_strided_inverts_spread(n, step):
         v = [rng.randint(0, bound // n) for _ in range(n // step)]
         x = _pack(n // step, bound, v)
         start = rng.randrange(n)
-        got = _Packed.rotated_sum([x.spread(n)], [start]).cut(start, step, n // step, 1, 0)
+        got = _Packed.rotated_sum([_spread(n, bound, v)], [start]).cut(start, step, n // step, 1, 0)
         assert _packed_fields(got) == _packed_fields(x) and got.total == sum(v)
+
+
+def _spread(n, bound, v):
+    """v at length n, a multiple of len(v): entry i in slot i*n/len(v)."""
+    return _Packed.tally(n, bound, ((i * (n // len(v)), x) for i, x in enumerate(v)))
 
 
 def _packed_fields(x):

@@ -8,6 +8,7 @@ from finhyp.charsums import (
     AlgebraChar,
     MultChar,
     SemisimpleAlgebra,
+    _GaussPair,
     _gauss_pair_entry,
     _trace_fibres,
     gauss_product,
@@ -942,14 +943,14 @@ def test_warm_equidimensional_direct_value_reads_at_big(alpha, beta, q, monkeypa
 
 def test_warm_lifted_direct_value_is_one_read(monkeypatch):
     # dim A - dim B = 1 at p = 3: the p fibres are cut out of the tally at
-    # length p big, so a warm value is one reduction there and spreads nothing
+    # length p big, so a warm value is one reduction there and lifts no pair
     inst = _hand_built(3, [2], [1], [3], [1])
     algebra_sum_direct(inst, 1)  # fills the tally and denominator caches
     algebra_sum_direct(inst, 1, 2)
     calls = _count_reductions(monkeypatch)
-    spreads = []
-    spread = _Packed.spread
-    monkeypatch.setattr(_Packed, "spread", lambda self, m: spreads.append(m) or spread(self, m))
+    lifts = []
+    lift = _GaussPair.lift
+    monkeypatch.setattr(_GaussPair, "lift", lambda self: lifts.append(self) or lift(self))
     for twist in (1, 2):
         for j in range(inst.base.q - 1):
             t = inst.base.unit(j)
@@ -957,7 +958,7 @@ def test_warm_lifted_direct_value_is_one_read(monkeypatch):
             value = algebra_sum_direct(inst, t, twist)
             assert calls == [3 * 8, 3 * 8]  # the read and the product with the inverse
             assert value == oracles.direct_sum(inst, t, twist)
-    assert spreads == []
+    assert lifts == []
 
 
 def test_one_tally_per_instance():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from finhyp._value import Value
 from finhyp.charsums import AlgebraChar, MultChar, SemisimpleAlgebra
 from finhyp.checks import CheckReport
 from finhyp.finfield import make_field
@@ -79,6 +80,33 @@ def test_hashable_values_are_immutable(name, field):
         setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
         value.extra = 1
+
+
+def _value_types(cls=Value):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _value_types(sub)
+
+
+def test_every_hashable_value_type_is_pinned_here():
+    hashable = {cls.__name__ for cls in _value_types() if cls.__hash__ is not None}
+    assert hashable == set(VALUES)
+
+
+def test_check_report_is_the_only_mutable_value_type():
+    mutable = [cls for cls in _value_types() if cls.__setattr__ is not Value.__setattr__]
+    assert mutable == [CheckReport] and CheckReport.__hash__ is None
+
+
+@pytest.mark.parametrize("p, f", [(5, 1), (3, 2)])
+def test_field_elements_hash_like_the_ints_they_equal(p, f):
+    field = make_field(p, f)
+    for code in range(field.q):
+        x = field.elem(code)
+        assert x == code and len({x, code}) == 1
+        for n in range(-2 * field.q, 3 * field.q):
+            if x == n:
+                assert hash(x) == hash(n), (x, n)
 
 
 def test_mult_char_reduces_its_exponent():
