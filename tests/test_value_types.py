@@ -2,6 +2,8 @@
 a changed field breaks equality, the cache-key types are immutable, and
 reprs keep their established format."""
 
+import importlib
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import finhyp
 from finhyp._value import Value
 from finhyp.charsums import AlgebraChar, MultChar, SemisimpleAlgebra
 from finhyp.checks import CheckReport
@@ -83,6 +86,9 @@ def test_hashable_values_are_immutable(name, field):
 
 
 def _value_types(cls=Value):
+    """Every subclass of cls, once every module of the package is imported."""
+    for module in pkgutil.iter_modules(finhyp.__path__):
+        importlib.import_module(f"finhyp.{module.name}")
     for sub in cls.__subclasses__():
         yield sub
         yield from _value_types(sub)
