@@ -215,7 +215,7 @@ def cmd_delta(args):
         payload["p"] = p
         payload["splits"] = params.splits_at(p)
         if d % p != 0:
-            payload["lambda"] = [params.term_exponent(p, m) for m in range(p - 1)]
+            payload["lambda"] = list(params.term_exponents(p))
         if params.splits_at(p):
             ao, bo = params.p_orbits(p)
             payload["alpha_orbits"] = [

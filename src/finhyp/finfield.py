@@ -2,9 +2,10 @@
 
 Each field fixes a reproducible presentation: the modulus is the
 lexicographically smallest monic irreducible of degree f over F_p
-(coefficient vectors compared constant term first) and the generator is
-the lexicographically smallest unit of full order q-1.  Elements are
-coefficient tuples of length f over F_p.
+(coefficient vectors compared constant term first), found by trial
+division by the monic polynomials of degree at most f/2, and the
+generator is the lexicographically smallest unit of full order q-1.
+Elements are coefficient tuples of length f over F_p.
 
 The whole unit group is enumerated at construction so that dlog is a
 table lookup; make_field therefore refuses fields above MAX_FIELD_SIZE
@@ -12,6 +13,7 @@ table lookup; make_field therefore refuses fields above MAX_FIELD_SIZE
 """
 
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 from .errors import (
@@ -68,7 +70,10 @@ def factorize(n):
 
 
 def prime_power(q):
-    """(p, f) with q = p^f."""
+    """(p, f) with q = p^f; a q above MAX_FIELD_SIZE is refused with
+    FieldTooLarge before trial division, which would not end for it."""
+    if q > MAX_FIELD_SIZE:
+        raise FieldTooLarge(f"q = {q} exceeds the bound {MAX_FIELD_SIZE}")
     fac = factorize(q)
     if len(fac) != 1:
         raise NotPrime(f"{q} is not a prime power")
@@ -99,6 +104,7 @@ def _prem(a, mod, p):
     a += [0] * (dm - len(a))
     return a
 
+
 def _ppow(a, e, mod, p):
     out = [1] + [0] * (len(mod) - 2)
     base = _prem(a, mod, p)
@@ -110,74 +116,20 @@ def _ppow(a, e, mod, p):
     return out
 
 
-def _pgcd(a, b, p):
-    a = _trim(a)
-    b = _trim(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _trim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmod(a, b, p):
-    a = _trim(a)
-    b = _trim(b)
-    inv = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        c = a[-1] * inv % p
-        shift = len(a) - len(b)
-        for j in range(len(b)):
-            a[shift + j] = (a[shift + j] - c * b[j]) % p
-        a = _trim(a)
-    return a
-
-
-def _is_irreducible(poly, p):
-    """Rabin test for a monic polynomial over F_p given with its degree."""
-    f = len(poly) - 1
-    x = [0, 1]
-    xq = _ppow(x, p**f, poly, p)
-    diff = _trim([(a - b) % p for a, b in zip(xq, x + [0] * (len(xq) - 2))])
-    if diff:
-        return False
-    for r in factorize(f):
-        xe = _ppow(x, p ** (f // r), poly, p)
-        diff = _trim([(a - b) % p for a, b in zip(xe, x + [0] * (len(xe) - 2))])
-        if not diff:
-            return False
-        if len(_pgcd(poly, diff, p)) > 1:
-            return False
-    return True
-
-
 def _smallest_irreducible(p, f):
+    """The first monic polynomial of degree f, in lexicographic order with
+    the constant term first, that no monic polynomial of degree 1 to f/2
+    divides; x itself when f = 1."""
     if f == 1:
         return (0, 1)
-    for vec in _lex_vectors(p, f):
+    divisors = [list(v) + [1] for d in range(1, f // 2 + 1)
+                for v in product(range(p), repeat=d)]
+    for vec in product(range(p), repeat=f):
         poly = list(vec) + [1]
         # a zero constant term means x divides poly, so it is reducible
-        if poly[0] and _is_irreducible(poly, p):
+        if poly[0] and all(any(_prem(poly, g, p)) for g in divisors):
             return tuple(poly)
     raise AssertionError("no irreducible polynomial found")
-
-
-def _lex_vectors(p, f):
-    vec = [0] * f
-    while True:
-        yield tuple(vec)
-        i = f - 1
-        while i >= 0 and vec[i] == p - 1:
-            vec[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        vec[i] += 1
 
 
 class FqField:
@@ -212,7 +164,7 @@ class FqField:
         # generator: lexicographically smallest unit of order q-1
         order_factors = list(factorize(q - 1))
         gen = None
-        for vec in _lex_vectors(p, f):
+        for vec in product(range(p), repeat=f):
             if not any(vec):
                 continue
             ok = True
@@ -293,7 +245,7 @@ class FqField:
     def nth_generator(self, i):
         """The i-th smallest generator of the unit group (0-based, lex order)."""
         seen = 0
-        for vec in _lex_vectors(self.p, self.f):
+        for vec in product(range(self.p), repeat=self.f):
             if not any(vec):
                 continue
             j = self._dlog[vec]
@@ -348,7 +300,7 @@ class FqField:
         sub = self.subfield(e)
         poly = sub.modulus
         root_vec = None
-        for vec in _lex_vectors(self.p, self.f):
+        for vec in product(range(self.p), repeat=self.f):
             acc = (0,) * self.f
             for c in reversed(poly):
                 acc = self.mul_vec(acc, vec)
@@ -401,11 +353,9 @@ class FqField:
         if e == self.f:
             return x
         acc = (0,) * self.f
-        cur = x.coeffs
-        mod, p = list(self.modulus), self.p
         for _ in range(self.f // e):
-            acc = self.add_vec(acc, cur)
-            cur = tuple(_ppow(list(cur), self.p**e, mod, p))
+            acc = self.add_vec(acc, x.coeffs)
+            x = self.frobenius(x, e)
         if not any(acc):
             return sub.zero()
         if e == 1:

@@ -113,11 +113,7 @@ class HGParams(Value):
         """The units k mod D, for a loop over them priced first: refused
         with BoundExceeded when D d exceeds MAX_UNIT_WORK."""
         dd = self.common_denominator()
-        if dd * self.d > MAX_UNIT_WORK:
-            raise BoundExceeded(
-                f"a loop over the units mod D = {dd} at d = {self.d} costs "
-                f"D d = {dd * self.d}, over the cap {MAX_UNIT_WORK}"
-            )
+        _price(f"a loop over the units mod D = {dd} at d = {self.d}", "D d", dd * self.d)
         return [k for k in range(1, dd + 1) if gcd(k, dd) == 1]
 
     def stabilizer(self):
@@ -136,6 +132,13 @@ class HGParams(Value):
         """Integer exponent of -p carried by the m-th series term."""
         dd = self.common_denominator()
         return -_drop(self._scaled, m * dd, dd * (p - 1))
+
+    def term_exponents(self, p):
+        """Lambda(m) for m < p-1, priced first like _units: refused with
+        BoundExceeded when (p-1) d exceeds MAX_UNIT_WORK."""
+        _price(f"a table of Lambda(m) for m < p - 1 = {p - 1} at d = {self.d}",
+               "(p - 1) d", (p - 1) * self.d)
+        return _term_exponents(self, p)
 
     def denominator_exponent(self):
         """Largest power of p that can appear in a denominator of the p-adic sum."""
@@ -196,6 +199,12 @@ class HGParams(Value):
                         "polynomials of a Q-stable pair must have integer coefficients"
                     )
         return pa, pb
+
+
+def _price(loop, formula, work):
+    """Refuse a loop whose work exceeds MAX_UNIT_WORK with BoundExceeded."""
+    if work > MAX_UNIT_WORK:
+        raise BoundExceeded(f"{loop} costs {formula} = {work}, over the cap {MAX_UNIT_WORK}")
 
 
 def _orbits_of(nums, p, dd):

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -164,6 +166,25 @@ def test_delta_refuses_a_large_denominator(capsys):
     # D = 96577: the loops over the units mod D are refused, not run
     code = main(["delta", "--alpha", "1/17,1/19", "--beta", "1/23,1/13"])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    # 2^61 - 1 and (2^31 - 1)^2: trial division of q would not end
+    ["hq", "--alpha", "1/2", "--beta", "0", "--t", "1", "--q", "2305843009213693951"],
+    ["hq", "--alpha", "1/2", "--beta", "0", "--t", "1", "--q", "4611686014132420609"],
+    # a table of p - 1 exponents: a million entries, then 2^61 - 2
+    ["delta", "--alpha", "1/2", "--beta", "0", "--p", "1000003"],
+    ["delta", "--alpha", "1/2", "--beta", "0", "--p", "2305843009213693951"],
+])
+def test_huge_q_or_p_is_refused_at_once(argv):
+    # in a subprocess with a timeout, so that a regression fails, not hangs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from finhyp.cli import main; "
+            "sys.exit(main(sys.argv[2:]))")
+    run = subprocess.run([sys.executable, "-c", code, src, *argv],
+                         capture_output=True, text=True, timeout=5)
+    assert run.returncode == 3
+    assert run.stderr.startswith("resource bound:")
 
 
 def test_gp_cheap_gamma_request_runs(capsys):

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,16 @@ from finhyp.errors import (
     NotSubfield,
     ZeroElement,
 )
-from finhyp.finfield import factorize, is_prime, make_field, prime_power
+from finhyp.finfield import (
+    MAX_FIELD_SIZE,
+    _smallest_irreducible,
+    factorize,
+    is_prime,
+    make_field,
+    prime_power,
+)
+
+FIELD_MODULI = Path(__file__).parent / "data" / "field_moduli.json"
 
 
 def test_is_prime():
@@ -60,15 +71,30 @@ def test_field_too_large():
         make_field(2, 17)
 
 
+@pytest.mark.parametrize("q", [MAX_FIELD_SIZE + 1, 1000000007, 3**20])
+def test_prime_power_refuses_q_above_the_bound(q):
+    # refused before trial division, which would not end at q = 2^61 - 1;
+    # the CLI tests run that q in a subprocess with a timeout
+    with pytest.raises(FieldTooLarge):
+        prime_power(q)
+
+
 def test_modulus_is_lex_smallest_irreducible():
     # pinned: skipping candidates divisible by x must not change any modulus
-    from finhyp.finfield import _smallest_irreducible
-
     assert _smallest_irreducible(2, 16) == (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)
     assert _smallest_irreducible(3, 10) == (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)
     assert _smallest_irreducible(5, 6) == (1, 0, 0, 0, 1, 1, 1)
     assert _smallest_irreducible(7, 5) == (1, 0, 0, 0, 3, 1)
     assert make_field(7, 5).modulus == (1, 0, 0, 0, 3, 1)
+
+
+def test_moduli_match_the_pinned_table():
+    # (p, f, modulus) for every field with f >= 2 and p^f <= 2^16, as the
+    # Rabin irreducibility test found them
+    rows = json.loads(FIELD_MODULI.read_text())
+    assert len(rows) == 93
+    for p, f, modulus in rows:
+        assert _smallest_irreducible(p, f) == tuple(modulus), (p, f)
 
 
 def test_modulus_irreducible_bruteforce():

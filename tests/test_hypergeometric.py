@@ -19,6 +19,7 @@ from finhyp.cyclo import CycloNum, _Packed, _from_slots, root_of_unity
 from finhyp.errors import (
     AssumptionFails,
     FieldMismatch,
+    FieldTooLarge,
     FinHypError,
     NotCoprime,
     NotPrime,
@@ -85,6 +86,8 @@ def test_classic_rejects_bad_inputs():
         classic_sum(params, 5, 0)
     with pytest.raises(AssumptionFails):
         classic_sum(HGParams([F(1, 5)], [0]), 7, 1)
+    with pytest.raises(FieldTooLarge):
+        classic_sum(params, 2**61 - 1, 1)
 
 
 def test_generator_independence():
