@@ -39,7 +39,7 @@ __version__ = "0.1.0"
 
 
 def clear_caches():
-    """Empty every cache of the package: fields, split and orbit instances,
+    """Empty every cache of the package: fields, orbit instances,
     cyclotomic structure, the slot orbits of traced reads, trace fibres and
     Gauss sums, the joint direct-sum tallies and the masks of their grids,
     the expansion rows of each orbit and their lifts, denominators and their
@@ -57,7 +57,6 @@ def clear_caches():
         hypergeometric._direct_tally, hypergeometric._fourier_coefficients,
         hypergeometric._gauss_denominator, hypergeometric._lifted_rows,
         hypergeometric._norm_fold_mask, hypergeometric.orbit_instance,
-        hypergeometric.split_instance,
         params._denominator_exponent, params._term_exponents,
     ):
         fn.cache_clear()

@@ -55,7 +55,9 @@ def _build_parser():
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--t", type=int, help="argument, as a base-p digit code")
     sp.add_argument("--all-t", action="store_true")
-    sp.add_argument("--algebra", choices=["split", "orbits"])
+    sp.add_argument("--algebra", choices=["split", "orbits"],
+                    help="split: the direct sum on d copies of F_q, D | q-1 required; "
+                         "orbits: the expansion on the orbits of x -> q x, q prime to D")
     add_json(sp)
 
     sp = sub.add_parser("gp", help="p-adic hypergeometric sum")

@@ -23,7 +23,7 @@ class NotCoprime(FinHypError):
 
 
 class DoesNotSplit(FinHypError):
-    """Multiplication by p does not permute the parameters modulo Z."""
+    """Multiplication by q does not permute the parameters modulo Z."""
 
 
 class DivisionByZero(FinHypError):

@@ -412,8 +412,9 @@ def make_field(p, f=1):
         raise NotPrime(f"{p} is not prime")
     if f < 1:
         raise MalformedValue(f"extension degree must be positive, not {f}")
-    if p**f > MAX_FIELD_SIZE:
-        raise FieldTooLarge(f"p^f = {p**f} exceeds the bound {MAX_FIELD_SIZE}")
+    # f first: p**f at a huge f is slow to compute and too long to format
+    if f >= MAX_FIELD_SIZE.bit_length() or p**f > MAX_FIELD_SIZE:
+        raise FieldTooLarge(f"{p}^{f} exceeds the bound {MAX_FIELD_SIZE}")
     return _make_field_cached(p, f)
 
 

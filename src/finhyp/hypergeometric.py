@@ -402,38 +402,32 @@ def algebra_sum_fourier(inst, t, twist=1):
 # ---------------------------------------------------------------- instances
 
 
-@lru_cache(maxsize=None)
 def split_instance(params, q):
-    """Both algebras a direct sum of d copies of F_q, characters from the
-    parameters scaled by q-1."""
-    p, f = prime_power(q)
+    """orbit_instance(params, q) where D | q-1 is required (AssumptionFails
+    otherwise): every orbit has length 1, so both algebras are d copies of
+    F_q, the characters the parameters scaled by q-1."""
+    prime_power(q)
     _check_assumption(params, q)
-    field = make_field(p, f)
-    qbar = q - 1
-    d = params.d
-    A = SemisimpleAlgebra(field, [field] * d)
-    B = SemisimpleAlgebra(field, [field] * d)
-    chiA = AlgebraChar.from_exponents(A, [int(qbar * x) for x in params.alpha])
-    chiB = AlgebraChar.from_exponents(B, [int(qbar * x) for x in params.beta])
-    return HGAlgebraInstance(A, B, chiA, chiB)
+    return orbit_instance(params, q)
 
 
 @lru_cache(maxsize=None)
-def orbit_instance(params, p):
-    """Algebras assembled from the orbits of multiplication by p.
+def orbit_instance(params, q):
+    """Algebras over F_q assembled from the orbits of multiplication by q.
 
-    Each orbit of length l contributes one component F_{p^l} whose
-    character exponent is rep * (p^l - 1); that exponent is an integer
-    precisely because l is the orbit length.  Built once per (params, p),
+    Each orbit of length l contributes one component F_{q^l} whose
+    character exponent is rep * (q^l - 1); that exponent is an integer
+    precisely because l is the orbit length.  Built once per (params, q),
     as algebras compare by identity and instances key the sum caches.
     """
-    base = make_field(p)
-    alpha_orbits, beta_orbits = params.p_orbits(p)
+    p, f = prime_power(q)
+    base = make_field(p, f)
+    alpha_orbits, beta_orbits = params.p_orbits(q)
 
     def build(orbits):
         comps, exps = [], []
         for o in orbits:
-            comp = make_field(p, o.length)
+            comp = make_field(p, f * o.length)
             comps.append(comp)
             e = o.rep * (comp.q - 1)
             assert e.denominator == 1

@@ -44,7 +44,7 @@ def parse_fraction_list(text):
 
 
 class POrbit(Value):
-    """One orbit of multiplication by p on a parameter multiset; a Value."""
+    """One orbit of multiplication by q on a parameter multiset; a Value."""
 
     __slots__ = _fields = ("rep", "values")
 
@@ -60,7 +60,7 @@ class HGParams(Value):
     """A pair of parameter multisets, stored sorted with entries in [0, 1).
     The scaled numerators D*alpha_i and D*beta_j, D the common denominator,
     are kept as ints, and they are the Value's one field: parameters compare
-    and hash, once, as ints, and key the split-instance and p-adic series
+    and hash, once, as ints, and key the orbit-instance and p-adic series
     caches."""
 
     __slots__ = ("alpha", "beta", "d", "_scaled")
@@ -126,9 +126,9 @@ class HGParams(Value):
         """Whether the stabilizer is all of (Z/D)^x."""
         return all(self._fixed_by(k) for k in self._units())
 
-    def splits_at(self, p):
-        """Whether multiplication by p fixes both multisets mod Z."""
-        return gcd(p, self.common_denominator()) == 1 and self._fixed_by(p)
+    def splits_at(self, q):
+        """Whether multiplication by q, prime to D, fixes both multisets mod Z."""
+        return gcd(q, self.common_denominator()) == 1 and self._fixed_by(q)
 
     def term_exponent(self, p, m):
         """Integer exponent of -p carried by the m-th series term."""
@@ -153,8 +153,9 @@ class HGParams(Value):
         return max(_max_drop((dd, [k * n % dd for n in a], [k * n % dd for n in b]))
                    for k in self._units())
 
-    def p_orbits(self, p):
-        """Orbit decomposition of both multisets under x -> p*x mod Z.
+    def p_orbits(self, q):
+        """Orbit decomposition of both multisets under x -> q*x mod Z, for a
+        power q of p (q = p on the p-adic side).
 
         Returns (alpha_orbits, beta_orbits); a value of multiplicity mu
         yields mu copies of its orbit.  The representative is the smallest
@@ -163,15 +164,16 @@ class HGParams(Value):
         dd = self.common_denominator()
         return tuple(
             [POrbit(Fraction(o[0], dd), tuple(Fraction(x, dd) for x in o)) for o in orbits]
-            for orbits in self.numerator_orbits(p)
+            for orbits in self.numerator_orbits(q)
         )
 
-    def numerator_orbits(self, p):
-        """p_orbits on the scaled numerators D*x, each orbit a tuple."""
-        if not self.splits_at(p):
-            raise DoesNotSplit(f"p = {p} does not permute the parameters")
+    def numerator_orbits(self, q):
+        """p_orbits on the scaled numerators D*x, each orbit a tuple;
+        DoesNotSplit unless multiplication by q permutes both multisets."""
+        if not self.splits_at(q):
+            raise DoesNotSplit(f"q = {q} does not permute the parameters")
         dd, a, b = self._scaled
-        return _orbits_of(a, p, dd), _orbits_of(b, p, dd)
+        return _orbits_of(a, q, dd), _orbits_of(b, q, dd)
 
     def defining_polynomials(self):
         """Coefficient lists (low degree first) of prod(x - e^(2 pi i a)).
@@ -209,7 +211,7 @@ def _price(loop, formula, work):
         raise BoundExceeded(f"{loop} costs {formula} = {work}, over the cap {MAX_UNIT_WORK}")
 
 
-def _orbits_of(nums, p, dd):
+def _orbits_of(nums, q, dd):
     counts = Counter(nums)
     seen = set()
     orbits = []
@@ -217,10 +219,10 @@ def _orbits_of(nums, p, dd):
         if v in seen:
             continue
         orbit = [v]
-        cur = p * v % dd
+        cur = q * v % dd
         while cur != v:
             orbit.append(cur)
-            cur = p * cur % dd
+            cur = q * cur % dd
         if len({counts[x] for x in orbit}) != 1:
             raise DoesNotSplit("multiplicity is not constant on an orbit")
         seen.update(orbit)

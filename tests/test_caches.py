@@ -53,7 +53,7 @@ def test_clear_caches_empties_every_cache():
     padic_sum_direct(params, 5, 2, 4)
     params.denominator_exponent()
     before = _caches()
-    assert len(before) == 20
+    assert len(before) == 19
     assert all(before.values()), before
     clear_caches()
     assert not any(_caches().values())

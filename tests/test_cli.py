@@ -68,6 +68,16 @@ def test_hq_orbits_sums_over_f_q(capsys):
     assert CycloNum.from_json(payload["results"][0]["value"]) == expected
 
 
+@pytest.mark.parametrize("q", [9, 25])
+def test_hq_orbits_sums_over_a_prime_power(capsys, q):
+    # D = 2 divides q - 1, so the orbit instance is the split one
+    argv = ["hq", "--alpha", "1/2,1/2", "--beta", "0,0", "--q", str(q), "--t", "2", "--json"]
+    code1, out1 = run_cli(capsys, *argv, "--algebra", "orbits")
+    code2, out2 = run_cli(capsys, *argv)
+    assert code1 == code2 == 0
+    assert json.loads(out1)["results"] == json.loads(out2)["results"]
+
+
 def test_byte_identical_output(capsys):
     argv = ["gp", "--alpha", "1/2", "--beta", "0", "--p", "7",
             "--all-t", "--prec", "5", "--json"]
@@ -175,6 +185,8 @@ def test_delta_refuses_a_large_denominator(capsys):
     # a table of p - 1 exponents: a million entries, then 2^61 - 2
     ["delta", "--alpha", "1/2", "--beta", "0", "--p", "1000003"],
     ["delta", "--alpha", "1/2", "--beta", "0", "--p", "2305843009213693951"],
+    # a field of 3^9100 elements: refused on f, before p**f is computed
+    ["gauss", "--p", "3", "--f", "9100", "--m", "1"],
 ])
 def test_huge_q_or_p_is_refused_at_once(argv):
     # in a subprocess with a timeout, so that a regression fails, not hangs
@@ -259,8 +271,12 @@ def test_verify_prints_inconclusive(capsys, monkeypatch):
     ["delta", "--alpha", "1/2", "--beta", "0", "--p", "4"],
     ["delta", "--alpha", "1/2", "--beta", "0", "--p", "1"],
     ["delta", "--alpha", "1/2", "--beta", "0", "--p", "-5"],
-    ["hq", "--alpha", "1/2,1/2", "--beta", "0,0", "--q", "9", "--algebra", "orbits",
+    # 12 is not a prime power
+    ["hq", "--alpha", "1/2,1/2", "--beta", "0,0", "--q", "12", "--algebra", "orbits",
      "--t", "1"],
+    # 5 divides D: multiplication by 25 does not permute the parameters
+    ["hq", "--alpha", "1/5,2/5,3/5,4/5", "--beta", "0,0,0,0", "--q", "25",
+     "--algebra", "orbits", "--t", "1"],
 ])
 def test_malformed_input_is_usage_error(capsys, argv):
     code = main(argv)

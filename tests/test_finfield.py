@@ -69,6 +69,9 @@ def test_prime_power():
 def test_field_too_large():
     with pytest.raises(FieldTooLarge):
         make_field(2, 17)
+    # refused on f alone: 3**(10**7) is never computed
+    with pytest.raises(FieldTooLarge):
+        make_field(3, 10**7)
 
 
 @pytest.mark.parametrize("q", [MAX_FIELD_SIZE + 1, 1000000007, 3**20])

@@ -25,7 +25,7 @@ from finhyp.errors import (
     NotPrime,
     ZeroArgument,
 )
-from finhyp.finfield import make_field
+from finhyp.finfield import make_field, prime_power
 from finhyp.hypergeometric import (
     HGAlgebraInstance,
     _direct_tally,
@@ -722,6 +722,72 @@ def test_orbit_instance_is_cached(monkeypatch):
     again = orbit_instance(params, 7)
     assert again is inst
     assert algebra_sum_fourier(again, 3) == value and calls == []
+
+
+@pytest.mark.parametrize("alpha,beta,q", [
+    ("1/5,2/5,3/5,4/5", "0,0,0,0", 11),
+    ("1/2,1/2", "0,0", 9),
+    ("1/3,2/3", "0,0", 4),
+    ("1/4,1/4,3/4", "0,1/2,1/2", 25),
+    ("1/8,3/8", "0,1/2", 49),
+])
+def test_split_instance_is_the_orbit_instance(alpha, beta, q):
+    # D | q-1: every orbit has length 1, so the orbit instance is d copies
+    # of F_q with the parameters scaled by q-1
+    params = HGParams.parse(alpha, beta)
+    inst = split_instance(params, q)
+    assert inst is orbit_instance(params, q)
+    field = make_field(*prime_power(q))
+    assert inst.base is field
+    for alg, chi, xs in ((inst.A, inst.chiA, params.alpha), (inst.B, inst.chiB, params.beta)):
+        assert alg.components == (field,) * params.d
+        assert chi.exponents == tuple(int((q - 1) * x) for x in xs)
+    assert inst.describe() == {
+        "base": field.describe(), "A": [1] * params.d, "B": [1] * params.d,
+        "chiA": [int((q - 1) * x) for x in params.alpha],
+        "chiB": [int((q - 1) * x) for x in params.beta],
+    }
+
+
+def test_orbit_instance_at_prime_powers():
+    # direct = expansion at every q = p^f prime to D, and both are the
+    # classic series wherever D | q-1; the rest need components F_{q^l}
+    pairs = [("1/2,1/2", "0,0"), ("1/3,2/3", "0,0"), ("1/4,3/4", "0,1/2"),
+             ("1/5,2/5,3/5,4/5", "0,0,0,0"), ("1/8,3/8", "0,1/2"),
+             ("1/6,5/6", "0,1/2")]
+    lengths = set()
+    for alpha, beta in pairs:
+        params = HGParams.parse(alpha, beta)
+        dd = params.common_denominator()
+        for q in (4, 8, 9, 25, 27, 49):
+            if gcd(q, dd) != 1 or (dd, q) == (5, 8):  # (5, 8) needs F_4096: slow
+                continue
+            if (dd, q) == (5, 27):
+                with pytest.raises(FieldTooLarge):  # F_(3^12)
+                    orbit_instance(params, q)
+                continue
+            inst = orbit_instance(params, q)
+            assert inst.base.q == q
+            lengths.update(c.q for c in inst.A.components + inst.B.components)
+            for j in range(0, q - 1, max(1, (q - 1) // 3)):
+                t = inst.base.unit(j)
+                direct = algebra_sum_direct(inst, t)
+                assert direct == algebra_sum_fourier(inst, t), (params, q, j)
+                if (q - 1) % dd == 0:
+                    assert direct == classic_sum(params, q, t), (params, q, j)
+    # F_16 for (1/5, ...; 0, ...) at 4, F_64 for (1/3, 2/3; 0, 0) at 8 and
+    # F_729 for (1/8, 3/8; 0, 1/2) at 27: components beyond F_q
+    assert {16, 64, 729} <= lengths
+
+
+def test_orbit_sums_at_p_and_p2_are_power_sums():
+    # H_(p^f)(t) is the f-th power sum of the Frobenius roots: at p = 3, t = 2
+    # those of (1/5, ..., 4/5; 0, ..., 0) have e_1 = -5 and e_2 = 45, so
+    # s_2 = e_1^2 - 2 e_2; A is F_81 at q = 3 and F_81 + F_81 at q = 9
+    params = HGParams.parse("1/5,2/5,3/5,4/5", "0,0,0,0")
+    s1, s2 = (algebra_sum_direct(orbit_instance(params, q), 2) for q in (3, 9))
+    assert s1 == -5
+    assert s2 == (-5) ** 2 - 2 * 45
 
 
 def test_twist_is_a_change_of_argument():
