@@ -42,9 +42,10 @@ def clear_caches():
     """Empty every cache of the package: fields, orbit instances,
     cyclotomic structure, the slot orbits of traced reads, trace fibres and
     Gauss sums, the joint direct-sum tallies and the masks of their grids,
-    the expansion rows of each orbit and their lifts, denominators and their
-    inverses, Gamma_p values and blocks, p-adic unit terms, and term and
-    denominator exponents.
+    the expansion rows of each orbit, their lifts and their products with
+    the inverse denominator, denominators and their inverses, Gamma_p
+    values and blocks, p-adic unit terms, and term and denominator
+    exponents.
 
     Fields are cached objects too, and their elements equal only elements of
     the same field object: fields, elements and instances built before the
@@ -56,7 +57,8 @@ def clear_caches():
         finfield.FqField._embedding_data, hypergeometric._denominator_inverse,
         hypergeometric._direct_tally, hypergeometric._fourier_coefficients,
         hypergeometric._gauss_denominator, hypergeometric._lifted_rows,
-        hypergeometric._norm_fold_mask, hypergeometric.orbit_instance,
+        hypergeometric._norm_fold_mask, hypergeometric._scaled_rows,
+        hypergeometric.orbit_instance,
         params._denominator_exponent, params._term_exponents,
     ):
         fn.cache_clear()

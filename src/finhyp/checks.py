@@ -347,8 +347,14 @@ FIXED_PARAMETER_SETS = (
 )
 
 
+_FIXED_PARAMS = tuple(HGParams.parse(a, b) for a, b in FIXED_PARAMETER_SETS)
+
+
 def fixed_params():
-    return [HGParams.parse(a, b) for a, b in FIXED_PARAMETER_SETS]
+    """The parsed FIXED_PARAMETER_SETS, parsed once: HGParams are immutable
+    values, so every call shares them, in a new list that a caller may
+    extend."""
+    return list(_FIXED_PARAMS)
 
 
 def random_algebra_instance(rng, q, max_size=81, equidim=False):

@@ -396,14 +396,18 @@ class CycloNum:
         """The element of Q(zeta_M), M = conductor, equal to self, or None.
 
         Any M is allowed: Q(zeta_N) meets Q(zeta_M) in Q(zeta_g), g = gcd(N, M).
-        Split N = a*b with a the part of N on the primes of g, so that b is
-        coprime to a and z_N = z_a^s * z_b^r for s = 1/b mod a, r = 1/a mod b.
+        When N divides M that is all of Q(zeta_N): the answer is the
+        embedding.  Otherwise split N = a*b with a the part of N on the
+        primes of g, so that b is coprime to a and z_N = z_a^s * z_b^r for
+        s = 1/b mod a, r = 1/a mod b.
         In reduced coordinates over the basis z_a^i * z_b^j the element lies
         in Q(zeta_a) iff every row j >= 1 vanishes; as Phi_a(x) =
         Phi_g(x^(a/g)), row 0 lies in Q(zeta_g) iff it vanishes off the
         multiples of a/g, and those entries are its coordinates there.
         """
         n = self.conductor
+        if conductor % n == 0:
+            return self.embed(conductor)
         g = a = gcd(n, conductor)
         while (c := gcd(n // a, a)) > 1:
             a *= c

@@ -19,13 +19,17 @@ value, never tabulated, so every cache is keyed by the instance alone.  A
 direct value reads one joint tally per instance: the unit pairs of A x B
 by norm class, trace fibre 0 or 1 and character, which the action of
 F_p^x turns into the other fibres, so every t and twist shares it (see
-_direct_tally).  When p-1 divides dim A - dim B, as in every equidimensional instance, either value
-lies in Q(zeta_big) and is read there; otherwise it is lifted to length p
-big and read there.  Either is reduced once and multiplied once by the
-inverse of the denominator.  The tally is convolved one component at a
-time, by the fibre rule of the Gauss products with its Jacobi sums as 2-D
-shifts, on one packed grid per fibre over (c/g, norm class), g the gcd of
-every character step c, by one shift-add per histogram key.
+_direct_tally).  When p-1 divides dim A - dim B, as in every
+equidimensional instance, either value lies in Q(zeta_big) and is read
+and returned there; otherwise it is lifted to length p big and read and
+returned there.  Each is reduced once.  A direct value, and an expansion
+value at p big, is then multiplied once by the inverse of the
+denominator; an expansion value at big is read off rows that carry that
+inverse already, and is scaled by a rational (see _scaled_rows).  The
+tally is convolved one component at a time, by the fibre rule of the
+Gauss products with its Jacobi sums as 2-D shifts, on one packed grid per
+fibre over (c/g, norm class), g the gcd of every character step c, by one
+shift-add per histogram key.
 
 Two normalization choices make the three forms one function: the
 denominator is g_A(chi_A) * g_B(conj(chi_B)), and the whole B side of the
@@ -49,7 +53,7 @@ from .charsums import (
     gauss_product,
     invert_gauss_product,
 )
-from .cyclo import _Packed, root_of_unity
+from .cyclo import _from_slots, _Packed, root_of_unity
 from .errors import AssumptionFails, FieldMismatch, NotCoprime, ZeroArgument
 from .finfield import make_field, prime_power
 
@@ -149,9 +153,12 @@ def _gauss_denominator(inst):
 @lru_cache(maxsize=None)
 def _denominator_inverse(inst, over_big=False):
     """The inverse of the denominator in Q(zeta_(p big)) or, with over_big,
-    that of its coefficient of gamma(psi) in Q(zeta_big); either has a
+    that of its coefficient c_D of gamma(psi) in Q(zeta_big); either has a
     rational |.|^2, q^f or q^f / p.  Against the trace itself; a twist
-    rotates it (see algebra_sum_direct)."""
+    rotates it (see algebra_sum_direct).  Where _reads_at_big, the direct
+    route multiplies each value by 1/c_D, and the expansion route scales
+    its rows by it once (see _scaled_rows): the values of both routes on
+    one instance share this one computation."""
     den = _gauss_denominator(inst)
     return invert_gauss_product(den.gamma_coefficient() if over_big else den.read())
 
@@ -266,10 +273,10 @@ def algebra_sum_direct(inst, t, twist=1):
     tau(a).  Where _reads_at_big holds, every shift is 0 and rot is tau on
     F_p^x, so the total is (tau(1/a) T_1 - T_0) gamma(tau), T_0 = tau(b) T_0
     being 0 when tau is nontrivial; the denominator is c_D gamma(tau), and
-    the value -(tau(1/a) T_1 - T_0) tau(a) / c_D is one reduction at big,
-    one product with the inverse that the Fourier route caches, one
-    embedding into Q(zeta_(p big)).  Otherwise the p fibres are cut out of
-    the tally at length p big, each at its rotation there, and read at once.
+    the value -(tau(1/a) T_1 - T_0) tau(a) / c_D is one reduction at big
+    and one product with the inverse that the Fourier route caches, in
+    Q(zeta_big).  Otherwise the p fibres are cut out of the tally at length
+    p big, each at its rotation there, and read at once, in Q(zeta_(p big)).
     """
     t, twist = _unit_args(inst.base, t, twist)
     (zero, one), sigma, g, span = _direct_tally(inst)
@@ -279,8 +286,7 @@ def algebra_sum_direct(inst, t, twist=1):
     if _reads_at_big(inst):
         total = one.cut(s, span, big, g, sigma[pow(twist, -1, p)][0] + tau)
         minus = zero.cut(s, span, big, g, 0) if not any(r for r, _ in sigma) else None
-        value = -total.read(minus) * _denominator_inverse(inst, True)
-        return value.embed(p * big)
+        return -total.read(minus) * _denominator_inverse(inst, True)
     n = p * big
     fibres = [zero.cut(s, span, n, g * p, 0)]
     fibres += [one.cut((s - shift) % qbar, span, n, g * p, rot * p + twist * u * big)
@@ -330,7 +336,7 @@ def _fourier_coefficients(inst):
 
 
 def _rotated_rows(inst, t):
-    """G, and the representative rows with their rotations and weights.  Row
+    """G, and the rotations and weights of the representative rows.  Row
     m times chi(arg)^m, with arg = N(-1) t and N(-1) = (-1)^(dim B), is row m
     rotated by step m in Q(zeta_big), y_m.  As sigma_k moves that rotation
     with the row, the orbit of m adds up to sigma_k(y_m) over k in G times
@@ -338,10 +344,43 @@ def _rotated_rows(inst, t):
     over G of W, the sum of |O_m| y_m over the representatives: one traced
     read of W (see _Packed.read)."""
     group, reps = _fourier_coefficients(inst)
-    rows = [row for _, _, row in reps]
-    step = rows[0].x1.n // (inst.base.q - 1) * (
+    step = reps[0][2].x1.n // (inst.base.q - 1) * (
         inst.base.dlog(t) + inst.B.dim * inst.base.minus_one_dlog)
-    return group, rows, [step * m for m, _, _ in reps], [size for _, size, _ in reps]
+    return group, [step * m for m, _, _ in reps], [size for _, size, _ in reps]
+
+
+@lru_cache(maxsize=None)
+def _scaled_rows(inst):
+    """Where _reads_at_big: per representative row of _fourier_coefficients,
+    fibres (X_0', X_1') at length big with X_1' - X_0' = (X_1 - X_0) c, c the
+    numerator of the cached inverse c / e of c_D (see _denominator_inverse);
+    and the scale -1/((q-1) |G| e) that takes their traced read to the
+    value (see algebra_sum_fourier).
+
+    With c = P - N split into its positive and negative parts, X_1' = X_1 P
+    + X_0 N and X_0' = X_1 N + X_0 P are sums of products of nonnegative
+    tallies, exact in Z[x]/(x^big - 1) and packed at the slot width of
+    _row_bound times the sum of |c|.  The trace over G commutes with the
+    product, as c_D, the coefficient of row 0, is fixed by G."""
+    group, reps = _fourier_coefficients(inst)
+    inverse = _denominator_inverse(inst, True)
+    big = reps[0][2].x1.n
+    bound = _row_bound(inst) * sum(map(abs, inverse.num))
+    plus, minus = (_Packed.tally(big, bound, enumerate(max(sign * c, 0) for c in inverse.num))
+                   for sign in (1, -1))
+
+    def widened(x):
+        return _Packed.tally(big, bound, enumerate(_from_slots(x.value, x.width, big)))
+
+    def sum_of_products(a, b, c, d):  # a b + c d
+        return _Packed(big, bound, plus.width, a.value * b.value + c.value * d.value,
+                       a.total * b.total + c.total * d.total)
+
+    rows = []
+    for _, _, row in reps:
+        x0, x1 = widened(row.x0), widened(row.x1)
+        rows.append((sum_of_products(x1, minus, x0, plus), sum_of_products(x1, plus, x0, minus)))
+    return tuple(rows), Fraction(-1, (inst.base.q - 1) * len(group) * inverse.den)
 
 
 @lru_cache(maxsize=None)
@@ -360,7 +399,7 @@ def _expansion_times_denominator(inst, t):
     """The expansion at a unit t before the division by the denominator:
     -1/(q-1) times the sum of the rotated rows, which is the trace of the
     lifted W at length p big over -(q-1) |G|."""
-    group, _, shifts, sizes = _rotated_rows(inst, t)
+    group, shifts, sizes = _rotated_rows(inst, t)
     lifted_group, lifted = _lifted_rows(inst)
     p = inst.base.p
     total = _Packed.rotated_sum(lifted, [p * s for s in shifts], sizes)
@@ -378,9 +417,11 @@ def algebra_sum_fourier(inst, t, twist=1):
     G, as row k m carries tau too; so G acts on the c of the rows as on the
     rows.  The value -(sum of rotated rows) / ((q-1) D) is then -c(t) /
     ((q-1) |G| c_D) in Q(zeta_big), c(t) the traced read of X_1 - X_0 of W
-    (see _rotated_rows): one reduction at big, one product with the cached
-    inverse of c_D, and one embedding into Q(zeta_(p big)), the conductor of
-    every value of this function.  Against the a-twisted trace, row m and
+    (see _rotated_rows).  The rows carry 1/c_D from their cache (see
+    _scaled_rows), so the value is one traced read at big times a rational,
+    and is returned in Q(zeta_big).  Otherwise the lifted rows are read at
+    p big, and the value, in Q(zeta_(p big)), is multiplied by the inverse
+    of D there.  Against the a-twisted trace, row m and
     D gain conj(tau(a)) omega(a)^(m (dim B - dim A)) and conj(tau(a)), as
     g_a(chi) = conj(chi(a)) g(chi): the value is that of twist 1 at
     t a^(dim B - dim A).
@@ -390,13 +431,11 @@ def algebra_sum_fourier(inst, t, twist=1):
         t *= inst.base.elem(twist) ** (inst.B.dim - inst.A.dim)
     if not _reads_at_big(inst):
         return _expansion_times_denominator(inst, t) * _denominator_inverse(inst)
-    group, rows, shifts, sizes = _rotated_rows(inst, t)
-    x0 = _Packed.rotated_sum([row.x0 for row in rows], shifts, sizes)
-    x1 = _Packed.rotated_sum([row.x1 for row in rows], shifts, sizes)
-    total = x1.read(x0, group)
-    value = total * _denominator_inverse(inst, True) * Fraction(
-        -1, (inst.base.q - 1) * len(group))
-    return value.embed(inst.base.p * total.conductor)
+    group, shifts, sizes = _rotated_rows(inst, t)
+    rows, scale = _scaled_rows(inst)
+    x0 = _Packed.rotated_sum([x0 for x0, _ in rows], shifts, sizes)
+    x1 = _Packed.rotated_sum([x1 for _, x1 in rows], shifts, sizes)
+    return x1.read(x0, group) * scale
 
 
 # ---------------------------------------------------------------- instances

@@ -105,6 +105,24 @@ def test_subfield_membership():
     assert _same(r.is_in_subfield(7), CycloNum.from_rational(Fraction(3, 2), 7))
 
 
+def test_subfield_of_a_multiple_is_the_embedding(monkeypatch):
+    # when N divides M the answer is the embedding, reduced at M alone
+    from finhyp import cyclo
+
+    x = root_of_unity(12, 1) * Fraction(3, 2) + root_of_unity(12, 7) - 5
+    calls = []
+    reduce_ = cyclo._reduce
+    monkeypatch.setattr(cyclo, "_reduce", lambda n, v: calls.append(n) or reduce_(n, v))
+    for m in (12, 24, 36, 60):
+        calls.clear()
+        assert _same(x.is_in_subfield(m), x.embed(m))
+        assert set(calls) <= {m}
+    monkeypatch.undo()
+    # outside the subfield the answer is still None
+    assert x.is_in_subfield(6) is None and x.is_in_subfield(4) is None
+    assert root_of_unity(12, 2).is_in_subfield(4) is None
+
+
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         CycloNum.zero(5).inverse()

@@ -186,6 +186,13 @@ def _same_value(a, b):
     return (a.conductor, a.num, a.den) == (b.conductor, b.num, b.den)
 
 
+def _over(value, conductor):
+    """value re-expressed over Q(zeta_conductor), which must contain it."""
+    out = value.is_in_subfield(conductor)
+    assert out is not None
+    return out
+
+
 @pytest.mark.parametrize("case", ["orbit_q2", "split_q9", "split_q27", "orbit_mixed_twist2"])
 def test_fourier_against_per_term_expansion(case):
     if case == "orbit_q2":  # q - 1 = 1: the expansion has one term
@@ -200,9 +207,13 @@ def test_fourier_against_per_term_expansion(case):
         inst, twist = orbit_instance(params, 3), 2
         assert sorted(c.f for c in inst.A.components + inst.B.components) == [1, 1, 1, 2, 3]
     qbar = inst.base.q - 1
+    big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
+    assert _reads_at_big(inst)  # every value lies in Q(zeta_big) and is returned there
     for j in {0, 1 % qbar, qbar // 2, qbar - 1}:
         t = inst.base.unit(j)
-        assert _same_value(algebra_sum_fourier(inst, t, twist), _fourier_per_term(inst, t, twist))
+        value = algebra_sum_fourier(inst, t, twist)
+        assert _same_value(value, _over(_fourier_per_term(inst, t, twist), big))
+        assert value.conductor == big
 
 
 def test_classic_sum_with_generator_against_per_term_expansion():
@@ -211,7 +222,7 @@ def test_classic_sum_with_generator_against_per_term_expansion():
     gen = field.unit(5)  # 5 is coprime to 12, so g^5 generates the units
     for t in (2, 7):
         ref = _fourier_per_term(split_instance(params, 13), t)
-        assert _same_value(classic_sum(params, 13, t, generator=gen), ref)
+        assert _same_value(classic_sum(params, 13, t, generator=gen), _over(ref, 12))
 
 
 def test_warm_fourier_value_costs_one_product(monkeypatch):
@@ -434,7 +445,7 @@ def test_cold_rows_cost_one_product_per_orbit(monkeypatch):
     calls = _count_products(monkeypatch)
     group, reps = _fourier_coefficients(split_instance(params, 343))
     assert len(calls) == len(reps) == 12 and sum(size for _, size, _ in reps) == 342
-    assert value.conductor == 7 * 342
+    assert value.conductor == 342
 
 
 def _held_rows(value):
@@ -529,12 +540,15 @@ def test_fourier_read_against_per_term_expansion(case):
         assert len({row.psi for row in rows}) > 1
     else:
         assert {any(row.psi) for row in rows} == {nontrivial}
+    # read at big where every row shares one gamma(tau), at p big otherwise
+    conductor = rows[0].x1.n * (inst.base.p if nontrivial is None else 1)
+    assert _reads_at_big(inst) == (nontrivial is not None)
     qbar = inst.base.q - 1
     for j in range(qbar):
         t = inst.base.unit(j)
         value = algebra_sum_fourier(inst, t, twist)
-        assert _same_value(value, _fourier_per_term(inst, t, twist))
-        assert value.conductor == inst.base.p * rows[0].x1.n
+        assert _same_value(value, _over(_fourier_per_term(inst, t, twist), conductor))
+        assert value.conductor == conductor
 
 
 def test_warm_lifted_fourier_value_lifts_nothing(monkeypatch):
@@ -575,13 +589,22 @@ def test_katz_against_per_term_expansion(alpha, beta, q):
 def test_warm_equidimensional_value_reduces_at_big(alpha, beta, q, monkeypatch):
     inst = split_instance(HGParams.parse(alpha, beta), q)
     algebra_sum_fourier(inst, 2)  # fills the row and denominator caches
-    big, p = q - 1, inst.base.p
+    big = q - 1
     calls = _count_reductions(monkeypatch)
     for t in range(1, q):
         calls.clear()
-        algebra_sum_fourier(inst, t)
-        # the read, the product with the inverse, and the embedding
-        assert calls == [big, big, p * big]
+        value = algebra_sum_fourier(inst, t)
+        # the traced read alone: the cached rows carry the inverse already
+        assert calls == [big] and value.conductor == big
+
+
+def test_large_prime_classic_sum_is_read_at_big():
+    # at q = 4099 the value lies in Q(zeta_4098): it is read and returned
+    # there, never embedded into the 4099 * 4098 slots of Q(zeta_(p big))
+    params = HGParams.parse("1/2", "0")
+    value = classic_sum(params, 4099, 2)
+    assert value == algebra_sum_direct(split_instance(params, 4099), 2)
+    assert value.conductor == 4098
 
 
 def test_bad_instances_raise_typed_errors():
@@ -996,7 +1019,7 @@ def test_direct_after_classic_builds_no_inverse(monkeypatch):
 def test_warm_equidimensional_direct_value_reads_at_big(alpha, beta, q, monkeypatch):
     inst = split_instance(HGParams.parse(alpha, beta), q)
     algebra_sum_direct(inst, 2)  # fills the tally and denominator caches
-    big, p = q - 1, inst.base.p
+    big = q - 1
     calls = _count_reductions(monkeypatch)
     lengths = []
     cut = _Packed.cut
@@ -1004,9 +1027,9 @@ def test_warm_equidimensional_direct_value_reads_at_big(alpha, beta, q, monkeypa
                         lambda self, *args: lengths.append(args[2]) or cut(self, *args))
     for t in range(1, q):
         calls.clear()
-        algebra_sum_direct(inst, t)
-        # the read, the product with the inverse, and the embedding
-        assert calls == [big, big, p * big]
+        value = algebra_sum_direct(inst, t)
+        # the read and the product with the inverse
+        assert calls == [big, big] and value.conductor == big
     assert lengths and set(lengths) == {big}
 
 
