@@ -347,13 +347,15 @@ FIXED_PARAMETER_SETS = (
 )
 
 
-_FIXED_PARAMS = tuple(HGParams.parse(a, b) for a, b in FIXED_PARAMETER_SETS)
+_FIXED_PARAMS = []  # filled by the first call, not at import
 
 
 def fixed_params():
     """The parsed FIXED_PARAMETER_SETS, parsed once: HGParams are immutable
     values, so every call shares them, in a new list that a caller may
     extend."""
+    if not _FIXED_PARAMS:
+        _FIXED_PARAMS.extend(HGParams.parse(a, b) for a, b in FIXED_PARAMETER_SETS)
     return list(_FIXED_PARAMS)
 
 
