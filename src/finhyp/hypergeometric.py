@@ -53,7 +53,7 @@ from .charsums import (
     gauss_product,
     invert_gauss_product,
 )
-from .cyclo import _from_slots, _Packed, root_of_unity
+from .cyclo import _from_slots, _Packed, _to_slots, root_of_unity
 from .errors import AssumptionFails, FieldMismatch, NotCoprime, ZeroArgument
 from .finfield import make_field, prime_power
 
@@ -366,15 +366,15 @@ def _scaled_rows(inst):
     inverse = _denominator_inverse(inst, True)
     big = reps[0][2].x1.n
     bound = _row_bound(inst) * sum(map(abs, inverse.num))
-    plus, minus = (_Packed.tally(big, bound, enumerate(max(sign * c, 0) for c in inverse.num))
-                   for sign in (1, -1))
+    width = _Packed.slot_width(bound)
+    parts = [[max(sign * c, 0) for c in inverse.num] for sign in (1, -1)]
+    plus, minus = ((_to_slots(v, width), sum(v)) for v in parts)
 
-    def widened(x):
-        return _Packed.tally(big, bound, enumerate(_from_slots(x.value, x.width, big)))
+    def widened(x):  # (value, total) of x packed at the new width
+        return (_to_slots(_from_slots(x.value, x.width, big), width) if x.value else 0), x.total
 
     def sum_of_products(a, b, c, d):  # a b + c d
-        return _Packed(big, bound, plus.width, a.value * b.value + c.value * d.value,
-                       a.total * b.total + c.total * d.total)
+        return _Packed(big, bound, width, a[0] * b[0] + c[0] * d[0], a[1] * b[1] + c[1] * d[1])
 
     rows = []
     for _, _, row in reps:
