@@ -351,11 +351,11 @@ def _rotated_rows(inst, t):
 
 @lru_cache(maxsize=None)
 def _scaled_rows(inst):
-    """Where _reads_at_big: per representative row of _fourier_coefficients,
-    fibres (X_0', X_1') at length big with X_1' - X_0' = (X_1 - X_0) c, c the
-    numerator of the cached inverse c / e of c_D (see _denominator_inverse);
-    and the scale -1/((q-1) |G| e) that takes their traced read to the
-    value (see algebra_sum_fourier).
+    """Where _reads_at_big: the fibres X_0' and X_1' of the representative
+    rows of _fourier_coefficients, in their order, at length big with X_1'
+    - X_0' = (X_1 - X_0) c, c the numerator of the cached inverse c / e of
+    c_D (see _denominator_inverse); and the scale -1/((q-1) |G| e) that
+    takes their traced read to the value (see algebra_sum_fourier).
 
     With c = P - N split into its positive and negative parts, X_1' = X_1 P
     + X_0 N and X_0' = X_1 N + X_0 P are sums of products of nonnegative
@@ -376,11 +376,10 @@ def _scaled_rows(inst):
     def sum_of_products(a, b, c, d):  # a b + c d
         return _Packed(big, bound, width, a[0] * b[0] + c[0] * d[0], a[1] * b[1] + c[1] * d[1])
 
-    rows = []
-    for _, _, row in reps:
-        x0, x1 = widened(row.x0), widened(row.x1)
-        rows.append((sum_of_products(x1, minus, x0, plus), sum_of_products(x1, plus, x0, minus)))
-    return tuple(rows), Fraction(-1, (inst.base.q - 1) * len(group) * inverse.den)
+    fibres = [(widened(row.x0), widened(row.x1)) for _, _, row in reps]
+    return (tuple(sum_of_products(x1, minus, x0, plus) for x0, x1 in fibres),
+            tuple(sum_of_products(x1, plus, x0, minus) for x0, x1 in fibres),
+            Fraction(-1, (inst.base.q - 1) * len(group) * inverse.den))
 
 
 @lru_cache(maxsize=None)
@@ -432,9 +431,9 @@ def algebra_sum_fourier(inst, t, twist=1):
     if not _reads_at_big(inst):
         return _expansion_times_denominator(inst, t) * _denominator_inverse(inst)
     group, shifts, sizes = _rotated_rows(inst, t)
-    rows, scale = _scaled_rows(inst)
-    x0 = _Packed.rotated_sum([x0 for x0, _ in rows], shifts, sizes)
-    x1 = _Packed.rotated_sum([x1 for _, x1 in rows], shifts, sizes)
+    x0s, x1s, scale = _scaled_rows(inst)
+    x0 = _Packed.rotated_sum(x0s, shifts, sizes)
+    x1 = _Packed.rotated_sum(x1s, shifts, sizes)
     return x1.read(x0, group) * scale
 
 
