@@ -298,7 +298,8 @@ def invert_gauss_product(g):
     """Exact inverse conj(g)/|g|^2 of a product of Gauss sums, whose |g|^2
     is a power of q, or of its coefficient of gamma(psi), whose |g|^2 is
     that power over |gamma(psi)|^2, which is 1 or p."""
-    norm = (g * g.conj()).as_rational()
+    conj = g.conj()
+    norm = (g * conj).as_rational()
     if not norm:
         raise InternalInconsistency("|g|^2 is not a nonzero rational")
-    return g.conj() * (1 / norm)
+    return conj * (1 / norm)

@@ -14,19 +14,19 @@ each side takes row m to row k m by sigma_k, so one Gauss product per
 orbit of G is built and kept, with the orbit's size, and the sum of all
 rows is 1/|G| times the trace over G of the representatives' weighted
 sum: one traced read of one packed sum, which moves no slot (see
-_rotated_rows and _Packed.read).  A twist of the trace is applied to each
-value, never tabulated, so every cache is keyed by the instance alone.  A
-direct value reads one joint tally per instance: the unit pairs of A x B
-by norm class, trace fibre 0 or 1 and character, which the action of
-F_p^x turns into the other fibres, so every t and twist shares it (see
-_direct_tally).  When p-1 divides dim A - dim B, as in every
+algebra_sum_fourier and _Packed.read).  A twist of the trace is applied
+to each value, never tabulated, so every cache is keyed by the instance
+alone.  A direct value reads one joint tally per instance: the unit pairs
+of A x B by norm class, trace fibre 0 or 1 and character, which the
+action of F_p^x turns into the other fibres, so every t and twist shares
+it (see _direct_tally).  When p-1 divides dim A - dim B, as in every
 equidimensional instance, either value lies in Q(zeta_big) and is read
-and returned there; otherwise it is lifted to length p big and read and
-returned there.  Each is reduced once.  A direct value, and an expansion
-value at p big, is then multiplied once by the inverse of the
-denominator; an expansion value at big is read off rows that carry that
-inverse already, and is scaled by a rational (see _scaled_rows).  The
-tally is convolved one component at a time, by the fibre rule of the
+and returned there; otherwise it is read and returned at length p big.
+Each is reduced once.  A direct value is then multiplied once by the
+inverse of the denominator; an expansion value is read off rows that
+carry that inverse already, lifted to p big first where the value lies
+there, and is scaled by a rational (see _scaled_rows).  The tally is
+convolved one component at a time, by the fibre rule of the
 Gauss products with its Jacobi sums as 2-D shifts, on one packed grid per
 fibre over (c/g, norm class), g the gcd of every character step c, by one
 shift-add per histogram key.
@@ -151,16 +151,16 @@ def _gauss_denominator(inst):
 
 
 @lru_cache(maxsize=None)
-def _denominator_inverse(inst, over_big=False):
-    """The inverse of the denominator in Q(zeta_(p big)) or, with over_big,
-    that of its coefficient c_D of gamma(psi) in Q(zeta_big); either has a
-    rational |.|^2, q^f or q^f / p.  Against the trace itself; a twist
-    rotates it (see algebra_sum_direct).  Where _reads_at_big, the direct
-    route multiplies each value by 1/c_D, and the expansion route scales
-    its rows by it once (see _scaled_rows): the values of both routes on
-    one instance share this one computation."""
+def _denominator_inverse(inst):
+    """Where _reads_at_big, the inverse of the denominator's coefficient c_D
+    of gamma(psi) in Q(zeta_big); otherwise that of the denominator in
+    Q(zeta_(p big)).  Either has a rational |.|^2, q^f / p or q^f.  Against
+    the trace itself; a twist rotates it (see algebra_sum_direct).  The
+    direct route multiplies each value by it, and the expansion route
+    scales its rows by it once (see _scaled_rows): the values of both
+    routes on one instance share this one computation."""
     den = _gauss_denominator(inst)
-    return invert_gauss_product(den.gamma_coefficient() if over_big else den.read())
+    return invert_gauss_product(den.gamma_coefficient() if _reads_at_big(inst) else den.read())
 
 
 def _reads_at_big(inst):
@@ -286,7 +286,7 @@ def algebra_sum_direct(inst, t, twist=1):
     if _reads_at_big(inst):
         total = one.cut(s, span, big, g, sigma[pow(twist, -1, p)][0] + tau)
         minus = zero.cut(s, span, big, g, 0) if not any(r for r, _ in sigma) else None
-        return -total.read(minus) * _denominator_inverse(inst, True)
+        return -total.read(minus) * _denominator_inverse(inst)
     n = p * big
     fibres = [zero.cut(s, span, n, g * p, 0)]
     fibres += [one.cut((s - shift) % qbar, span, n, g * p, rot * p + twist * u * big)
@@ -308,7 +308,6 @@ def _row_stabilizer(inst, big):
                  and all(sorted(k * e % n for e in es) == es for n, es in groups))
 
 
-@lru_cache(maxsize=None)
 def _fourier_coefficients(inst):
     """The expansion rows, one per orbit of G = _row_stabilizer on m mod q-1:
     G, and per orbit O_m its least m, |O_m| and row m, the Gauss product
@@ -319,8 +318,9 @@ def _fourier_coefficients(inst):
     g(chi) to g(chi^k).  For k in G it permutes the characters of row m
     among those of row k m mod q-1, the components of one field sharing
     their norm shift, so row k m = sigma_k(row m): the other rows of an
-    orbit are never built (see _rotated_rows).  They are the rows against
-    the trace itself; algebra_sum_fourier applies a twist to t instead."""
+    orbit are never built (see algebra_sum_fourier).  They are the rows
+    against the trace itself; algebra_sum_fourier applies a twist to t
+    instead.  Not cached: _scaled_rows builds them once per instance."""
     qbar, bound = inst.base.q - 1, _row_bound(inst)
     big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
     group = _row_stabilizer(inst, big)
@@ -335,103 +335,84 @@ def _fourier_coefficients(inst):
     return group, tuple(reps)
 
 
-def _rotated_rows(inst, t):
-    """G, and the rotations and weights of the representative rows.  Row
-    m times chi(arg)^m, with arg = N(-1) t and N(-1) = (-1)^(dim B), is row m
-    rotated by step m in Q(zeta_big), y_m.  As sigma_k moves that rotation
-    with the row, the orbit of m adds up to sigma_k(y_m) over k in G times
-    |O_m| / |G|, so the sum of all q-1 rotated rows is 1/|G| times the trace
-    over G of W, the sum of |O_m| y_m over the representatives: one traced
-    read of W (see _Packed.read)."""
-    group, reps = _fourier_coefficients(inst)
-    step = reps[0][2].x1.n // (inst.base.q - 1) * (
-        inst.base.dlog(t) + inst.B.dim * inst.base.minus_one_dlog)
-    return group, [step * m for m, _, _ in reps], [size for _, size, _ in reps]
-
-
 @lru_cache(maxsize=None)
 def _scaled_rows(inst):
-    """Where _reads_at_big: the fibres X_0' and X_1' of the representative
-    rows of _fourier_coefficients, in their order, at length big with X_1'
-    - X_0' = (X_1 - X_0) c, c the numerator of the cached inverse c / e of
-    c_D (see _denominator_inverse); and the scale -1/((q-1) |G| e) that
-    takes their traced read to the value (see algebra_sum_fourier).
+    """The representative rows of _fourier_coefficients times the cached
+    inverse c / e of the denominator (see _denominator_inverse), at the
+    length n of its field: G as units mod n, (m, |O_m|) per representative,
+    the fibres X_0' and X_1' of each scaled row, in their order, with X_1' -
+    X_0' = (X_1 - X_0) c, and the scale -1/((q-1) |G| e) that takes their
+    traced read to the value (see algebra_sum_fourier).
 
+    Where _reads_at_big, n = big and each row is its fibres.  Otherwise n =
+    p big: each row is lifted once, to X_0 = 0 and X_1 its lift, and G moves
+    to Z/(p big) by k -> (k mod big, 1 mod p), since sigma_k fixes zeta_p.
     With c = P - N split into its positive and negative parts, X_1' = X_1 P
     + X_0 N and X_0' = X_1 N + X_0 P are sums of products of nonnegative
-    tallies, exact in Z[x]/(x^big - 1) and packed at the slot width of
+    tallies, exact in Z[x]/(x^n - 1) and packed at the slot width of
     _row_bound times the sum of |c|.  The trace over G commutes with the
-    product, as c_D, the coefficient of row 0, is fixed by G."""
+    product, as the denominator, row 0, is fixed by G."""
     group, reps = _fourier_coefficients(inst)
-    inverse = _denominator_inverse(inst, True)
-    big = reps[0][2].x1.n
+    inverse = _denominator_inverse(inst)
+    p, n = inst.base.p, reps[0][2].x1.n
+    rows = [(row.x0, row.x1) for _, _, row in reps]
+    if not _reads_at_big(inst):
+        inv = pow(n, -1, p)
+        group = tuple(k + n * ((1 - k) * inv % p) for k in group)
+        rows = [(None, row.lift()) for _, _, row in reps]
+        n *= p
     bound = _row_bound(inst) * sum(map(abs, inverse.num))
     width = _Packed.slot_width(bound)
     parts = [[max(sign * c, 0) for c in inverse.num] for sign in (1, -1)]
     plus, minus = ((_to_slots(v, width), sum(v)) for v in parts)
 
     def widened(x):  # (value, total) of x packed at the new width
-        return (_to_slots(_from_slots(x.value, x.width, big), width) if x.value else 0), x.total
+        if x is None or not x.value:
+            return 0, 0
+        return _to_slots(_from_slots(x.value, x.width, n), width), x.total
 
     def sum_of_products(a, b, c, d):  # a b + c d
-        return _Packed(big, bound, width, a[0] * b[0] + c[0] * d[0], a[1] * b[1] + c[1] * d[1])
+        return _Packed(n, bound, width, a[0] * b[0] + c[0] * d[0], a[1] * b[1] + c[1] * d[1])
 
-    fibres = [(widened(row.x0), widened(row.x1)) for _, _, row in reps]
-    return (tuple(sum_of_products(x1, minus, x0, plus) for x0, x1 in fibres),
+    fibres = [(widened(x0), widened(x1)) for x0, x1 in rows]
+    return (group, tuple((m, size) for m, size, _ in reps),
+            tuple(sum_of_products(x1, minus, x0, plus) for x0, x1 in fibres),
             tuple(sum_of_products(x1, plus, x0, minus) for x0, x1 in fibres),
             Fraction(-1, (inst.base.q - 1) * len(group) * inverse.den))
-
-
-@lru_cache(maxsize=None)
-def _lifted_rows(inst):
-    """The representative rows of _fourier_coefficients, each lifted once to
-    length p big, and G moved to Z/(p big) by k -> (k mod big, 1 mod p),
-    since sigma_k fixes zeta_p."""
-    group, reps = _fourier_coefficients(inst)
-    p, big = inst.base.p, reps[0][2].x1.n
-    inv = pow(big, -1, p)
-    return (tuple(k + big * ((1 - k) * inv % p) for k in group),
-            tuple(row.lift() for _, _, row in reps))
-
-
-def _expansion_times_denominator(inst, t):
-    """The expansion at a unit t before the division by the denominator:
-    -1/(q-1) times the sum of the rotated rows, which is the trace of the
-    lifted W at length p big over -(q-1) |G|."""
-    group, shifts, sizes = _rotated_rows(inst, t)
-    lifted_group, lifted = _lifted_rows(inst)
-    p = inst.base.p
-    total = _Packed.rotated_sum(lifted, [p * s for s in shifts], sizes)
-    return total.read(group=lifted_group) * Fraction(-1, (inst.base.q - 1) * len(group))
 
 
 def algebra_sum_fourier(inst, t, twist=1):
     """The same sum through its character expansion; independent code path.
 
+    Row m times chi(arg)^m, with arg = N(-1) t and N(-1) = (-1)^(dim B), is
+    row m rotated by step m in Q(zeta_big), y_m.  As sigma_k, k in G, moves
+    that rotation with the row, the orbit of m adds up to sigma_k(y_m) over
+    k in G times |O_m| / |G|, so the sum of all q-1 rotated rows is 1/|G|
+    times the trace over G of W, the sum of |O_m| y_m over the
+    representatives.  The value -W / ((q-1) D) is then one traced read (see
+    _Packed.read) of the rotated sums of the cached rows, which carry the
+    inverse of D (see _scaled_rows), times a rational.
+
     Row m carries the character tau omega^(m (dim A - dim B)) on F_p^x, and
     omega has order p-1 there.  When p-1 divides dim A - dim B, as it does
-    for every equidimensional instance, all rows and the denominator D are
-    multiples of one gamma(tau): rows = c gamma(tau), D = c_D gamma(tau).
-    sigma_k takes gamma(tau) to gamma(tau^k), which is gamma(tau) for k in
-    G, as row k m carries tau too; so G acts on the c of the rows as on the
-    rows.  The value -(sum of rotated rows) / ((q-1) D) is then -c(t) /
-    ((q-1) |G| c_D) in Q(zeta_big), c(t) the traced read of X_1 - X_0 of W
-    (see _rotated_rows).  The rows carry 1/c_D from their cache (see
-    _scaled_rows), so the value is one traced read at big times a rational,
-    and is returned in Q(zeta_big).  Otherwise the lifted rows are read at
-    p big, and the value, in Q(zeta_(p big)), is multiplied by the inverse
-    of D there.  Against the a-twisted trace, row m and
-    D gain conj(tau(a)) omega(a)^(m (dim B - dim A)) and conj(tau(a)), as
-    g_a(chi) = conj(chi(a)) g(chi): the value is that of twist 1 at
-    t a^(dim B - dim A).
+    for every equidimensional instance, all rows and D are multiples of one
+    gamma(tau): rows = c gamma(tau), D = c_D gamma(tau).  sigma_k takes
+    gamma(tau) to gamma(tau^k), which is gamma(tau) for k in G, as row k m
+    carries tau too; so G acts on the c of the rows as on the rows, and the
+    value, -c(t) / ((q-1) |G| c_D), is read and returned in Q(zeta_big).
+    Otherwise the rows are lifted and the value is read and returned in
+    Q(zeta_(p big)), where zeta_big = zeta_(p big)^p.  Against the a-twisted
+    trace, row m and D gain conj(tau(a)) omega(a)^(m (dim B - dim A)) and
+    conj(tau(a)), as g_a(chi) = conj(chi(a)) g(chi): the value is that of
+    twist 1 at t a^(dim B - dim A).
     """
     t, twist = _unit_args(inst.base, t, twist)
     if twist != 1:
         t *= inst.base.elem(twist) ** (inst.B.dim - inst.A.dim)
-    if not _reads_at_big(inst):
-        return _expansion_times_denominator(inst, t) * _denominator_inverse(inst)
-    group, shifts, sizes = _rotated_rows(inst, t)
-    x0s, x1s, scale = _scaled_rows(inst)
+    group, reps, x0s, x1s, scale = _scaled_rows(inst)
+    step = x1s[0].n // (inst.base.q - 1) * (
+        inst.base.dlog(t) + inst.B.dim * inst.base.minus_one_dlog)
+    shifts, sizes = [step * m for m, _ in reps], [size for _, size in reps]
     x0 = _Packed.rotated_sum(x0s, shifts, sizes)
     x1 = _Packed.rotated_sum(x1s, shifts, sizes)
     return x1.read(x0, group) * scale
@@ -493,6 +474,6 @@ def greene_factor(params, q):
 
 
 def katz_unnormalized(params, q, t):
-    """classic_sum with the Gauss-sum denominator multiplied back in."""
-    inst = split_instance(params, q)
-    return _expansion_times_denominator(inst, _unit_args(inst.base, t, 1)[0])
+    """classic_sum with the Gauss-sum denominator multiplied back in: a
+    value in Q(zeta_(p big))."""
+    return classic_sum(params, q, t) * _gauss_denominator(split_instance(params, q)).read()

@@ -9,9 +9,8 @@ from finhyp.finfield import make_field
 from finhyp.hypergeometric import (
     HGAlgebraInstance,
     _denominator_inverse,
-    _fourier_coefficients,
-    _lifted_rows,
     _reads_at_big,
+    _scaled_rows,
     algebra_sum_direct,
     algebra_sum_fourier,
     classic_sum,
@@ -46,14 +45,14 @@ def _caches():
 def test_clear_caches_empties_every_cache():
     params = HGParams([F(1, 4), F(3, 4)], [0, F(1, 2)])
     classic_sum(params, 5, 2)
-    katz_unnormalized(params, 5, 2)  # the lift path and its cache
+    katz_unnormalized(params, 5, 2)
     inst = orbit_instance(HGParams.parse("1/2,1/4,3/4", "0,1/8,3/8"), 3)
     value = algebra_sum_direct(inst, 2)
     algebra_sum_fourier(inst, 2)
     padic_sum_direct(params, 5, 2, 4)
     params.denominator_exponent()
     before = _caches()
-    assert len(before) == 20
+    assert len(before) == 18
     assert all(before.values()), before
     clear_caches()
     assert not any(_caches().values())
@@ -66,7 +65,7 @@ def test_clear_caches_empties_every_cache():
 
 
 def test_twisted_values_share_the_caches_of_twist_1():
-    # rows, lifts and denominator inverses are keyed by the instance alone: a
+    # scaled rows and denominator inverses are keyed by the instance alone: a
     # twist is applied to each value, not tabulated
     clear_caches()
     f5 = make_field(5)
@@ -81,7 +80,26 @@ def test_twisted_values_share_the_caches_of_twist_1():
             for t in (1, 2, 3):
                 algebra_sum_fourier(inst, t, twist)
                 algebra_sum_direct(inst, t, twist)
-    assert _fourier_coefficients.cache_info().currsize == 2
-    assert _lifted_rows.cache_info().currsize == 1
+    assert _scaled_rows.cache_info().currsize == 2
     # the lifted instance reads the inverse in Q(zeta_(p big)), the other in Q(zeta_big)
     assert _denominator_inverse.cache_info().currsize == 2
+
+
+def test_fourier_values_hold_one_row_entry_per_instance():
+    # the expansion keeps its rows in one cache, scaled by the inverse
+    # denominator at the length the values are read at, lifted or not
+    clear_caches()
+    f5 = make_field(5)
+    A = SemisimpleAlgebra(f5, [f5, make_field(5, 2)])
+    B = SemisimpleAlgebra(f5, [f5])
+    lifted = HGAlgebraInstance(A, B, AlgebraChar.from_exponents(A, [3, 7]),
+                               AlgebraChar.from_exponents(B, [2]))
+    at_big = orbit_instance(HGParams.parse("1/4,3/4", "0,1/2"), 5)
+    for inst in (lifted, at_big):
+        for twist in (1, 2, 4):
+            algebra_sum_fourier(inst, 2, twist)
+    held = {name.rsplit(".", 1)[1]: size for name, size in _caches().items()
+            if name.startswith("finhyp.hypergeometric.") and size}
+    assert held == {"_scaled_rows": 2, "_gauss_denominator": 2,
+                    "_denominator_inverse": 2, "orbit_instance": 1}
+    assert [_scaled_rows(inst)[3][0].n for inst in (lifted, at_big)] == [5 * 24, 4]

@@ -120,6 +120,19 @@ def test_gauss_product_and_inverse():
     assert invert_gauss_product(g) == g.inverse()
 
 
+def test_invert_gauss_product_conjugates_once(monkeypatch):
+    # the conjugate serves both |g|^2 and the result: one Galois scatter and
+    # one reduction, not two
+    g = gauss_product([MultChar(make_field(7), e) for e in (1, 3, 3)])
+    calls = []
+    conj = CycloNum.conj
+    monkeypatch.setattr(CycloNum, "conj", lambda self: calls.append(1) or conj(self))
+    inverse = invert_gauss_product(g)
+    assert calls == [1]
+    monkeypatch.undo()
+    assert inverse == g.inverse()
+
+
 def test_invert_gauss_product_rejects_irrational_norm():
     # |1 + zeta_5|^2 is irrational, so this is no product of Gauss sums
     with pytest.raises(InternalInconsistency):

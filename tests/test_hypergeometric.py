@@ -155,10 +155,11 @@ def test_fourier_coefficient_at_zero_is_one():
         AlgebraChar.from_exponents(A, [3, 7]),
         AlgebraChar.from_exponents(B, [1, 0, 2]),
     )
-    # row 0 is the denominator itself, kept unnormalised, alone in its orbit
+    # row 0 is the denominator itself, kept unnormalised, alone in its orbit;
+    # the instance reads at big, where the inverse is that of its coefficient
     m, size, row = _fourier_coefficients(inst)[1][0]
-    assert (m, size) == (0, 1)
-    assert row.read() * _denominator_inverse(inst) == 1
+    assert (m, size) == (0, 1) and _reads_at_big(inst)
+    assert row.gamma_coefficient() * _denominator_inverse(inst) == 1
 
 
 def _fourier_per_term(inst, t, twist=1):
@@ -267,7 +268,6 @@ def test_cold_fourier_rows_are_not_reduced(monkeypatch):
     from finhyp.hypergeometric import _fourier_coefficients
 
     inst = split_instance(HGParams.parse("1/4,3/4", "0,1/2"), 13)
-    _fourier_coefficients.cache_clear()
     calls = _count_reductions(monkeypatch)
     group, reps = _fourier_coefficients(inst)
     # all four units mod 12 fix (1/4,3/4; 0,1/2): one row per divisor of 12
@@ -281,7 +281,7 @@ def test_cold_fourier_rows_are_not_reduced(monkeypatch):
 ])
 def test_fourier_rows_from_cached_gauss_entries(q, params, other, monkeypatch):
     from finhyp import charsums
-    from finhyp.hypergeometric import _fourier_coefficients
+    from finhyp.hypergeometric import _fourier_coefficients, _scaled_rows
 
     clear_caches()
     inst = split_instance(HGParams.parse(*params), q)
@@ -292,7 +292,7 @@ def test_fourier_rows_from_cached_gauss_entries(q, params, other, monkeypatch):
     entries = _gauss_pair_entry.cache_info().misses
     algebra_sum_fourier(inst, 2, 2)
     assert _gauss_pair_entry.cache_info().misses == entries
-    assert _fourier_coefficients.cache_info().currsize == 1
+    assert _scaled_rows.cache_info().currsize == 1
     misses = _trace_fibres.cache_info().misses
     for twist in (1, 2):
         algebra_sum_fourier(split_instance(HGParams.parse(*other), q), 2, twist)
@@ -381,7 +381,6 @@ def test_orbit_rows_equal_their_gauss_products(case, monkeypatch):
     # on a split instance the row stabilizer is the lift of the parameters' one
     assert _row_stabilizer(inst, q - 1) == tuple(
         k for k in range(1, q) if lcm(k, q - 1) == k * (q - 1) and k % dd in params.stabilizer())
-    _fourier_coefficients.cache_clear()
     calls = _count_products(monkeypatch)
     coefficients = _fourier_coefficients(inst)
     assert len(calls) == len(coefficients[1]) == products
@@ -397,7 +396,6 @@ def test_orbit_rows_with_extension_components(monkeypatch):
     group = _row_stabilizer(inst, 2400)
     assert group == tuple(k for k in range(1, 2400) if gcd(k, 2400) == 1 and k % 5 == 1)
     assert {k % 30 for k in group} == {1, 11}
-    _fourier_coefficients.cache_clear()
     calls = _count_products(monkeypatch)
     coefficients = _fourier_coefficients(inst)
     assert len(calls) == 4  # rows {0}, {1, 5}, {2, 4}, {3}
@@ -441,31 +439,30 @@ def test_cold_rows_cost_one_product_per_orbit(monkeypatch):
     value = classic_sum(params, 343, 2)
     assert len(calls) == 12 + 1  # tau(342) rows and the denominator
     monkeypatch.undo()
-    _fourier_coefficients.cache_clear()
     calls = _count_products(monkeypatch)
     group, reps = _fourier_coefficients(split_instance(params, 343))
     assert len(calls) == len(reps) == 12 and sum(size for _, size, _ in reps) == 342
     assert value.conductor == 342
 
 
-def _held_rows(value):
-    """The Gauss products that a cached value holds, through nested tuples."""
-    from finhyp.charsums import _GaussPair
-
-    if isinstance(value, _GaussPair):
+def _held_fibres(value):
+    """The packed vectors that a cached value holds, through nested tuples."""
+    if isinstance(value, _Packed):
         return 1
-    return sum(map(_held_rows, value)) if isinstance(value, tuple) else 0
+    return sum(map(_held_fibres, value)) if isinstance(value, tuple) else 0
 
 
 def test_fourier_cache_holds_one_row_per_orbit():
-    from finhyp.hypergeometric import _fourier_coefficients
+    from finhyp.hypergeometric import _scaled_rows
 
-    # a cold classic_sum keeps the tau(342) = 12 representatives, not 342 rows
+    # a cold classic_sum keeps the tau(342) = 12 representatives, not 342
+    # rows: two scaled fibres each
     params = HGParams.parse("1/2,1/2,1/2,1/2", "0,0,0,0")
     clear_caches()
     classic_sum(params, 343, 2)
-    assert _fourier_coefficients.cache_info().currsize == 1
-    assert _held_rows(_fourier_coefficients(split_instance(params, 343))) == 12
+    assert _scaled_rows.cache_info().currsize == 1
+    rows = _scaled_rows(split_instance(params, 343))
+    assert len(rows[1]) == 12 and _held_fibres(rows) == 2 * 12
 
 
 def test_wide_slot_rows_fourier_equals_direct():
@@ -483,7 +480,7 @@ def test_wide_slot_rows_fourier_equals_direct():
 
 @pytest.mark.parametrize("case", ["split_q13", "orbit_q7"])
 def test_twisted_denominator_inverse_is_a_rotation(case):
-    from finhyp.charsums import _gauss_pair
+    from finhyp.charsums import _gauss_pair, invert_gauss_product
     from finhyp.hypergeometric import _denominator_inverse, _gauss_denominator
 
     if case == "split_q13":
@@ -494,17 +491,18 @@ def test_twisted_denominator_inverse_is_a_rotation(case):
     big = lcm(*(chi.field.q - 1 for chi in chars))
     bound = inst.A.unit_count() * inst.B.unit_count()
     coefficient = _gauss_pair(chars, bound).gamma_coefficient()
-    assert _denominator_inverse(inst, True) * coefficient == 1
+    assert _reads_at_big(inst) and _denominator_inverse(inst) * coefficient == 1
     # the direct route divides by the denominator of twist a as tau(a) times
     # the inverse of twist 1, tau(a) read off the denominator's Gauss entries
     tau = _gauss_denominator(inst).psi
+    inverse = invert_gauss_product(_gauss_denominator(inst).read())
     for a in range(1, inst.base.p):
         ref, tau_a = CycloNum.one(1), CycloNum.one(1)
         for chi in chars:
             ref = ref * oracles.gauss_sum(chi.field, chi.e, a)
             tau_a = tau_a * oracles.char_value(chi.field, chi.e, chi.field.elem(a))
         assert root_of_unity(big, tau[a]) == tau_a
-        assert _denominator_inverse(inst) * tau_a * ref == 1
+        assert inverse * tau_a * ref == 1
         for t in (1, 2):
             assert algebra_sum_direct(inst, t, a) == algebra_sum_fourier(inst, t, a)
 
@@ -553,7 +551,8 @@ def test_fourier_read_against_per_term_expansion(case):
 
 def test_warm_lifted_fourier_value_lifts_nothing(monkeypatch):
     # each representative is lifted once per instance, for every twist: a warm
-    # value on the lift path is one weighted sum, traced and read at p big
+    # value on the lift path is one weighted sum of the scaled rows, traced
+    # and read at p big
     from finhyp.charsums import _GaussPair
 
     inst = _expansion_cases()["not_shared"][0]
@@ -571,7 +570,7 @@ def test_warm_lifted_fourier_value_lifts_nothing(monkeypatch):
             calls.clear()
             lifts.clear()
             assert _same_value(algebra_sum_fourier(inst, t, twist), ref)
-            assert calls == [5 * 24, 5 * 24]  # the read and the product with the inverse
+            assert calls == [5 * 24]  # the rows carry the inverse already
             assert lifts == []
 
 
@@ -582,6 +581,27 @@ def test_katz_against_per_term_expansion(alpha, beta, q):
     den = gauss_product(inst.chiA.chars + inst.chiB.conj().chars)
     for t in (1, 2, q - 1):
         assert _same_value(katz_unnormalized(params, q, t), _fourier_per_term(inst, t) * den)
+
+
+@pytest.mark.parametrize("q", [9, 25])
+def test_katz_is_classic_times_the_denominator(q, monkeypatch):
+    # the denominator is the one pair lifted per value: the series itself is
+    # read at big, so no representative row is lifted
+    from finhyp.hypergeometric import _gauss_denominator
+
+    params = HGParams.parse("1/4,3/4", "0,1/2")
+    inst = split_instance(params, q)
+    den = gauss_product(inst.chiA.chars + inst.chiB.conj().chars)
+    refs = {t: classic_sum(params, q, t) * den for t in (1, 2, q - 1)}
+    clear_caches()
+    lifts = []
+    lift = _GaussPair.lift
+    monkeypatch.setattr(_GaussPair, "lift", lambda self: lifts.append(self) or lift(self))
+    for t, ref in refs.items():
+        lifts.clear()
+        value = katz_unnormalized(params, q, t)
+        assert _same_value(value, ref) and value.conductor == inst.base.p * (q - 1)
+        assert lifts == [_gauss_denominator(split_instance(params, q))]
 
 
 @pytest.mark.parametrize("alpha,beta,q", [("1/2", "0", 13), ("1/2,1/2", "0,0", 13),
