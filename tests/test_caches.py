@@ -75,31 +75,20 @@ def test_twisted_values_share_the_caches_of_twist_1():
                                AlgebraChar.from_exponents(B, [2]))
     at_big = orbit_instance(HGParams.parse("1/4,3/4", "0,1/2"), 5)
     assert not _reads_at_big(lifted) and _reads_at_big(at_big)
-    for inst in (lifted, at_big):
-        for twist in (1, 2, 4):
-            for t in (1, 2, 3):
-                algebra_sum_fourier(inst, t, twist)
-                algebra_sum_direct(inst, t, twist)
-    assert _scaled_rows.cache_info().currsize == 2
-    # the lifted instance reads the inverse in Q(zeta_(p big)), the other in Q(zeta_big)
-    assert _denominator_inverse.cache_info().currsize == 2
-
-
-def test_fourier_values_hold_one_row_entry_per_instance():
-    # the expansion keeps its rows in one cache, scaled by the inverse
-    # denominator at the length the values are read at, lifted or not
-    clear_caches()
-    f5 = make_field(5)
-    A = SemisimpleAlgebra(f5, [f5, make_field(5, 2)])
-    B = SemisimpleAlgebra(f5, [f5])
-    lifted = HGAlgebraInstance(A, B, AlgebraChar.from_exponents(A, [3, 7]),
-                               AlgebraChar.from_exponents(B, [2]))
-    at_big = orbit_instance(HGParams.parse("1/4,3/4", "0,1/2"), 5)
-    for inst in (lifted, at_big):
-        for twist in (1, 2, 4):
-            algebra_sum_fourier(inst, 2, twist)
+    cases = [(inst, t, twist) for inst in (lifted, at_big)
+             for twist in (1, 2, 4) for t in (1, 2, 3)]
+    for case in cases:
+        algebra_sum_fourier(*case)
+    # the expansion keeps its rows in one cache, one entry per instance,
+    # scaled by the inverse at the length the values are read at
     held = {name.rsplit(".", 1)[1]: size for name, size in _caches().items()
             if name.startswith("finhyp.hypergeometric.") and size}
     assert held == {"_scaled_rows": 2, "_gauss_denominator": 2,
                     "_denominator_inverse": 2, "orbit_instance": 1}
     assert [_scaled_rows(inst)[3][0].n for inst in (lifted, at_big)] == [5 * 24, 4]
+    for case in cases:
+        algebra_sum_direct(*case)
+    assert _scaled_rows.cache_info().currsize == 2
+    # the lifted instance reads the inverse in Q(zeta_(p big)), the other in Q(zeta_big)
+    assert _denominator_inverse.cache_info().currsize == 2
+

@@ -298,12 +298,17 @@ def test_fourier_rows_from_cached_gauss_entries(q, params, other, monkeypatch):
         algebra_sum_fourier(split_instance(HGParams.parse(*other), q), 2, twist)
     # a second instance over the same field makes no new trace pass
     assert _trace_fibres.cache_info().misses == misses
-    # each row equals its Gauss product with every entry tallied afresh, and
-    # against the twisted trace that product is the row rotated by -psi[2]
+    # the rows built from the cached entries make no new entry; each equals
+    # its Gauss product with every entry tallied afresh, and against the
+    # twisted trace that product is the row rotated by -psi[2]
+    entries = _gauss_pair_entry.cache_info().misses
+    reps = _fourier_coefficients(inst)[1]
+    assert _gauss_pair_entry.cache_info().misses == entries
+    assert _trace_fibres.cache_info().misses == misses
     monkeypatch.setattr(charsums, "_trace_fibres", _trace_fibres.__wrapped__)
     monkeypatch.setattr(charsums, "_gauss_pair_entry", _gauss_pair_entry.__wrapped__)
     chiB_bar = inst.chiB.conj()
-    for m, _, row in _fourier_coefficients(inst)[1]:
+    for m, _, row in reps:
         chars = (inst.chiA.twist_by_norm_power(m).chars
                  + chiB_bar.twist_by_norm_power(-m).chars)
         assert row.read() == gauss_product(chars)
