@@ -7,6 +7,10 @@ of perfbench.workloads.VERIFY_CLI_SEEDS (read from HEAD_DIR) in each
 checkout, with `millis` stripped from every report.  It fails unless, per
 seed, the base's lines appear in order and unchanged among the head's: a new
 check may add lines, but no existing verdict, instance or witness may change.
+
+verify prints no p-adic digit, so it also runs each command of
+DIGIT_COMMANDS (`gp` on both routes and `gauss` with its Gross-Koblitz
+side) in each checkout and fails unless the outputs are byte-identical.
 """
 
 import ast
@@ -17,6 +21,17 @@ import sys
 from pathlib import Path
 
 MAIN = "import sys; from finhyp.cli import main; sys.exit(main(sys.argv[1:]))"
+
+DIGIT_COMMANDS = [
+    ["gp", "--alpha", alpha, "--beta", beta, "--p", p, "--prec", prec,
+     "--all-t", "--route", "both", "--json"]
+    for alpha, beta, p, prec in (("1/5,2/5,3/5,4/5", "0,0,0,0", "11", "9"),
+                                 ("1/2,1/2", "0,0", "13", "8"),
+                                 ("1/3,2/3", "0,0", "7", "12"))
+] + [
+    ["gauss", "--p", p, "--f", f, "--m", m, "--prec", prec, "--json"]
+    for p, f, m, prec in (("11", "1", "3", "9"), ("3", "4", "10", "6"), ("13", "2", "7", "5"))
+]
 
 
 def cli_seeds(root):
@@ -29,17 +44,20 @@ def cli_seeds(root):
     raise SystemExit("VERIFY_CLI_SEEDS not found")
 
 
+def run_cli(root, argv):
+    """The stdout of one finhyp CLI call in the checkout at root."""
+    env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, "-c", MAIN, *argv],
+                         capture_output=True, text=True, env=env, timeout=300)
+    if run.returncode not in (0, 1):  # verify exits 1 on a failing or inconclusive check
+        raise SystemExit(f"{root} {' '.join(argv)}: exit {run.returncode}\n{run.stderr}")
+    return run.stdout
+
+
 def verify_lines(root, seed):
     """The reports of one verify run, millis stripped, as canonical JSON lines."""
-    env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"), PYTHONDONTWRITEBYTECODE="1")
-    run = subprocess.run(
-        [sys.executable, "-c", MAIN, "verify", "--check", "all", "--json", "--seed", str(seed)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    if run.returncode not in (0, 1):  # 0 all pass, 1 a failing or inconclusive check
-        raise SystemExit(f"{root} seed {seed}: exit {run.returncode}\n{run.stderr}")
     lines = []
-    for line in run.stdout.splitlines():
+    for line in run_cli(root, ["verify", "--check", "all", "--json", "--seed", str(seed)]).splitlines():
         report = json.loads(line)
         report.pop("millis", None)
         lines.append(json.dumps(report, sort_keys=True, separators=(",", ":")))
@@ -65,6 +83,10 @@ def main(base_root, head_root):
         if missing is not None:
             print(f"  not in head, in order: {missing}")
             failed += 1
+    for argv in DIGIT_COMMANDS:
+        same = run_cli(base_root, argv) == run_cli(head_root, argv)
+        print(f"{' '.join(argv)}: {'ok' if same else 'CHANGED'}")
+        failed += not same
     return 1 if failed else 0
 
 

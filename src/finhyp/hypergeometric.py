@@ -151,6 +151,13 @@ def _gauss_denominator(inst):
 
 
 @lru_cache(maxsize=None)
+def _denominator_value(inst):
+    """The denominator read in Q(zeta_(p big)), once per instance: katz_unnormalized
+    and greene_factor multiply every value by it."""
+    return _gauss_denominator(inst).read()
+
+
+@lru_cache(maxsize=None)
 def _denominator_inverse(inst):
     """Where _reads_at_big, the inverse of the denominator's coefficient c_D
     of gamma(psi) in Q(zeta_big); otherwise that of the denominator in
@@ -469,11 +476,11 @@ def greene_factor(params, q):
     jacobi = gauss_product(a * b.conj() for a, b in zip(inst.chiA.chars, inst.chiB.chars))
     return (
         sign * Fraction(1, q**params.d)
-        * _gauss_denominator(inst).read() * invert_gauss_product(jacobi)
+        * _denominator_value(inst) * invert_gauss_product(jacobi)
     )
 
 
 def katz_unnormalized(params, q, t):
     """classic_sum with the Gauss-sum denominator multiplied back in: a
     value in Q(zeta_(p big))."""
-    return classic_sum(params, q, t) * _gauss_denominator(split_instance(params, q)).read()
+    return classic_sum(params, q, t) * _denominator_value(split_instance(params, q))

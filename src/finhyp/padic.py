@@ -8,12 +8,14 @@ the inputs support.
 Gamma_p of a p-adic integer x is (-1)^r * prod of j < r, p not dividing
 j, modulo p^N, where r is the representative of x in [1, p^N].  The
 product is evaluated from doubling blocks (see _gamma_compute), cached with
-the values per (p, N).  Before any work, a request for k uncached values is
-priced at W = pN + N^3 b + k (p + N^2 b), b = p.bit_length() (see
-_gamma_work), and refused with BoundExceeded when W exceeds max_pn (default
-10^7).  One unit of W took 1.1-4.9 * 10^-7 s (2-core Xeon, Python 3.11), so
-the default admits about 1-5 s of work.  A p-adic series is priced at a lower
-bound of its count before its arguments are built (see _check_series_cap).
+the values per (p, N); for odd p, one evaluation serves both values of a
+reflection pair {x, 1 - x} (see _gamma_fill).  Before any work, a request
+for k uncached values is priced at W = pN + N^3 b + k (p + N^2 b),
+b = p.bit_length() (see _gamma_work), and refused with BoundExceeded when W
+exceeds max_pn (default 10^7).  One unit of W took 1.1-4.9 * 10^-7 s
+(2-core Xeon, Python 3.11), so the default admits about 1-5 s of work.  A
+p-adic series is priced at a lower bound of its count before its arguments
+are built (see _check_series_cap).
 
 Both series routes work on integers mod p^N: the Gamma_p arguments are
 residues read off the scaled numerators D*alpha_i and D*beta_j, each row is
@@ -337,15 +339,23 @@ def _check_prec(prec):
         raise BadPrecision(f"p-adic precision must be a positive integer, not {prec!r}")
 
 
+def _pack(a, w):
+    """The integer with a's entries in consecutive w-bit slots, a[0] lowest."""
+    v = 0
+    for x in reversed(a):
+        v = v << w | x
+    return v
+
+
 def _mul_trunc(a, b, m):
-    """a * b truncated to the length of a, coefficients mod m."""
+    """a * b truncated to the length of a, coefficients mod m, from one
+    product of packed integers: every coefficient of the product of two
+    lists of n entries in [0, m) is at most n (m-1)^2, below 2^w."""
     n = len(a)
-    out = [0] * n
-    for i, x in enumerate(a):
-        if x:
-            for j in range(n - i):
-                out[i + j] += x * b[j]
-    return [c % m for c in out]
+    w = (n * (m - 1) ** 2).bit_length() + 1
+    v = _pack(a, w) * _pack(b, w)
+    mask = (1 << w) - 1
+    return [(v >> w * i & mask) % m for i in range(n)]
 
 
 def _shift(g, c, m):
@@ -411,7 +421,11 @@ def _gamma_work(p, n, count):
     evaluations, b = p.bit_length().  Timed cold at the argument -1 (all bits
     of k set, the longest tail): 1.0 ms at 13^9 (W = 3370), 19 ms at 101^20,
     57 ms at 65521^1, 0.48 s at 3^100, 0.90 s at 1000003^1, 1.8 s at
-    1000003^3, 1.7 s at 2^200 (W = 1.6 * 10^7): 1.1-4.9 * 10^-7 s a unit."""
+    1000003^3, 1.7 s at 2^200 (W = 1.6 * 10^7): 1.1-4.9 * 10^-7 s a unit.
+
+    For odd p the two values of a reflection pair {x, 1 - x} in one batch
+    share one evaluation (see _gamma_fill), but count is every uncached
+    value: W is an upper bound, and the cap refuses the same requests."""
     b = p.bit_length()
     return p * n + n**3 * b + count * (p + n * n * b)
 
@@ -442,22 +456,34 @@ def _check_series_cap(p, prec, max_pn):
 
 def _gamma_fill(p, prec, residues, max_pn):
     """Compute every uncached residue of the (p, prec) cache, after one check
-    of their work estimate against the cap."""
+    of their work estimate against the cap.
+
+    For odd p, Gamma_p(x) Gamma_p(1 - x) = (-1)^l, l in [1, p] the
+    representative of x mod p: a residue r whose partner s = 1 - r is cached,
+    or computed earlier in the batch, is (-1)^l / Gamma_p(s), so each pair
+    {x, 1 - x} of a batch costs one evaluation.  The cap still prices every
+    uncached residue, an upper bound on the work.
+    """
     cache = _gamma_cache.get((p, prec), {})
     todo = {r for r in residues if r not in cache}
     if not todo:
         return cache
     _check_gamma_cap(p, prec, len(todo), max_pn)
     cache = _gamma_cache.setdefault((p, prec), cache)
+    m = p**prec
     for r in todo:
-        cache[r] = _gamma_compute(r, p, prec)
+        s = (1 - r) % m or m
+        if p == 2 or s == r or s not in cache:
+            cache[r] = _gamma_compute(r, p, prec)
+        else:
+            inv = pow(cache[s], -1, m)
+            cache[r] = m - inv if (r % p or p) & 1 else inv
     return cache
 
 
-def _gamma_residue(x, p, prec):
-    """Representative in [1, p^N] of a p-adic integer argument.  An int is
-    its own residue: Gamma_p mod p^N depends only on x mod p^N."""
-    mod = p**prec
+def _gamma_residue(x, p, mod):
+    """Representative in [1, mod], mod = p^N, of a p-adic integer argument.
+    An int is its own residue: Gamma_p mod p^N depends only on x mod p^N."""
     if isinstance(x, int):
         r = x % mod
     elif isinstance(x, PadicNum):
@@ -480,7 +506,8 @@ def prefetch_gamma_p(args, p, prec, max_pn=None):
     """Gamma_p of each argument as a unit integer mod p^prec.  The values
     not yet cached are computed together, after one check of the cap."""
     _check_prec(prec)
-    rs = [_gamma_residue(x, p, prec) for x in args]
+    mod = p**prec
+    rs = [_gamma_residue(x, p, mod) for x in args]
     cache = _gamma_fill(p, prec, rs, max_pn)
     return [cache[r] for r in rs]
 
@@ -490,7 +517,7 @@ def gamma_p(x, p, prec, max_pn=None):
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     _check_prec(prec)
-    r = _gamma_residue(x, p, prec)
+    r = _gamma_residue(x, p, p**prec)
     return PadicNum(p, 0, _gamma_fill(p, prec, [r], max_pn)[r], prec)
 
 

@@ -590,23 +590,29 @@ def test_katz_against_per_term_expansion(alpha, beta, q):
 
 @pytest.mark.parametrize("q", [9, 25])
 def test_katz_is_classic_times_the_denominator(q, monkeypatch):
-    # the denominator is the one pair lifted per value: the series itself is
-    # read at big, so no representative row is lifted
+    # the denominator is the one pair lifted per instance, read once for
+    # every katz value and greene_factor: the series itself is read at big,
+    # so no representative row is lifted
     from finhyp.hypergeometric import _gauss_denominator
 
     params = HGParams.parse("1/4,3/4", "0,1/2")
     inst = split_instance(params, q)
     den = gauss_product(inst.chiA.chars + inst.chiB.conj().chars)
     refs = {t: classic_sum(params, q, t) * den for t in (1, 2, q - 1)}
+    greene = greene_factor(params, q)
     clear_caches()
     lifts = []
     lift = _GaussPair.lift
     monkeypatch.setattr(_GaussPair, "lift", lambda self: lifts.append(self) or lift(self))
     for t, ref in refs.items():
-        lifts.clear()
         value = katz_unnormalized(params, q, t)
         assert _same_value(value, ref) and value.conductor == inst.base.p * (q - 1)
-        assert lifts == [_gauss_denominator(split_instance(params, q))]
+    pair = _gauss_denominator(split_instance(params, q))
+    assert lifts == [pair]
+    # greene_factor lifts its Jacobi product alone
+    lifts.clear()
+    assert greene_factor(params, q) == greene
+    assert len(lifts) == 1 and lifts[0] is not pair
 
 
 @pytest.mark.parametrize("alpha,beta,q", [("1/2", "0", 13), ("1/2,1/2", "0,0", 13),

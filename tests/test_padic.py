@@ -28,6 +28,7 @@ from finhyp.padic import (
     _gamma_blocks,
     _vp,
     _gamma_cache,
+    _gamma_compute,
     _gamma_work,
     _unit_terms,
     embed_cyclotomic,
@@ -168,7 +169,14 @@ def test_gamma_functional_equation():
         assert lhs == rhs, x
 
 
+def _residue(x, mod):
+    x = F(x)
+    return x.numerator * pow(x.denominator, -1, mod) % mod or mod
+
+
 def test_gamma_reflection():
+    # gamma_p reads Gamma_p(1 - x) off a cached Gamma_p(x), so both values
+    # are checked against the defining product before the identity
     rng = random.Random(1)
     for p in (3, 5, 7):
         n = 4
@@ -177,9 +185,51 @@ def test_gamma_reflection():
             x = F(rng.randrange(1, 50), rng.choice([1, 2, 4, 11]))
             if x.denominator % p == 0:
                 continue
-            prod = (gamma_p(x, p, n) * gamma_p(1 - x, p, n)).u
+            gx, gy = gamma_p(x, p, n), gamma_p(1 - x, p, n)
+            assert gx.u == _gamma_bruteforce(_residue(x, mod), p, n)
+            assert gy.u == _gamma_bruteforce(_residue(1 - x, mod), p, n)
             x0 = int(x.numerator * pow(x.denominator, -1, p) % p) or p
-            assert prod == ((mod - 1) if x0 % 2 else 1)
+            assert (gx * gy).u == ((mod - 1) if x0 % 2 else 1)
+
+
+def _count_evaluations(monkeypatch, p, n):
+    """Empty the (p, n) cache for one test and record the residue of every
+    evaluation."""
+    from finhyp import padic
+
+    calls = []
+    monkeypatch.setattr(padic, "_gamma_compute",
+                        lambda r, *a: calls.append(r) or _gamma_compute(r, *a))
+    monkeypatch.setitem(_gamma_cache, (p, n), {})
+    return calls
+
+
+@pytest.mark.parametrize("p,n", [(13, 7), (3, 6), (5, 4), (11, 7), (13, 9), (101, 3)])
+def test_gamma_batch_evaluates_one_value_per_reflection_pair(p, n, monkeypatch):
+    # k/(p-1), k < p-1: k and p-1-k pair, (p-1)/2 (x = 1/2) pairs with
+    # itself and 0 (the residue p^n) with 1, which is not in the batch
+    mod = p**n
+    calls = _count_evaluations(monkeypatch, p, n)
+    args = [F(k, p - 1) for k in range(p - 1)]
+    values = prefetch_gamma_p(args, p, n)
+    assert len(calls) == 1 + (p - 1) // 2
+    residues = [_residue(x, mod) for x in args]
+    assert residues[0] == mod and residues[(p - 1) // 2] == _residue(F(1, 2), mod)
+    assert values == [_gamma_compute(r, p, n) for r in residues]
+    # a partner cached by the earlier call: 1 pairs with 0
+    calls.clear()
+    assert gamma_p(1, p, n).u == _gamma_compute(1, p, n) and calls == []
+
+
+def test_gamma_p2_values_are_not_reflected(monkeypatch):
+    # the odd-p sign of the reflection formula fails at p = 2
+    p, n = 2, 8
+    mod = p**n
+    calls = _count_evaluations(monkeypatch, p, n)
+    args = [F(1, 3), F(2, 3), F(1, 5), F(4, 5), 0, 1, 5, -4]
+    residues = [_residue(x, mod) for x in args]
+    assert prefetch_gamma_p(args, p, n) == [_gamma_bruteforce(r, p, n) for r in residues]
+    assert sorted(calls) == sorted(residues)
 
 
 def test_gamma_continuity():
@@ -280,6 +330,9 @@ def test_gamma_identities_at_large_precision():
         rhs = -(g(x) * x) if F(x).numerator % p else -g(x)
         assert (g(x + 1) - rhs).is_zero_mod(n), x
     for x in (F(1, 3), F(5, 7)):
+        # one of g(x), g(1 - x) is read off the other: check both directly
+        for y in (x, 1 - x):
+            assert g(y).u == _gamma_compute(_residue(y, mod), p, n), y
         x0 = int(x.numerator * pow(x.denominator, -1, p) % p) or p
         assert (g(x) * g(1 - x)).u == ((mod - 1) if x0 % 2 else 1), x
     for x, m in ((F(2, 9), 5), (17, 12)):
