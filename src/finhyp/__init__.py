@@ -43,8 +43,8 @@ def clear_caches():
     cyclotomic structure, the slot orbits of traced reads, trace fibres and
     Gauss sums, the joint direct-sum tallies and the masks of their grids,
     the expansion rows of each orbit times the inverse denominator,
-    denominators, their values and their inverses, Gamma_p values and blocks, p-adic unit
-    terms, and term and denominator exponents.
+    denominators, their values and their inverses, Gamma_p values and
+    blocks, p-adic unit terms, and term and denominator exponents.
 
     Fields are cached objects too, and their elements equal only elements of
     the same field object: fields, elements and instances built before the
@@ -54,10 +54,9 @@ def clear_caches():
         cyclo.cyclotomic_polynomial, cyclo._structure, cyclo._slot_orbits,
         charsums._trace_fibres, charsums._gauss_pair_entry, finfield._make_field_cached,
         finfield.FqField._embedding_data, hypergeometric._denominator_inverse,
-        hypergeometric._denominator_value,
-        hypergeometric._direct_tally, hypergeometric._gauss_denominator,
-        hypergeometric._norm_fold_mask, hypergeometric._scaled_rows,
-        hypergeometric.orbit_instance,
+        hypergeometric._denominator_value, hypergeometric._direct_tally,
+        hypergeometric._gauss_denominator, hypergeometric._norm_fold_mask,
+        hypergeometric._scaled_rows, hypergeometric.orbit_instance,
         params._denominator_exponent, params._term_exponents,
     ):
         fn.cache_clear()

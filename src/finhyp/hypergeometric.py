@@ -152,8 +152,8 @@ def _gauss_denominator(inst):
 
 @lru_cache(maxsize=None)
 def _denominator_value(inst):
-    """The denominator read in Q(zeta_(p big)), once per instance: katz_unnormalized
-    and greene_factor multiply every value by it."""
+    """The denominator read in Q(zeta_(p big)), once per instance:
+    katz_unnormalized and greene_factor multiply every value by it."""
     return _gauss_denominator(inst).read()
 
 
