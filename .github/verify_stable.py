@@ -8,9 +8,11 @@ checkout, with `millis` stripped from every report.  It fails unless, per
 seed, the base's lines appear in order and unchanged among the head's: a new
 check may add lines, but no existing verdict, instance or witness may change.
 
-verify prints no p-adic digit, so it also runs each command of
-DIGIT_COMMANDS (`gp` on both routes and `gauss` with its Gross-Koblitz
-side) in each checkout and fails unless the outputs are byte-identical.
+verify prints no p-adic digit and no orbit table, so it also runs each
+command of DIGIT_COMMANDS in each checkout and fails unless the outputs are
+byte-identical: `gp` on both routes, `gauss` with its Gross-Koblitz side,
+`hq --algebra orbits` at q with orbits of length > 1, and `delta --p` with
+its orbit table.
 """
 
 import ast
@@ -34,6 +36,15 @@ DIGIT_COMMANDS = [
     # Gamma_p must not read off each other
     for p, f, m, prec in (("11", "1", "3", "9"), ("3", "4", "10", "6"), ("13", "2", "7", "5"),
                           ("2", "4", "3", "6"))
+] + [
+    ["hq", "--alpha", alpha, "--beta", beta, "--q", q, "--algebra", "orbits", "--all-t", "--json"]
+    for alpha, beta, q in (("1/5,2/5,3/5,4/5", "0,0,0,0", "4"), ("1/3,2/3", "0,0", "5"),
+                           ("1/4,3/4", "0,1/2", "27"))
+] + [
+    ["delta", "--alpha", alpha, "--beta", beta, "--p", p, "--json"]
+    # at p = 3 the alpha orbit {1/8, 3/8} comes twice
+    for alpha, beta, p in (("1/5,2/5,3/5,4/5", "0,0,0,0", "7"),
+                           ("1/8,3/8,1/8,3/8", "0,0,1/2,1/2", "3"))
 ]
 
 

@@ -33,7 +33,7 @@ from .padic import (
     padic_sum_via_orbits,
     teichmuller,
 )
-from .params import HGParams, POrbit, parse_fraction_list
+from .params import HGParams, parse_fraction_list
 
 __version__ = "0.1.0"
 

@@ -176,7 +176,7 @@ def check_fixed_field(params, p, ts=None):
     base = inst.base
     d = params.common_denominator()
     stab = set(params.stabilizer())
-    units_d = [k for k in range(1, d + 1) if gcd(k, d) == 1]
+    units_d = params._units()
     big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
     conj_insts = {}
     for k in units_d:
@@ -281,8 +281,8 @@ def check_main_theorem(params, p, t):
     d = params.common_denominator()
     stab = set(params.stabilizer())
     reps, seen = [], set()
-    for k in range(1, d + 1):
-        if gcd(k, d) == 1 and k % d not in seen:
+    for k in params._units():
+        if k % d not in seen:
             reps.append(k)
             seen.update(k * h % d for h in stab)
     cap = params.global_denominator_exponent()

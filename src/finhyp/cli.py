@@ -10,6 +10,7 @@ check or value disagreement, 2 usage error, 3 resource bound exceeded.
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .charsums import MultChar, gauss_sum
 from .checks import CHECK_NAMES, run_full_suite
@@ -219,13 +220,9 @@ def cmd_delta(args):
         if d % p != 0:
             payload["lambda"] = list(params.term_exponents(p))
         if params.splits_at(p):
-            ao, bo = params.p_orbits(p)
-            payload["alpha_orbits"] = [
-                {"rep": str(o.rep), "length": o.length} for o in ao
-            ]
-            payload["beta_orbits"] = [
-                {"rep": str(o.rep), "length": o.length} for o in bo
-            ]
+            for side, orbits in zip(("alpha_orbits", "beta_orbits"), params.p_orbits(p)):
+                payload[side] = [{"rep": str(Fraction(e, p**ln - 1)), "length": ln}
+                                 for ln, e in orbits]
     _emit(payload, args.as_json)
     return 0
 

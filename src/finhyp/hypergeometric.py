@@ -439,30 +439,21 @@ def split_instance(params, q):
 
 @lru_cache(maxsize=None)
 def orbit_instance(params, q):
-    """Algebras over F_q assembled from the orbits of multiplication by q.
+    """Algebras over F_q assembled from the orbit table params.p_orbits(q).
 
-    Each orbit of length l contributes one component F_{q^l} whose
-    character exponent is rep * (q^l - 1); that exponent is an integer
-    precisely because l is the orbit length.  Built once per (params, q),
-    as algebras compare by identity and instances key the sum caches.
+    Each pair (l, e) of a side, an orbit of length l, contributes one
+    component F_{q^l} with character exponent e.  Built once per
+    (params, q), as algebras compare by identity and instances key the sum
+    caches.
     """
     p, f = prime_power(q)
     base = make_field(p, f)
-    alpha_orbits, beta_orbits = params.p_orbits(q)
 
     def build(orbits):
-        comps, exps = [], []
-        for o in orbits:
-            comp = make_field(p, f * o.length)
-            comps.append(comp)
-            e = o.rep * (comp.q - 1)
-            assert e.denominator == 1
-            exps.append(int(e))
-        alg = SemisimpleAlgebra(base, comps)
-        return alg, AlgebraChar.from_exponents(alg, exps)
+        alg = SemisimpleAlgebra(base, [make_field(p, f * ln) for ln, _ in orbits])
+        return alg, AlgebraChar.from_exponents(alg, [e for _, e in orbits])
 
-    A, chiA = build(alpha_orbits)
-    B, chiB = build(beta_orbits)
+    (A, chiA), (B, chiB) = map(build, params.p_orbits(q))
     return HGAlgebraInstance(A, B, chiA, chiB)
 
 

@@ -33,7 +33,6 @@ from .errors import (
     BoundExceeded,
     ConductorNotDividing,
     DivisionByZero,
-    DoesNotSplit,
     ExponentNotIntegral,
     FieldMismatch,
     InternalInconsistency,
@@ -676,25 +675,22 @@ def padic_sum_direct(params, p, t, prec, max_pn=None):
 def padic_sum_via_orbits(params, p, t, prec, max_pn=None):
     """The same sum assembled from Gauss sums over the orbit fields.
 
-    Row m < p-1 holds one Gauss sum over F_{p^l} per p-orbit of length l,
-    at exponent sgn * (rep + m/(p-1)) * (p^l - 1), sgn = -1 on beta; row 0
-    is the denominator.  The pi-exponent of every coefficient must cancel
-    to (p-1) * Lambda(m); any other outcome is raised loudly.
+    Row m < p-1 holds one Gauss sum over F_{p^l} per pair (l, e) of the
+    orbit table params.p_orbits(p), at exponent sgn * (e + m (p^l - 1)/(p - 1)),
+    sgn = -1 on beta; row 0 is the denominator.  The table is read before
+    the cap check, so DoesNotSplit comes before BoundExceeded.  The
+    pi-exponent of every coefficient must cancel to (p-1) * Lambda(m); any
+    other outcome is raised loudly.
     """
     tt = _validate_args(params, p, t)
     key = ("orbits", params, p, prec)
     if key in _unit_terms:
         return _series_total(params, p, tt, prec, _unit_terms[key])
-    if not params.splits_at(p):
-        raise DoesNotSplit(f"multiplication by {p} does not fix the parameters")
+    # (l, e, step) with row m's exponent e + m * step
+    specs = [(ln, sgn * e, sgn * ((p**ln - 1) // (p - 1)))
+             for orbits, sgn in zip(params.p_orbits(p), (1, -1)) for ln, e in orbits]
     _check_series_cap(p, prec, max_pn)
     mod = p**prec
-    dd = params.common_denominator()
-    specs = []  # (l, e, step) with row m's exponent e + m * step
-    for orbits, sgn in zip(params.numerator_orbits(p), (1, -1)):
-        for o in orbits:
-            qbar = p**len(o) - 1
-            specs.append((len(o), sgn * (o[0] * qbar // dd), sgn * (qbar // (p - 1))))
     rows = list(zip(*(_gauss_orbits(p, ln, range(e, e + (p - 1) * step, step), mod)
                       for ln, e, step in specs)))
     # one batch of Gamma_p values, so the cap is checked before any work

@@ -43,19 +43,6 @@ def parse_fraction_list(text):
         raise MalformedValue(f"not a list of fractions: {text!r}") from None
 
 
-class POrbit(Value):
-    """One orbit of multiplication by q on a parameter multiset; a Value."""
-
-    __slots__ = _fields = ("rep", "values")
-
-    def __init__(self, rep, values):
-        self._init(rep, values)
-
-    @property
-    def length(self):
-        return len(self.values)
-
-
 class HGParams(Value):
     """A pair of parameter multisets, stored sorted with entries in [0, 1).
     The scaled numerators D*alpha_i and D*beta_j, D the common denominator,
@@ -154,22 +141,16 @@ class HGParams(Value):
                    for k in self._units())
 
     def p_orbits(self, q):
-        """Orbit decomposition of both multisets under x -> q*x mod Z, for a
-        power q of p (q = p on the p-adic side).
+        """The orbits of x -> q*x mod Z on both multisets, for a power q of p
+        (q = p on the p-adic side), as one field-free table per side.
 
-        Returns (alpha_orbits, beta_orbits); a value of multiplicity mu
-        yields mu copies of its orbit.  The representative is the smallest
-        value in the orbit.
+        Returns (alpha_orbits, beta_orbits), one pair (l, e) per orbit: l is
+        the orbit's length and e, the character exponent of its component
+        F_{q^l}, is v (q^l - 1) / D for v the orbit's smallest scaled
+        numerator D x; e is an integer because q^l v = v mod D.  A value of
+        multiplicity mu yields mu copies of its pair; DoesNotSplit unless
+        multiplication by q permutes both multisets.
         """
-        dd = self.common_denominator()
-        return tuple(
-            [POrbit(Fraction(o[0], dd), tuple(Fraction(x, dd) for x in o)) for o in orbits]
-            for orbits in self.numerator_orbits(q)
-        )
-
-    def numerator_orbits(self, q):
-        """p_orbits on the scaled numerators D*x, each orbit a tuple;
-        DoesNotSplit unless multiplication by q permutes both multisets."""
         if not self.splits_at(q):
             raise DoesNotSplit(f"q = {q} does not permute the parameters")
         dd, a, b = self._scaled
@@ -226,7 +207,7 @@ def _orbits_of(nums, q, dd):
         if len({counts[x] for x in orbit}) != 1:
             raise DoesNotSplit("multiplicity is not constant on an orbit")
         seen.update(orbit)
-        orbits.extend([tuple(orbit)] * counts[v])
+        orbits.extend([(len(orbit), v * (q**len(orbit) - 1) // dd)] * counts[v])
     return orbits
 
 

@@ -9,8 +9,9 @@ component.
 
 The p-adic ones state the series and the embedding with Fraction arguments
 and PadicNum and PiExp arithmetic, where the package works on integers mod
-p^N. Of the package's p-adic code they use gamma_p, teichmuller, those two
-types and p_orbits (checked against its definition in test_params).
+p^N. Of the package's p-adic code they use gamma_p, teichmuller and those
+two types; sum_via_orbits groups the Fraction parameters into orbits of
+x -> p x mod 1 itself.
 """
 
 import math
@@ -239,16 +240,31 @@ def gauss_sum_padic(p, f, m, prec):
     return PiExp(p, prec, (p - 1) * sum(xs), -math.prod(gamma_p(x, p, prec).u for x in xs))
 
 
+def fraction_orbits(values, p):
+    """The orbits of x -> p x mod 1 on a multiset of Fractions in [0, 1)
+    that it permutes, each as (smallest member, length); a value of
+    multiplicity mu gives mu copies of its orbit."""
+    rest, orbits = sorted(values), []
+    while rest:
+        orbit = [rest[0]]
+        while (x := p * orbit[-1] % 1) != orbit[0]:
+            orbit.append(x)
+        for x in orbit:
+            rest.remove(x)
+        orbits.append((orbit[0], len(orbit)))
+    return orbits
+
+
 def sum_via_orbits(params, p, t, prec):
     """The p-adic sum from PiExp products of Gauss sums over the orbit
-    fields of the Fraction orbits of p_orbits: row m has one Gauss sum at
-    exponent sgn * (rep + m/(p-1)) * (p^l - 1) per orbit.  Returns None
+    fields of fraction_orbits: row m has one Gauss sum at exponent
+    sgn * (rep + m/(p-1)) * (p^l - 1) per orbit of length l.  Returns None
     when a coefficient's pi-exponent is not (p-1) * Lambda(m)."""
     specs = []  # (l, e, step) with row m's exponent e + m * step
-    for orbits, sgn in zip(params.p_orbits(p), (1, -1)):
-        for o in orbits:
-            qbar = p**o.length - 1
-            specs.append((o.length, int(sgn * o.rep * qbar), sgn * (qbar // (p - 1))))
+    for values, sgn in ((params.alpha, 1), (params.beta, -1)):
+        for rep, ln in fraction_orbits(values, p):
+            qbar = p**ln - 1
+            specs.append((ln, int(sgn * rep * qbar), sgn * (qbar // (p - 1))))
     rows = [reduce(mul, (gauss_sum_padic(p, ln, e + m * step, prec) for ln, e, step in specs))
             for m in range(p - 1)]
     coeffs = [row / rows[0] for row in rows]

@@ -245,7 +245,9 @@ def test_gamma_rejects_non_integer():
         gamma_p(F(1, 5), 5, 4)
 
 
-def test_gamma_cost_cap():
+def test_gamma_cost_cap(monkeypatch):
+    # a cached value skips the check, so the test sees an empty 13^9 cache
+    monkeypatch.setitem(_gamma_cache, (13, 9), {})
     # W = 117 for f, 2916 for the blocks, 337 for the one value
     assert _gamma_work(13, 9, 1) == 3370
     with pytest.raises(BoundExceeded):
@@ -442,7 +444,13 @@ def test_orbit_route_matches_direct():
     ([F(1, 3), F(2, 3)], [0, 0]),
     ([0, F(1, 2)], [F(1, 3), F(2, 3)]),
 ])
-def test_orbit_route_checks_cap_before_work(alpha, beta):
+def test_orbit_route_checks_cap_before_work(monkeypatch, alpha, beta):
+    from finhyp import padic
+
+    # cached Gamma_p values or unit terms would skip the check
+    monkeypatch.setitem(_gamma_cache, (13, 9), {})
+    monkeypatch.setattr(padic, "_unit_terms", {})
+
     def cached():
         return {key: len(values) for key, values in _gamma_cache.items() if values}
 

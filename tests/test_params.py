@@ -279,43 +279,57 @@ def test_splitting_matches_conjugate_definition():
             assert params.splits_at(p) == fixed, (params, p)
             if fixed:
                 nontrivial += p % dd != 1
-                for orbits, values in zip(params.p_orbits(p), (params.alpha, params.beta)):
-                    assert sorted(v for o in orbits for v in o.values) == list(values)
-                    for o in orbits:
-                        assert o.rep == min(o.values) and len(set(o.values)) == o.length
-                        assert all(p * x % 1 == y for x, y in zip(o.values, o.values[1:]))
-                        assert p * o.values[-1] % 1 == o.rep
+                for table, values in zip(params.p_orbits(p), (params.alpha, params.beta)):
+                    _assert_orbit_table(table, p, values)
         if dd <= 10**4:
             assert params.stabilizer() == tuple(
                 k for k in range(1, dd + 1) if gcd(k, dd) == 1 and params.conjugate(k) == params)
     assert nontrivial > 20
 
 
+def _orbit(q, ln, e):
+    """The orbit {Fraction(e, q^l - 1) q^i mod 1 : i < l} of a table pair (l, e)."""
+    return [F(e, q**ln - 1) * q**i % 1 for i in range(ln)]
+
+
+def _assert_orbit_table(table, q, values):
+    """Each pair (l, e) of table rebuilds an orbit of l distinct members whose
+    least is e/(q^l - 1), and the orbits make up the multiset values."""
+    orbits = [_orbit(q, ln, e) for ln, e in table]
+    for (ln, e), orbit in zip(table, orbits):
+        assert len(set(orbit)) == ln and min(orbit) == F(e, q**ln - 1), (ln, e)
+    assert sorted(x for orbit in orbits for x in orbit) == sorted(values)
+
+
 def test_p_orbits():
     p4 = HGParams([F(1, 5), F(2, 5), F(3, 5), F(4, 5)], [0, 0, 0, 0])
     ao, bo = p4.p_orbits(7)
-    assert len(ao) == 1 and ao[0].length == 4
-    assert set(ao[0].values) == {F(1, 5), F(2, 5), F(3, 5), F(4, 5)}
-    assert len(bo) == 4 and all(o.length == 1 for o in bo)
+    assert ao == [(4, (7**4 - 1) // 5)] and bo == [(1, 0)] * 4
+    _assert_orbit_table(ao, 7, p4.alpha)
+    _assert_orbit_table(bo, 7, p4.beta)
 
     p2 = HGParams([F(1, 5), F(4, 5)], [0, 0])
     ao, _ = p2.p_orbits(11)
-    assert [o.length for o in ao] == [1, 1]
+    assert ao == [(1, 2), (1, 8)]
     with pytest.raises(DoesNotSplit):
         p2.p_orbits(2)
 
     ph = HGParams([F(1, 2), F(1, 2)], [0, 0])
     ao, _ = ph.p_orbits(7)
-    assert [o.length for o in ao] == [1, 1]
+    assert ao == [(1, 3), (1, 3)]
+
+    # at q = 4 the orbit {1/5, 4/5} has length 2 and its component is F_16
+    ao, _ = p4.p_orbits(4)
+    assert ao == [(2, 3), (2, 6)]
+    _assert_orbit_table(ao, 4, p4.alpha)
 
 
 def test_orbit_multiset_union():
     p = HGParams([F(1, 8), F(3, 8), F(1, 8), F(3, 8)], [0, 0, F(1, 2), F(1, 2)])
     ao, bo = p.p_orbits(3)
-    flat = [v for o in ao for v in o.values]
-    assert sorted(flat) == sorted(p.alpha)
-    flat_b = [v for o in bo for v in o.values]
-    assert sorted(flat_b) == sorted(p.beta)
+    assert ao == [(2, 1), (2, 1)] and bo == [(1, 0), (1, 0), (1, 1), (1, 1)]
+    _assert_orbit_table(ao, 3, p.alpha)
+    _assert_orbit_table(bo, 3, p.beta)
 
 
 def test_defining_polynomials():

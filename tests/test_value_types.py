@@ -22,7 +22,7 @@ from finhyp.hypergeometric import (
     algebra_sum_direct,
     split_instance,
 )
-from finhyp.params import HGParams, POrbit
+from finhyp.params import HGParams
 
 F = Fraction
 F5, F25 = make_field(5), make_field(5, 2)
@@ -50,10 +50,6 @@ VALUES = {
          lambda: _instance(B=SemisimpleAlgebra(F5, [F5])),
          lambda: _instance(a=3), lambda: _instance(b=0)],
     ),
-    "POrbit": (
-        lambda: POrbit(F(1, 3), (F(1, 3), F(2, 3))),
-        [lambda: POrbit(F(2, 3), (F(1, 3), F(2, 3))), lambda: POrbit(F(1, 3), (F(1, 3),))],
-    ),
     "HGParams": (
         lambda: HGParams([F(1, 2), F(1, 4)], [0, 0]),
         [lambda: HGParams([F(1, 2), F(3, 4)], [0, 0]),
@@ -75,8 +71,7 @@ def test_equal_values_hash_alike_and_one_field_breaks_equality(name):
 
 
 @pytest.mark.parametrize("name, field", [("MultChar", "e"), ("AlgebraChar", "chars"),
-                                         ("HGAlgebraInstance", "chiA"), ("POrbit", "rep"),
-                                         ("HGParams", "alpha")])
+                                         ("HGAlgebraInstance", "chiA"), ("HGParams", "alpha")])
 def test_hashable_values_are_immutable(name, field):
     value = VALUES[name][0]()
     with pytest.raises(AttributeError):
@@ -131,9 +126,6 @@ def test_value_reprs_keep_their_format():
         "HGAlgebraInstance(A=[GF(5) over GF(5)], B=[GF(5) over GF(5)], "
         "chiA=AlgebraChar(algebra=[GF(5) over GF(5)], chars=(MultChar(field=GF(5), e=2),)), "
         "chiB=AlgebraChar(algebra=[GF(5) over GF(5)], chars=(MultChar(field=GF(5), e=0),)))"
-    )
-    assert repr(POrbit(F(1, 3), (F(1, 3), F(2, 3)))) == (
-        "POrbit(rep=Fraction(1, 3), values=(Fraction(1, 3), Fraction(2, 3)))"
     )
     assert repr(HGParams.parse("1/2", "0")) == "HGParams([Fraction(1, 2)], [Fraction(0, 1)])"
     assert repr(CheckReport("fourier", "x", "fail", {"t": 2}, 7)) == (
