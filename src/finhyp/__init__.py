@@ -17,7 +17,10 @@ from .hypergeometric import (
     HGAlgebraInstance,
     algebra_sum_direct,
     algebra_sum_fourier,
+    algebra_sums_direct,
+    algebra_sums_fourier,
     classic_sum,
+    classic_sums,
     greene_factor,
     katz_unnormalized,
     orbit_instance,
@@ -31,6 +34,8 @@ from .padic import (
     gauss_sum_padic,
     padic_sum_direct,
     padic_sum_via_orbits,
+    padic_sums_direct,
+    padic_sums_via_orbits,
     teichmuller,
 )
 from .params import HGParams, parse_fraction_list
@@ -44,7 +49,8 @@ def clear_caches():
     Gauss sums, the joint direct-sum tallies and the masks of their grids,
     the expansion rows of each orbit times the inverse denominator,
     denominators, their values and their inverses, Gamma_p values and
-    blocks, p-adic unit terms, and term and denominator exponents.
+    blocks, the terms of each p-adic series, the images of roots of unity
+    in Z_p, and term and denominator exponents.
 
     Fields are cached objects too, and their elements equal only elements of
     the same field object: fields, elements and instances built before the
@@ -56,7 +62,7 @@ def clear_caches():
         finfield.FqField._embedding_data, hypergeometric._denominator_inverse,
         hypergeometric._denominator_value, hypergeometric._direct_tally,
         hypergeometric._gauss_denominator, hypergeometric._norm_fold_mask,
-        hypergeometric._scaled_rows, hypergeometric.orbit_instance,
+        hypergeometric._scaled_rows, hypergeometric.orbit_instance, padic._root_image,
         params._denominator_exponent, params._term_exponents,
     ):
         fn.cache_clear()

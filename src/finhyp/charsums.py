@@ -36,7 +36,7 @@ from math import lcm, prod
 from operator import mul
 
 from ._value import Value
-from .cyclo import _Packed, root_of_unity
+from .cyclo import _gather, _Packed, root_of_unity
 from .errors import FieldMismatch, InternalInconsistency, LengthMismatch, NotSubfield
 
 
@@ -166,13 +166,14 @@ class _GaussPair:
 
     def lift(self):
         """The pair packed at length p big, zeta_big = zeta_(p big)^p and
-        zeta_p = zeta_(p big)^big: X_0 and X_1 spread from slot j to slot j p,
-        plus p-1 rotations of the spread X_1, one per term psi(b) zeta_p^b of
-        gamma(psi).  A spread is a cut of every slot, spaced by p."""
-        p, n = self.p, self.x1.n
-        x0, x1 = (x.cut(0, 1, p * n, p, 0) for x in (self.x0, self.x1))
-        shifts = [0] + [e * p + b * n for b, e in enumerate(self.psi) if b]
-        return _Packed.rotated_sum([x0] + [x1] * (p - 1), shifts)
+        zeta_p = zeta_(p big)^big: X_0 spread from slot j to slot j p, and
+        X_1 spread and rotated once per term psi(b) zeta_p^b of gamma(psi),
+        b != 0.  Piece b fills the slots b big mod p, so the p pieces are
+        one gather (see cyclo._gather)."""
+        p, n, x1 = self.p, self.x1.n, self.x1
+        pieces = [(self.x0, 0, 0)] + [(x1, 0, e * p + b * n) for b, e in enumerate(self.psi) if b]
+        value, (total,) = _gather([pieces], 1, p * n, p, x1.width, p * n)
+        return _Packed(p * n, x1.bound, x1.width, value, total)
 
     def read(self):
         """The value in Q(zeta_(p big)): one lift, one reduction."""

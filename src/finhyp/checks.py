@@ -4,7 +4,9 @@ when the working precision leaves nothing to compare.
 
 A failing check is a verdict, not an exception; checks only raise when the
 instance violates a precondition (wrong prime, non-split parameters) or a
-resource bound.
+resource bound, the errors of PRECONDITION_ERRORS.  Any other FinHypError
+that a check raises is a defect it met: run_full_suite reports it as a
+failed check and goes on.
 """
 
 import json
@@ -15,13 +17,22 @@ from random import Random
 
 from ._value import Value
 from .charsums import AlgebraChar, SemisimpleAlgebra, gauss_norm_exponent
-from .errors import AssumptionFails, DoesNotSplit, InternalInconsistency, LengthMismatch
+from .errors import (
+    AssumptionFails,
+    BadPrime,
+    BoundExceeded,
+    DoesNotSplit,
+    FieldTooLarge,
+    FinHypError,
+    LengthMismatch,
+    NotPrime,
+)
 from .finfield import make_field, prime_power
 from .hypergeometric import (
     HGAlgebraInstance,
-    algebra_sum_direct,
-    algebra_sum_fourier,
-    classic_sum,
+    algebra_sums_direct,
+    algebra_sums_fourier,
+    classic_sums,
     orbit_instance,
     split_instance,
 )
@@ -29,11 +40,17 @@ from .padic import (
     PadicNum,
     embed_cyclotomic,
     padic_sum_direct,
-    padic_sum_via_orbits,
+    padic_sums_direct,
+    padic_sums_via_orbits,
     prefetch_gamma_p,
     series_residues,
 )
 from .params import HGParams
+
+# The errors a check raises instead of reporting: its instance violates a
+# precondition, or its work would exceed a resource bound.
+PRECONDITION_ERRORS = (AssumptionFails, BadPrime, BoundExceeded, DoesNotSplit, FieldTooLarge,
+                       NotPrime)
 
 
 class CheckReport(Value):
@@ -84,24 +101,23 @@ def _all_units(field, ts):
 
 
 def _compare_per_t(check, instance, field, ts, routes):
-    """Evaluate the two routes, a {witness key: function of t} mapping, at
-    every t of ts (default: every unit of field) and report each t where
-    they differ, with both values under their keys."""
+    """Evaluate the two routes, a {witness key: function of a list of t}
+    mapping, at every t of ts (default: every unit of field), each in one
+    list read, and report each t where they differ, with both values under
+    their keys."""
     start = time.perf_counter()
-    (key_a, route_a), (key_b, route_b) = routes.items()
-    failures = []
-    for t in _all_units(field, ts):
-        a, b = route_a(t), route_b(t)
-        if a != b:
-            failures.append({"t": repr(field.elem(t)), key_a: _cyclo_str(a), key_b: _cyclo_str(b)})
+    ts = _all_units(field, ts)
+    (key_a, values_a), (key_b, values_b) = ((key, route(ts)) for key, route in routes.items())
+    failures = [{"t": repr(field.elem(t)), key_a: _cyclo_str(a), key_b: _cyclo_str(b)}
+                for t, a, b in zip(ts, values_a, values_b) if a != b]
     return _report(check, instance, start, failures)
 
 
 def check_fourier(inst, ts=None, twist=1):
     """Norm-equation sum equals its character expansion, exactly, per t."""
     return _compare_per_t("fourier", f"{inst.describe()}", inst.base, ts, {
-        "direct": lambda t: algebra_sum_direct(inst, t, twist),
-        "fourier": lambda t: algebra_sum_fourier(inst, t, twist),
+        "direct": lambda ts: algebra_sums_direct(inst, ts, twist),
+        "fourier": lambda ts: algebra_sums_fourier(inst, ts, twist),
     })
 
 
@@ -109,40 +125,33 @@ def check_example_recovery(params, q, ts=None):
     """Split-algebra sum reproduces the classic series, exactly, per t."""
     inst = split_instance(params, q)
     return _compare_per_t("example_recovery", f"{params!r} q={q}", inst.base, ts, {
-        "classic": lambda t: classic_sum(params, q, t),
-        "algebra": lambda t: algebra_sum_direct(inst, t),
+        "classic": lambda ts: classic_sums(params, q, ts),
+        "algebra": lambda ts: algebra_sums_direct(inst, ts),
     })
 
 
 def check_gauss_norm(chi_a):
     """|g_A(chi)|^2 is exactly q^f with f the predicted degree count."""
     start = time.perf_counter()
-    failures = []
-    try:
-        f = gauss_norm_exponent(chi_a)
-        instance = f"{chi_a.algebra!r} exps={list(chi_a.exponents)} f={f}"
-    except InternalInconsistency as e:
-        failures.append({"error": str(e)})
-        instance = f"{chi_a.algebra!r} exps={list(chi_a.exponents)}"
-    return _report("gauss_norm", instance, start, failures)
+    f = gauss_norm_exponent(chi_a)
+    return _report("gauss_norm", f"{chi_a.algebra!r} exps={list(chi_a.exponents)} f={f}",
+                   start, [])
 
 
 def check_zeta_p_independence(inst, ts=None):
-    """Equi-dimensional sums are unchanged by every additive-character twist."""
+    """Equi-dimensional sums are unchanged by every additive-character twist
+    a = 2..p-1 (twist 1 is the reference itself)."""
     if not inst.is_equidimensional:
         raise AssumptionFails("this check requires dim A = dim B")
     start = time.perf_counter()
     base = inst.base
-    failures = []
-    for t in _all_units(base, ts):
-        ref = algebra_sum_direct(inst, t, 1)
-        for a in range(1, base.p):
-            v = algebra_sum_direct(inst, t, a)
-            if v != ref:
-                failures.append(
-                    {"t": repr(base.elem(t)), "twist": a,
-                     "value": _cyclo_str(v), "reference": _cyclo_str(ref)}
-                )
+    ts = _all_units(base, ts)
+    refs = algebra_sums_direct(inst, ts)
+    twisted = [(a, algebra_sums_direct(inst, ts, a)) for a in range(2, base.p)]
+    failures = [{"t": repr(base.elem(t)), "twist": a,
+                 "value": _cyclo_str(values[i]), "reference": _cyclo_str(ref)}
+                for i, (t, ref) in enumerate(zip(ts, refs))
+                for a, values in twisted if values[i] != ref]
     return _report("zeta_p_independence", f"{inst.describe()}", start, failures)
 
 
@@ -154,8 +163,8 @@ def check_omega_independence(params, q, ts=None):
     except LengthMismatch:
         return CheckReport("omega_independence", f"{params!r} q={q} (single generator)", "pass")
     return _compare_per_t("omega_independence", f"{params!r} q={q}", field, ts, {
-        "default": lambda t: classic_sum(params, q, t),
-        "alternate": lambda t: classic_sum(params, q, t, generator=alt),
+        "default": lambda ts: classic_sums(params, q, ts),
+        "alternate": lambda ts: classic_sums(params, q, ts, generator=alt),
     })
 
 
@@ -170,7 +179,8 @@ def _lift_coprime(k, d, n):
 def check_fixed_field(params, p, ts=None):
     """Values of the orbit-built instance lie in the fixed field of the
     parameter stabilizer: fixed by exactly the stabilizer twists, moved by
-    others (negative control), and expressible over Q(zeta_D)."""
+    others (negative control), and expressible over Q(zeta_D).  The twist
+    k = 1 is skipped: its conjugate instance is the instance itself."""
     start = time.perf_counter()
     inst = orbit_instance(params, p)
     base = inst.base
@@ -178,18 +188,17 @@ def check_fixed_field(params, p, ts=None):
     stab = set(params.stabilizer())
     units_d = params._units()
     big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
-    conj_insts = {}
+    ts = _all_units(base, ts)
+    conj_values = {}
     for k in units_d:
-        kk = _lift_coprime(k, d, big)
-        conj_insts[k] = (
-            kk,
-            HGAlgebraInstance(inst.A, inst.B, inst.chiA.power(kk), inst.chiB.power(kk)),
-        )
+        if k != 1:
+            kk = _lift_coprime(k, d, big)
+            c_inst = HGAlgebraInstance(inst.A, inst.B, inst.chiA.power(kk), inst.chiB.power(kk))
+            conj_values[k] = kk, algebra_sums_direct(c_inst, ts)
     failures = []
     control_needed = len(stab) < len(units_d)
     control_seen = False
-    for t in _all_units(base, ts):
-        v = algebra_sum_direct(inst, t)
+    for i, (t, v) in enumerate(zip(ts, algebra_sums_direct(inst, ts))):
         v_big = v.is_in_subfield(big)
         if v_big is None:
             failures.append({"t": repr(base.elem(t)), "error": "value not free of zeta_p"})
@@ -198,9 +207,8 @@ def check_fixed_field(params, p, ts=None):
         if v_d is None:
             failures.append({"t": repr(base.elem(t)), "error": "value not in Q(zeta_D)"})
             continue
-        for k in units_d:
-            kk, c_inst = conj_insts[k]
-            w = algebra_sum_direct(c_inst, t)
+        for k, (kk, values) in conj_values.items():
+            w = values[i]
             conj_val = v_big.galois(kk)
             if conj_val != w:
                 failures.append(
@@ -238,17 +246,18 @@ def check_gp_equals_hp(params, p, ts=None, prec=6):
         return CheckReport("gp_equals_hp", instance, "inconclusive", witness)
     start = time.perf_counter()
     ts = list(ts) if ts is not None else list(range(1, p))
+    gps = padic_sums_direct(params, p, ts, prec)
+    if assumption:
+        others = [v.is_in_subfield(p - 1) for v in classic_sums(params, p, ts)]
+    else:
+        others = padic_sums_via_orbits(params, p, ts, prec)
     failures = []
-    for t in ts:
-        gp = padic_sum_direct(params, p, t, prec)
+    for t, gp, other in zip(ts, gps, others):
+        if other is None:
+            failures.append({"t": t, "error": "complex value not in Q(zeta_(p-1))"})
+            continue
         if assumption:
-            v = classic_sum(params, p, t).is_in_subfield(p - 1)
-            if v is None:
-                failures.append({"t": t, "error": "complex value not in Q(zeta_(p-1))"})
-                continue
-            other = embed_cyclotomic(v, p, prec)
-        else:
-            other = padic_sum_via_orbits(params, p, t, prec)
+            other = embed_cyclotomic(other, p, prec)
         if not gp.eq_mod(other, k):
             failures.append({"t": t, "direct": repr(gp), "other": repr(other)})
     return _report("gp_equals_hp", instance, start, failures)
@@ -260,8 +269,7 @@ def check_integrality_delta(params, p, ts=None, prec=6):
     delta = params.denominator_exponent()
     ts = list(ts) if ts is not None else list(range(1, p))
     failures = []
-    for t in ts:
-        v = padic_sum_direct(params, p, t, prec)
+    for t, v in zip(ts, padic_sums_direct(params, p, ts, prec)):
         if v.valuation_lower_bound() < -delta:
             failures.append({"t": t, "valuation": v.valuation, "delta": delta})
     return _report("integrality_delta", f"{params!r} p={p} delta={delta}", start, failures)
@@ -409,8 +417,15 @@ def random_params(rng):
             return HGParams(alpha, beta)
 
 
+def _describe(arg):
+    return arg.describe() if hasattr(arg, "describe") else repr(arg)
+
+
 def run_full_suite(seed=1, checks=None):
-    """The default battery, with fixed sizes; deterministic per seed."""
+    """The default battery, with fixed sizes; deterministic per seed.  A
+    check that raises a FinHypError outside PRECONDITION_ERRORS has met a
+    defect: it is reported as a failed check, with the error as its
+    witness, and the battery goes on."""
     rng = Random(seed)
     reports = []
     want = None if checks in (None, "all", ["all"]) else set(checks)
@@ -418,50 +433,59 @@ def run_full_suite(seed=1, checks=None):
     def due(name):
         return want is None or name in want
 
+    def run(check, *args, **kwargs):
+        start = time.perf_counter()
+        try:
+            reports.append(check(*args, **kwargs))
+        except PRECONDITION_ERRORS:
+            raise
+        except FinHypError as e:
+            millis = int((time.perf_counter() - start) * 1000)
+            instance = " ".join(map(_describe, args + tuple(kwargs.items())))
+            witness = {"error": f"{type(e).__name__}: {e}"}
+            reports.append(CheckReport(check.__name__.removeprefix("check_"), instance,
+                                       "fail", witness, millis))
+
     if due("fourier"):
         for q in (3, 5, 7, 9):
             for _ in range(2):
-                inst = random_algebra_instance(rng, q, max_size=81)
-                reports.append(check_fourier(inst))
+                run(check_fourier, random_algebra_instance(rng, q, max_size=81))
     if due("example_recovery"):
         for params in fixed_params():
             for q in (5, 7):
                 if (q - 1) % params.common_denominator() == 0:
-                    reports.append(check_example_recovery(params, q))
+                    run(check_example_recovery, params, q)
     if due("gauss_norm"):
         for _ in range(10):
             q = rng.choice((3, 5, 7, 9))
-            inst = random_algebra_instance(rng, q, max_size=81)
-            reports.append(check_gauss_norm(inst.chiA))
+            run(check_gauss_norm, random_algebra_instance(rng, q, max_size=81).chiA)
     if due("zeta_p_independence"):
         for _ in range(4):
             q = rng.choice((3, 5, 7))
-            inst = random_algebra_instance(rng, q, max_size=64, equidim=True)
-            reports.append(check_zeta_p_independence(inst))
+            run(check_zeta_p_independence,
+                random_algebra_instance(rng, q, max_size=64, equidim=True))
     if due("omega_independence"):
         for params, q in ((fixed_params()[1], 5), (fixed_params()[3], 7)):
-            reports.append(check_omega_independence(params, q))
+            run(check_omega_independence, params, q)
     if due("fixed_field"):
-        reports.append(check_fixed_field(HGParams.parse("1/5,4/5", "0,0"), 11))
-        reports.append(check_fixed_field(HGParams.parse("1/2,1/2", "0,0"), 5))
+        run(check_fixed_field, HGParams.parse("1/5,4/5", "0,0"), 11)
+        run(check_fixed_field, HGParams.parse("1/2,1/2", "0,0"), 5)
     if due("gp_equals_hp"):
         for params in fixed_params():
             for p in (5, 13):
                 if (p - 1) % params.common_denominator() == 0:
-                    reports.append(check_gp_equals_hp(params, p, prec=6))
-        reports.append(check_gp_equals_hp(
-            HGParams.parse("1/5,2/5,3/5,4/5", "0,0,0,0"), 7, prec=6
-        ))
+                    run(check_gp_equals_hp, params, p, prec=6)
+        run(check_gp_equals_hp, HGParams.parse("1/5,2/5,3/5,4/5", "0,0,0,0"), 7, prec=6)
     if due("integrality_delta"):
         for _ in range(10):
             p = rng.choice((3, 5, 7, 11, 13))
             params = random_params(rng)
             while params.common_denominator() % p == 0:
                 params = random_params(rng)
-            reports.append(check_integrality_delta(params, p, ts=[1, 2], prec=4))
+            run(check_integrality_delta, params, p, ts=[1, 2], prec=4)
     if due("main_theorem"):
-        reports.append(check_main_theorem(HGParams.parse("1/5,4/5", "0,0"), 11, 1))
-        reports.append(check_main_theorem(HGParams.parse("1/2,1/2", "0,0"), 13, 2))
+        run(check_main_theorem, HGParams.parse("1/5,4/5", "0,0"), 11, 1)
+        run(check_main_theorem, HGParams.parse("1/2,1/2", "0,0"), 13, 2)
     return reports
 
 

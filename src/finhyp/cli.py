@@ -24,13 +24,13 @@ from .errors import (
 )
 from .finfield import is_prime, make_field, prime_power
 from .hypergeometric import (
-    algebra_sum_direct,
-    algebra_sum_fourier,
-    classic_sum,
+    algebra_sums_direct,
+    algebra_sums_fourier,
+    classic_sums,
     orbit_instance,
     split_instance,
 )
-from .padic import gauss_sum_padic, padic_sum_direct, padic_sum_via_orbits
+from .padic import gauss_sum_padic, padic_sums_direct, padic_sums_via_orbits
 from .params import HGParams
 
 SCHEMA = "finhyp/1"
@@ -138,13 +138,11 @@ def cmd_hq(args):
     field = make_field(*prime_power(args.q))
     ts = _t_values(args, field)
     if args.algebra == "split":
-        inst = split_instance(args.params, args.q)
-        values = (algebra_sum_direct(inst, field.elem(t)) for t in ts)
+        values = algebra_sums_direct(split_instance(args.params, args.q), ts)
     elif args.algebra == "orbits":
-        inst = orbit_instance(args.params, args.q)
-        values = (algebra_sum_fourier(inst, inst.base.elem(t)) for t in ts)
+        values = algebra_sums_fourier(orbit_instance(args.params, args.q), ts)
     else:
-        values = (classic_sum(args.params, args.q, field.elem(t)) for t in ts)
+        values = classic_sums(args.params, args.q, ts)
     results = [{"t": t, "value": _cyclo_payload(v)} for t, v in zip(ts, values)]
     _emit({"schema": SCHEMA, "command": "hq", "q": args.q, "results": results}, args.as_json)
     return 0
@@ -154,15 +152,16 @@ def cmd_gp(args):
     results = []
     status = 0
     delta = args.params.denominator_exponent()
-    for t in _t_values(args, make_field(args.p)):
+    ts = _t_values(args, make_field(args.p))
+    routes = {"direct": padic_sums_direct, "algebra": padic_sums_via_orbits}
+    values = {name: route(args.params, args.p, ts, args.prec) for name, route in routes.items()
+              if args.route in (name, "both")}
+    for i, t in enumerate(ts):
         entry = {"t": t}
-        if args.route in ("direct", "both"):
-            v = padic_sum_direct(args.params, args.p, t, args.prec)
-            entry["direct"] = v.to_json() | {"expansion": repr(v)}
-        if args.route in ("algebra", "both"):
-            w = padic_sum_via_orbits(args.params, args.p, t, args.prec)
-            entry["algebra"] = w.to_json() | {"expansion": repr(w)}
+        for name, vs in values.items():
+            entry[name] = vs[i].to_json() | {"expansion": repr(vs[i])}
         if args.route == "both":
+            v, w = values["direct"][i], values["algebra"][i]
             # at prec <= delta both sides are O(p^0): nothing to compare
             agree = v.eq_mod(w, args.prec - delta) if args.prec > delta else None
             entry["agree"] = agree

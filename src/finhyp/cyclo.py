@@ -19,7 +19,11 @@ reduce it the same way, so no table of powers is kept per conductor.  The
 nonnegative tallies behind character sums are multiplied and summed
 unreduced, as vectors mod x^N - 1 packed into one int each (_Packed), and
 reduced once when read: Phi_N divides x^N - 1.  A read may also trace
-over a group of automorphisms z -> z^k, orbit by orbit of the slots.
+over a group of automorphisms z -> z^k, orbit by orbit of the slots.  A
+list read packs one vector per value as a lane of one int, in chunks under
+_LANE_BYTES: one gather, product or shifted sum serves every lane, one
+unpack reads them all, and each lane is reduced once (_read_times,
+_read_rotated).
 
 Binary operations on elements with different conductors silently promote
 both sides into Q(zeta_lcm).
@@ -31,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, and_, lshift, mul, rshift, sub
+from operator import add, and_, floordiv, lshift, mul, rshift, sub
 
 from .errors import (
     DivisionByZero,
@@ -85,6 +89,15 @@ def _structure(n):
     return len(poly) - 1, tuple((i, c) for i, c in enumerate(poly[:-1]) if c)
 
 
+def _fold(n, v):
+    """The int list v folded modulo x^n - 1: slot j >= n added onto j mod n."""
+    out = v[:n]
+    for at in range(n, len(v), n):
+        part = v[at:at + n]
+        out[:len(part)] = map(add, out, part)
+    return out
+
+
 def _reduce(n, v):
     """Reduced coordinates of sum v[j] z^j, z = zeta_n, for an int list v.
 
@@ -93,10 +106,7 @@ def _reduce(n, v):
     """
     d, low = _structure(n)
     if len(v) > n:
-        folded = v[:n]
-        for j in range(n, len(v)):
-            folded[j % n] += v[j]
-        v = folded
+        v = _fold(n, v)
     for j in range(len(v) - 1, d - 1, -1):
         c = v[j]
         if c:
@@ -146,8 +156,14 @@ def _to_slots(v, width):
 
 def _from_slots(value, width, count):
     """The first `count` `width`-byte slots of a nonnegative int, as a list:
-    the inverse of _to_slots, by the same 8-byte words."""
-    raw, code = value.to_bytes(width * count, "little"), _ARRAY_CODES.get(width)
+    the inverse of _to_slots."""
+    return _unpack(value.to_bytes(width * count, "little"), width)
+
+
+def _unpack(raw, width):
+    """The little-endian `width`-byte slots of the bytes raw, as a list: one
+    cast where the width is an array code, else by 8-byte words."""
+    count, code = len(raw) // width, _ARRAY_CODES.get(width)
     if code:
         return memoryview(raw).cast(code).tolist()
     out, zero = [0] * count, bytes(8 * count)
@@ -188,7 +204,7 @@ def _make(conductor, num, den=1):
     if g == 1:
         out.num, out.den = tuple(num), den
     else:
-        out.num, out.den = tuple(a // g for a in num), den // g
+        out.num, out.den = tuple(map(floordiv, num, repeat(g))), den // g
     return out
 
 
@@ -533,38 +549,147 @@ class _Packed:
 
     def cut(self, start, step, n, spacing, shift):
         """The vector at length n whose slot shift + i*spacing (mod n) holds
-        slot start + i*step (mod self.n) of self, for i < n/spacing: one
-        strided copy of whole slots, or one per byte lane where slots are
-        wider than 8 bytes."""
-        w, count = self.width, n // spacing
-        code = _ARRAY_CODES.get(w)
-        unit = 1 if code else w  # view items per slot
-        raw = self.value.to_bytes(w * self.n, "little")
-        src = memoryview(raw + raw).cast(code or "B")  # read cyclically
-        turn, first = divmod(shift % n, spacing)
-        buf = bytearray(w * n)
-        dst, at, total = memoryview(buf).cast(code or "B"), (start - turn * step) % self.n, 0
-        for k in range(unit):
-            seq = src[unit * at + k :: unit * step][:count]
-            dst[unit * first + k :: unit * spacing] = seq
-            total += sum(seq) << 8 * k
-        return _Packed(n, self.bound, w, int.from_bytes(buf, "little"), total)
+        slot start + i*step (mod self.n) of self, for i < n/spacing: a
+        gather of one lane of one piece."""
+        value, (total,) = _gather([[(self, start, shift)]], step, n, spacing, self.width, n)
+        return _Packed(n, self.bound, self.width, value, total)
 
     def read(self, minus=None, group=(1,)):
         """The element sum v[j] zeta_n^j of Q(zeta_n), less the one that minus
-        holds if given, traced over group, a group of units mod n: the sum of
-        its images under zeta_n -> zeta_n^k, k in group.  Slot j of that sum
-        is |group| / |[j]| times the sum of v over the orbit [j] of j (see
-        _slot_orbits), so the trace is one pass over the slots and moves
-        none; one unpack per vector, one reduction."""
+        holds if given, traced over group (see _lane_value): one unpack per
+        vector, one reduction."""
         v = _from_slots(self.value, self.width, self.n)
         if minus is not None and minus.value:
             v = list(map(sub, v, _from_slots(minus.value, minus.width, minus.n)))
-        if len(group) > 1:
-            label, scale = _slot_orbits(self.n, group)
-            sums = [0] * len(scale)
-            for i, x in zip(label, v):
-                sums[i] += x
-            sums = list(map(mul, sums, scale))
-            v = [sums[i] for i in label]
-        return _make(self.n, _reduce(self.n, v))
+        return _lane_value(self.n, v, group)
+
+
+# ------------------------------------------------------------- lane reads
+
+# The most bytes of lane-major packed ints that one list read builds at
+# once: lists of values are read in chunks of lanes under it, so reading
+# every t at a large q never builds one huge int.
+_LANE_BYTES = 1 << 16
+
+
+def _chunk_starts(count, lane_bytes):
+    """The first lane of each chunk of count lanes of lane_bytes each, and
+    the lanes per chunk: as many as fit _LANE_BYTES, at least one."""
+    per = max(1, _LANE_BYTES // lane_bytes)
+    return range(0, count, per), per
+
+
+def _gather(lanes, step, n, spacing, width, stride):
+    """The int of `width`-byte slots whose lane i, slots i*stride to
+    i*stride + n - 1, is the vector at length n that holds, per piece (src,
+    start, shift) of lanes[i], slot start + k*step (mod src.n) of the
+    _Packed src in slot shift + k*spacing (mod n), for k < n/spacing; and
+    the total of each lane.  The pieces of a lane fill disjoint slots.  One
+    strided copy per byte of a source slot, so the slots may be wider than
+    those of the sources, and sources are read cyclically."""
+    count, jump = n // spacing, width * spacing
+    buf = bytearray(width * stride * len(lanes))
+    dst, views, totals = memoryview(buf), {}, []
+    for i, pieces in enumerate(lanes):
+        total = 0
+        for src, start, shift in pieces:
+            w = src.width
+            view = views.get(src)
+            if view is None:
+                raw = src.value.to_bytes(w * src.n, "little")
+                view = views[src] = memoryview(raw + raw)
+            turn, first = divmod(shift % n, spacing)
+            at = w * ((start - turn * step) % src.n)
+            lo = width * (i * stride + first)
+            for k in range(w):
+                seq = view[at + k : at + k + w * step * count : w * step]
+                dst[lo + k : lo + k + jump * count : jump] = seq
+                total += sum(seq) << 8 * k
+        totals.append(total)
+    return int.from_bytes(buf, "little"), totals
+
+
+def _lane_value(n, v, group=(1,), den=1):
+    """The element sum v[j] zeta_n^j / den of Q(zeta_n) for an int list v of
+    length n, traced over group, a group of units mod n: the sum of its
+    images under zeta_n -> zeta_n^k, k in group.  Slot j of that sum is
+    |group| / |[j]| times the sum of v over the orbit [j] of j (see
+    _slot_orbits), so the trace is one pass over the slots and moves none;
+    then one reduction."""
+    if len(group) > 1:
+        label, scale = _slot_orbits(n, group)
+        sums = [0] * len(scale)
+        for i, x in zip(label, v):
+            sums[i] += x
+        sums = list(map(mul, sums, scale))
+        v = [sums[i] for i in label]
+    return _make(n, _reduce(n, v), den)
+
+
+def _read_lanes(n, width, raw, stride, offset, group=(1,), den=1):
+    """The elements of Q(zeta_n), over den and traced over group (see
+    _lane_value), of the lanes of the bytes raw: runs of `stride` >= n
+    slots of `width` bytes, each a vector mod x^n - 1 whose slots hold its
+    coefficients plus offset.  One unpack for every lane, then per lane one
+    fold and one _lane_value."""
+    v = list(map(sub, _unpack(raw, width), repeat(offset)))
+    return [_lane_value(n, _fold(n, v[at:at + stride]), group, den)
+            for at in range(0, len(v), stride)]
+
+
+def _offset(width, slots):
+    """The half of a `width`-byte slot, and the int that holds it in each of
+    `slots` slots: added to packed coefficients of absolute value below the
+    half, it makes every slot nonnegative."""
+    half = 1 << 8 * width - 1
+    return half, int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+
+
+def _read_times(plus, minus, step, n, spacing, factor, bound):
+    """The elements (P_i - M_i) factor of Q(zeta_n), factor in Q(zeta_n),
+    for the lanes P_i of plus and M_i of minus (None for no M_i), lists of
+    the pieces of _gather whose lanes P_i and M_i total at most bound
+    together.  Per chunk of lanes: one gather per side at the slot width of
+    bound times the sum of |factor.num|, one product of their difference
+    with factor.num packed as signed slots, each lane's product kept apart
+    by a stride of n + phi(n) - 1 slots, and one _read_lanes over
+    factor.den.  Every product coefficient is below that bound in absolute
+    value, so the signed slots are read back exactly after an offset."""
+    num = factor.num
+    width = _Packed.slot_width(2 * bound * sum(map(abs, num)))
+    stride = n + len(num) - 1
+    parts = ([max(sign * c, 0) for c in num] for sign in (1, -1))
+    packed = _to_slots(next(parts), width) - _to_slots(next(parts), width)
+    out = []
+    starts, per = _chunk_starts(len(plus), width * stride)
+    for at in starts:
+        lanes = plus[at:at + per]
+        value, totals = _gather(lanes, step, n, spacing, width, stride)
+        if minus is not None:
+            less, more = _gather(minus[at:at + per], step, n, spacing, width, stride)
+            value -= less
+            totals = list(map(add, totals, more))
+        if max(totals) > bound:
+            raise InternalInconsistency(f"lane sum {max(totals)} exceeds the bound {bound}")
+        half, offset = _offset(width, len(lanes) * stride)
+        raw = (value * packed + offset).to_bytes(width * stride * len(lanes), "little")
+        out += _read_lanes(n, width, raw, stride, half, den=factor.den)
+    return out
+
+
+def _read_rotated(rows, steps, n, width, group=(1,), den=1):
+    """Per step s of steps, the element sum over (row, m) of rows of row
+    zeta_n^(m s), traced over group, over den: rows are signed ints of
+    `width`-byte slots holding vectors at length n, whose rotated sums have
+    coefficients below half a slot in absolute value.  Per step one shifted
+    sum, offset to nonnegative slots, at a lane stride of 2n; per chunk of
+    steps one _read_lanes, which folds each lane."""
+    bits, size = 8 * width, 2 * n * width
+    half, offset = _offset(width, 2 * n)
+    out = []
+    starts, per = _chunk_starts(len(steps), size)
+    for at in starts:
+        raw = b"".join((sum(row << bits * (m * s % n) for m, row in rows) + offset)
+                       .to_bytes(size, "little") for s in steps[at:at + per])
+        out += _read_lanes(n, width, raw, 2 * n, half, group, den)
+    return out

@@ -22,10 +22,12 @@ action of F_p^x turns into the other fibres, so every t and twist shares
 it (see _direct_tally).  When p-1 divides dim A - dim B, as in every
 equidimensional instance, either value lies in Q(zeta_big) and is read
 and returned there; otherwise it is read and returned at length p big.
-Each is reduced once.  A direct value is then multiplied once by the
-inverse of the denominator; an expansion value is read off rows that
-carry that inverse already, lifted to p big first where the value lies
-there, and is scaled by a rational (see _scaled_rows).  The tally is
+Both routes read a list of t at once, each t one lane of one packed read
+(see cyclo._read_times and cyclo._read_rotated); the single-t functions
+are its one-element case.  A direct lane is multiplied by the inverse of
+the denominator in one product for every lane; an expansion lane is read
+off rows that carry that inverse already, lifted to p big first where the
+value lies there (see _scaled_rows).  Each value is reduced once.  The tally is
 convolved one component at a time, by the fibre rule of the
 Gauss products with its Jacobi sums as 2-D shifts, on one packed grid per
 fibre over (c/g, norm class), g the gcd of every character step c, by one
@@ -53,8 +55,21 @@ from .charsums import (
     gauss_product,
     invert_gauss_product,
 )
-from .cyclo import _from_slots, _Packed, _to_slots, root_of_unity
-from .errors import AssumptionFails, FieldMismatch, NotCoprime, ZeroArgument
+from .cyclo import (
+    _from_slots,
+    _Packed,
+    _read_rotated,
+    _read_times,
+    _to_slots,
+    root_of_unity,
+)
+from .errors import (
+    AssumptionFails,
+    FieldMismatch,
+    InternalInconsistency,
+    NotCoprime,
+    ZeroArgument,
+)
 from .finfield import make_field, prime_power
 
 
@@ -97,13 +112,17 @@ def _check_assumption(params, q):
         raise AssumptionFails(f"q-1 = {q - 1} is not divisible by the denominator {d}")
 
 
-def _unit_args(field, t, twist):
-    t = field.elem(t)
-    if t.is_zero():
-        raise ZeroArgument("t must be a unit")
+def _unit_args(field, ts, twist):
+    """The dlogs of the units ts of field, and twist as a unit of F_p."""
+    logs = []
+    for t in ts:
+        t = field.elem(t)
+        if t.is_zero():
+            raise ZeroArgument("t must be a unit")
+        logs.append(field.dlog(t))
     if twist % field.p == 0:
         raise NotCoprime("twist must be a unit of F_p")
-    return t, twist % field.p
+    return logs, twist % field.p
 
 
 def _omega_reindex(field, generator):
@@ -119,11 +138,17 @@ def _omega_reindex(field, generator):
 
 
 def classic_sum(params, q, t, generator=None):
-    """The hypergeometric sum over F_q at argument t, exactly.
+    """The hypergeometric sum over F_q at argument t, exactly: the one value
+    of classic_sums."""
+    return classic_sums(params, q, [t], generator)[0]
+
+
+def classic_sums(params, q, ts, generator=None):
+    """The hypergeometric sum over F_q at each argument of ts, exactly.
 
     Requires q-1 divisible by every parameter denominator.  The optional
     generator replaces the field's canonical unit-group generator in the
-    definition of the character basis; the value must not change.  Both
+    definition of the character basis; the values must not change.  Both
     characters are raised to the power that carries the default basis to
     that one, and the series is the split instance's character expansion.
     """
@@ -131,7 +156,7 @@ def classic_sum(params, q, t, generator=None):
     w = _omega_reindex(inst.base, generator)
     if w != 1:
         inst = HGAlgebraInstance(inst.A, inst.B, inst.chiA.power(w), inst.chiB.power(w))
-    return algebra_sum_fourier(inst, t)
+    return algebra_sums_fourier(inst, ts)
 
 
 # ------------------------------------------------------------- algebra sums
@@ -269,7 +294,14 @@ def _direct_tally(inst):
 
 
 def algebra_sum_direct(inst, t, twist=1):
-    """The norm-equation exponential sum over unit pairs, exactly.
+    """The norm-equation exponential sum over unit pairs at t, exactly: the
+    one value of algebra_sums_direct."""
+    return algebra_sums_direct(inst, [t], twist)[0]
+
+
+def algebra_sums_direct(inst, ts, twist=1):
+    """The norm-equation exponential sum over unit pairs at each t of ts,
+    exactly.
 
     Every summand is a root of unity, and the pairs with N(y) = t N(x) are
     class s = dlog t of the joint tally (see _direct_tally), whose fibre u
@@ -280,25 +312,30 @@ def algebra_sum_direct(inst, t, twist=1):
     tau(a).  Where _reads_at_big holds, every shift is 0 and rot is tau on
     F_p^x, so the total is (tau(1/a) T_1 - T_0) gamma(tau), T_0 = tau(b) T_0
     being 0 when tau is nontrivial; the denominator is c_D gamma(tau), and
-    the value -(tau(1/a) T_1 - T_0) tau(a) / c_D is one reduction at big
-    and one product with the inverse that the Fourier route caches, in
-    Q(zeta_big).  Otherwise the p fibres are cut out of the tally at length
-    p big, each at its rotation there, and read at once, in Q(zeta_(p big)).
+    the value is (T_0 - tau(1/a) T_1) tau(a) / c_D in Q(zeta_big).
+    Otherwise the p fibres are cut out of the tally at length p big, each
+    at its rotation there, into disjoint classes of slots mod p, and the
+    value is minus their sum over D, in Q(zeta_(p big)).  Each t is one
+    lane of one read (see cyclo._read_times): its fibres are gathered out
+    of the tally, every lane is multiplied by the inverse of the
+    denominator that the Fourier route caches in one product, and each is
+    reduced once.
     """
-    t, twist = _unit_args(inst.base, t, twist)
+    classes, twist = _unit_args(inst.base, ts, twist)
     (zero, one), sigma, g, span = _direct_tally(inst)
-    p, qbar, s = inst.base.p, inst.base.q - 1, inst.base.dlog(t)
+    p, qbar = inst.base.p, inst.base.q - 1
     big = zero.n // span * g
     tau = _gauss_denominator(inst).psi[twist] if twist != 1 else 0
+    factor = -_denominator_inverse(inst)
     if _reads_at_big(inst):
-        total = one.cut(s, span, big, g, sigma[pow(twist, -1, p)][0] + tau)
-        minus = zero.cut(s, span, big, g, 0) if not any(r for r, _ in sigma) else None
-        return -total.read(minus) * _denominator_inverse(inst)
-    n = p * big
-    fibres = [zero.cut(s, span, n, g * p, 0)]
-    fibres += [one.cut((s - shift) % qbar, span, n, g * p, rot * p + twist * u * big)
-               for u, (rot, shift) in enumerate(sigma) if u]
-    return _Packed.rotated_sum(fibres, [p * tau] * p).read() * (-1) * _denominator_inverse(inst)
+        rot = sigma[pow(twist, -1, p)][0] + tau
+        plus = [[(one, s, rot)] for s in classes]
+        minus = [[(zero, s, 0)] for s in classes] if not any(r for r, _ in sigma) else None
+        return _read_times(plus, minus, span, big, g, factor, zero.bound)
+    plus = [[(zero, s, p * tau)] + [(one, (s - shift) % qbar, (rot + tau) * p + twist * u * big)
+                                    for u, (rot, shift) in enumerate(sigma) if u]
+            for s in classes]
+    return _read_times(plus, None, span, p * big, g * p, factor, zero.bound)
 
 
 def _row_stabilizer(inst, big):
@@ -346,18 +383,20 @@ def _fourier_coefficients(inst):
 def _scaled_rows(inst):
     """The representative rows of _fourier_coefficients times the cached
     inverse c / e of the denominator (see _denominator_inverse), at the
-    length n of its field: G as units mod n, (m, |O_m|) per representative,
-    the fibres X_0' and X_1' of each scaled row, in their order, with X_1' -
-    X_0' = (X_1 - X_0) c, and the scale -1/((q-1) |G| e) that takes their
-    traced read to the value (see algebra_sum_fourier).
+    length n of its field: n, G as units mod n, per representative m and
+    |O_m| times X_0' - X_1' as one signed packed int, with X_1' - X_0' =
+    (X_1 - X_0) c, their slot width, and (q-1) |G| e, the denominator of
+    their traced read (see algebra_sums_fourier).
 
     Where _reads_at_big, n = big and each row is its fibres.  Otherwise n =
     p big: each row is lifted once, to X_0 = 0 and X_1 its lift, and G moves
     to Z/(p big) by k -> (k mod big, 1 mod p), since sigma_k fixes zeta_p.
     With c = P - N split into its positive and negative parts, X_1' = X_1 P
     + X_0 N and X_0' = X_1 N + X_0 P are sums of products of nonnegative
-    tallies, exact in Z[x]/(x^n - 1) and packed at the slot width of
-    _row_bound times the sum of |c|.  The trace over G commutes with the
+    tallies, exact in Z[x]/(x^n - 1), packed with room for twice the bound
+    of _row_bound times the sum of |c|.  The sums of X_1' and of X_0' over
+    all q-1 rows keep that bound, so every rotated sum of the signed rows
+    has coefficients below half a slot.  The trace over G commutes with the
     product, as the denominator, row 0, is fixed by G."""
     group, reps = _fourier_coefficients(inst)
     inverse = _denominator_inverse(inst)
@@ -369,7 +408,7 @@ def _scaled_rows(inst):
         rows = [(None, row.lift()) for _, _, row in reps]
         n *= p
     bound = _row_bound(inst) * sum(map(abs, inverse.num))
-    width = _Packed.slot_width(bound)
+    width = _Packed.slot_width(2 * bound)
     parts = [[max(sign * c, 0) for c in inverse.num] for sign in (1, -1)]
     plus, minus = ((_to_slots(v, width), sum(v)) for v in parts)
 
@@ -382,23 +421,36 @@ def _scaled_rows(inst):
         return _Packed(n, bound, width, a[0] * b[0] + c[0] * d[0], a[1] * b[1] + c[1] * d[1])
 
     fibres = [(widened(x0), widened(x1)) for x0, x1 in rows]
-    return (group, tuple((m, size) for m, size, _ in reps),
-            tuple(sum_of_products(x1, minus, x0, plus) for x0, x1 in fibres),
-            tuple(sum_of_products(x1, plus, x0, minus) for x0, x1 in fibres),
-            Fraction(-1, (inst.base.q - 1) * len(group) * inverse.den))
+    x0s = [sum_of_products(x1, minus, x0, plus) for x0, x1 in fibres]
+    x1s = [sum_of_products(x1, plus, x0, minus) for x0, x1 in fibres]
+    for xs in (x0s, x1s):  # over all q-1 rows
+        total = sum(x.total * size for x, (_, size, _) in zip(xs, reps))
+        if total > bound:
+            raise InternalInconsistency(f"row sum {total} exceeds the bound {bound}")
+    signed = tuple((m, size * (x0.value - x1.value))
+                   for (m, size, _), x0, x1 in zip(reps, x0s, x1s))
+    return n, group, signed, width, (inst.base.q - 1) * len(group) * inverse.den
 
 
 def algebra_sum_fourier(inst, t, twist=1):
-    """The same sum through its character expansion; independent code path.
+    """The same sum through its character expansion at t: the one value of
+    algebra_sums_fourier."""
+    return algebra_sums_fourier(inst, [t], twist)[0]
+
+
+def algebra_sums_fourier(inst, ts, twist=1):
+    """The same sums through their character expansion; independent code
+    path.
 
     Row m times chi(arg)^m, with arg = N(-1) t and N(-1) = (-1)^(dim B), is
     row m rotated by step m in Q(zeta_big), y_m.  As sigma_k, k in G, moves
     that rotation with the row, the orbit of m adds up to sigma_k(y_m) over
     k in G times |O_m| / |G|, so the sum of all q-1 rotated rows is 1/|G|
     times the trace over G of W, the sum of |O_m| y_m over the
-    representatives.  The value -W / ((q-1) D) is then one traced read (see
-    _Packed.read) of the rotated sums of the cached rows, which carry the
-    inverse of D (see _scaled_rows), times a rational.
+    representatives.  The value -W / ((q-1) D) is then one traced read of
+    the rotated sum of the cached signed rows, which carry the inverse of D
+    and the sign (see _scaled_rows): each t is one lane, and one read
+    serves every lane (see cyclo._read_rotated).
 
     Row m carries the character tau omega^(m (dim A - dim B)) on F_p^x, and
     omega has order p-1 there.  When p-1 divides dim A - dim B, as it does
@@ -413,16 +465,13 @@ def algebra_sum_fourier(inst, t, twist=1):
     conj(tau(a)), as g_a(chi) = conj(chi(a)) g(chi): the value is that of
     twist 1 at t a^(dim B - dim A).
     """
-    t, twist = _unit_args(inst.base, t, twist)
-    if twist != 1:
-        t *= inst.base.elem(twist) ** (inst.B.dim - inst.A.dim)
-    group, reps, x0s, x1s, scale = _scaled_rows(inst)
-    step = x1s[0].n // (inst.base.q - 1) * (
-        inst.base.dlog(t) + inst.B.dim * inst.base.minus_one_dlog)
-    shifts, sizes = [step * m for m, _ in reps], [size for _, size in reps]
-    x0 = _Packed.rotated_sum(x0s, shifts, sizes)
-    x1 = _Packed.rotated_sum(x1s, shifts, sizes)
-    return x1.read(x0, group) * scale
+    field, dims = inst.base, inst.B.dim - inst.A.dim
+    logs, twist = _unit_args(field, ts, twist)
+    n, group, rows, width, den = _scaled_rows(inst)
+    qbar = field.q - 1
+    shift = inst.B.dim * field.minus_one_dlog + dims * field.dlog(twist)
+    steps = [n // qbar * ((s + shift) % qbar) for s in logs]
+    return _read_rotated(rows, steps, n, width, group, den)
 
 
 # ---------------------------------------------------------------- instances

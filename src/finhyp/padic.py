@@ -20,11 +20,14 @@ are built (see _check_series_cap).
 Both series routes work on integers mod p^N: the Gamma_p arguments are
 residues read off the scaled numerators D*alpha_i and D*beta_j, each row is
 one integer unit (and one pi-exponent on the orbit route), and a value is
-one integer sum, made a PadicNum only when it is returned.
+one integer sum, made a PadicNum only when it is returned.  The series'
+p-powers, signs and 1/(1 - p) are folded into its cached terms, so a
+list of t costs one Teichmuller lift and one Horner pass per value.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclo import CycloNum
 from .errors import (
@@ -595,39 +598,52 @@ def gauss_sum_padic(p, f, m, prec, max_pn=None):
 # ------------------------------------------------- p-adic hypergeometric sum
 
 
-def _validate_args(params, p, t):
+def _validate_args(params, p, ts):
+    """Each t of ts as a unit mod p, after the checks on p."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if params.common_denominator() % p == 0:
         raise BadPrime(f"{p} divides a parameter denominator")
-    if isinstance(t, int):
-        tt = t % p
-    else:
-        tt = t.coeffs[0] % p
-    if tt == 0:
-        raise ZeroArgument("t must be a unit mod p")
-    return tt
+    out = []
+    for t in ts:
+        tt = (t if isinstance(t, int) else t.coeffs[0]) % p
+        if tt == 0:
+            raise ZeroArgument("t must be a unit mod p")
+        out.append(tt)
+    return out
 
 
-def _series_total(params, p, tt, prec, unit_terms):
-    """Assemble sum(unit_m * omega(a0)^-m * (-p)^Lambda(m)) / (1 - p).
-
-    unit_terms maps m to an integer unit mod p^prec; omega(a0) is the
-    Teichmuller lift of a0 = (-1)^d t.  The p-power bookkeeping uses the
-    largest realized drop, so no precision is given away.
+def _series_terms(params, p, prec, unit_terms):
+    """The series sum(unit_m * omega(a0)^-m * (-p)^Lambda(m)) / (1 - p) as
+    (drop, terms): unit_terms maps m to an integer unit mod p^prec, and
+    term m is unit_m (-1)^Lambda(m) p^(drop + Lambda(m)) / (1 - p) mod
+    p^prec, so the sum is p^-drop times the terms' polynomial at
+    omega(a0)^-1.  The p-power bookkeeping uses the largest realized drop,
+    so no precision is given away.
     """
     exponents = _term_exponents(params, p)
     drop = max(0, -min(exponents))
     mod = p**prec
-    a0 = (tt if params.d % 2 == 0 else -tt) % p
-    tau_inv = pow(_teichmuller_int(a0, p, prec), -1, mod)
-    s = 0
-    omega = 1
-    for u, lam in zip(unit_terms, exponents):
-        term = u * omega * pow(p, drop + lam, mod)
-        s += -term if lam & 1 else term
-        omega = omega * tau_inv % mod
-    return PadicNum(p, -drop, s % mod * pow(1 - p, -1, mod), prec)
+    scale = pow(1 - p, -1, mod)
+    return drop, [(-u if lam & 1 else u) * pow(p, drop + lam, mod) * scale % mod
+                  for u, lam in zip(unit_terms, exponents)]
+
+
+def _series_values(params, p, tts, prec, series):
+    """The series of _series_terms at each unit tt mod p of tts: omega(a0)
+    is the Teichmuller lift of a0 = (-1)^d tt, and omega(a0)^-1 that of
+    1/a0, so each value is one lift and one Horner pass."""
+    drop, terms = series
+    mod = p**prec
+    out = []
+    for tt in tts:
+        a0 = (tt if params.d % 2 == 0 else -tt) % p
+        tau_inv = _teichmuller_int(pow(a0, -1, p), p, prec)
+        s = 0
+        for term in reversed(terms):
+            s = (s * tau_inv + term) % mod
+        out.append(PadicNum(p, -drop, s, prec))
+    return out
 
 
 def series_residues(params, p, prec):
@@ -648,7 +664,7 @@ def series_residues(params, p, prec):
     return out
 
 
-_unit_terms = {}  # (route, params, p, prec) -> the normalised unit terms of the series
+_unit_terms = {}  # (route, params, p, prec) -> the series' (drop, terms), see _series_terms
 
 
 def _row_quotients(units, p, prec):
@@ -662,18 +678,31 @@ def _row_quotients(units, p, prec):
 
 
 def padic_sum_direct(params, p, t, prec, max_pn=None):
-    """The p-adic hypergeometric sum from its Gamma-quotient series."""
-    tt = _validate_args(params, p, t)
+    """The p-adic hypergeometric sum at t: the one value of
+    padic_sums_direct."""
+    return padic_sums_direct(params, p, [t], prec, max_pn)[0]
+
+
+def padic_sums_direct(params, p, ts, prec, max_pn=None):
+    """The p-adic hypergeometric sum at each t of ts, from its
+    Gamma-quotient series."""
+    tts = _validate_args(params, p, ts)
     key = ("direct", params, p, prec)
     if key not in _unit_terms:
         _check_series_cap(p, prec, max_pn)
         units = prefetch_gamma_p(series_residues(params, p, prec), p, prec, max_pn)
-        _unit_terms[key] = _row_quotients(units, p, prec)
-    return _series_total(params, p, tt, prec, _unit_terms[key])
+        _unit_terms[key] = _series_terms(params, p, prec, _row_quotients(units, p, prec))
+    return _series_values(params, p, tts, prec, _unit_terms[key])
 
 
 def padic_sum_via_orbits(params, p, t, prec, max_pn=None):
-    """The same sum assembled from Gauss sums over the orbit fields.
+    """The same sum at t from the orbit fields: the one value of
+    padic_sums_via_orbits."""
+    return padic_sums_via_orbits(params, p, [t], prec, max_pn)[0]
+
+
+def padic_sums_via_orbits(params, p, ts, prec, max_pn=None):
+    """The same sums assembled from Gauss sums over the orbit fields.
 
     Row m < p-1 holds one Gauss sum over F_{p^l} per pair (l, e) of the
     orbit table params.p_orbits(p), at exponent sgn * (e + m (p^l - 1)/(p - 1)),
@@ -682,10 +711,10 @@ def padic_sum_via_orbits(params, p, t, prec, max_pn=None):
     pi-exponent of every coefficient must cancel to (p-1) * Lambda(m); any
     other outcome is raised loudly.
     """
-    tt = _validate_args(params, p, t)
+    tts = _validate_args(params, p, ts)
     key = ("orbits", params, p, prec)
     if key in _unit_terms:
-        return _series_total(params, p, tt, prec, _unit_terms[key])
+        return _series_values(params, p, tts, prec, _unit_terms[key])
     # (l, e, step) with row m's exponent e + m * step
     specs = [(ln, sgn * e, sgn * ((p**ln - 1) // (p - 1)))
              for orbits, sgn in zip(params.p_orbits(p), (1, -1)) for ln, e in orbits]
@@ -707,8 +736,8 @@ def padic_sum_via_orbits(params, p, t, prec, max_pn=None):
             raise InternalInconsistency(
                 f"pi-exponent {e} != (p-1)*Lambda = {(p - 1) * lam} at m={m}"
             )
-    _unit_terms[key] = unit_terms
-    return _series_total(params, p, tt, prec, unit_terms)
+    _unit_terms[key] = _series_terms(params, p, prec, unit_terms)
+    return _series_values(params, p, tts, prec, _unit_terms[key])
 
 
 # ------------------------------------------------------------- embeddings
@@ -730,16 +759,25 @@ def embed_cyclotomic(value, p, prec):
     m = value.conductor
     if (p - 1) % m != 0:
         raise ConductorNotDividing(f"conductor {m} does not divide {p - 1}")
-    g = make_field(p).generator.to_int()
     num, den = value.num, value.den
     if not any(num):
         return PadicNum.exact_zero(p)
     guard = _vp(den, p)
     work = prec + guard
     top = work + _vp(math.gcd(*num), p)
-    wmod, mod = p**work, p**top
-    img = pow(pow(_teichmuller_int(g, p, work), (p - 1) // m, wmod), -1, wmod)
+    mod = p**top
+    img = _root_image(p, m, work)
     acc = 0
     for c in reversed(num):
         acc = (acc * img + c) % mod
     return PadicNum(p, -guard, acc * pow(den // p**guard, -1, mod), top)
+
+
+@lru_cache(maxsize=None)
+def _root_image(p, m, prec):
+    """The image teichmuller(g)^(-(p-1)/m) of zeta_m in Z_p, mod p^prec, g
+    the generator of F_p^x: one per (p, m, prec), as every value embedded
+    at that precision shares it."""
+    mod = p**prec
+    g = make_field(p).generator.to_int()
+    return pow(pow(_teichmuller_int(g, p, prec), (p - 1) // m, mod), -1, mod)

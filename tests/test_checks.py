@@ -47,12 +47,12 @@ def test_failing_check_carries_witness(monkeypatch):
 
     rng = random.Random(1)
     inst = random_algebra_instance(rng, 3, max_size=27)
-    real = hg.algebra_sum_fourier
+    real = hg.algebra_sums_fourier
 
-    def corrupted(i, t, twist=1):
-        return real(i, t, twist) * 2
+    def corrupted(i, ts, twist=1):
+        return [v * 2 for v in real(i, ts, twist)]
 
-    monkeypatch.setattr(checks, "algebra_sum_fourier", corrupted)
+    monkeypatch.setattr(checks, "algebra_sums_fourier", corrupted)
     r = check_fourier(inst)
     assert not r.passed
     assert r.witness and r.witness["failures"]
@@ -103,7 +103,7 @@ def test_fixed_field_negative_control_fires(monkeypatch):
     from finhyp.cyclo import CycloNum
 
     monkeypatch.setattr(
-        checks, "algebra_sum_direct", lambda i, t, twist=1: CycloNum.one(1)
+        checks, "algebra_sums_direct", lambda i, ts, twist=1: [CycloNum.one(1)] * len(ts)
     )
     r = check_fixed_field(HGParams([F(1, 5), F(4, 5)], [0, 0]), 11)
     assert not r.passed

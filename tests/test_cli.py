@@ -283,3 +283,20 @@ def test_malformed_input_is_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_reports_a_check_that_raises_as_failed(capsys, monkeypatch):
+    # a defect met inside a check fails that check; the battery goes on
+    import finhyp.checks as checks
+    from finhyp.errors import InternalInconsistency
+
+    def check_omega_independence(*args, **kwargs):
+        raise InternalInconsistency("pi-exponent mismatch")
+
+    monkeypatch.setattr(checks, "check_omega_independence", check_omega_independence)
+    code, out = run_cli(capsys, "verify", "--json")
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and len(reports) == 66
+    failed = [r for r in reports if r["verdict"] == "fail"]
+    assert [r["check"] for r in failed] == ["omega_independence"] * 2
+    assert failed[0]["witness"] == {"error": "InternalInconsistency: pi-exponent mismatch"}

@@ -14,7 +14,7 @@ from finhyp.charsums import (
     gauss_product,
     gauss_sum,
 )
-from finhyp import clear_caches
+from finhyp import clear_caches, cyclo
 from finhyp.cyclo import CycloNum, _Packed, _from_slots, root_of_unity
 from finhyp.errors import (
     AssumptionFails,
@@ -461,13 +461,13 @@ def test_fourier_cache_holds_one_row_per_orbit():
     from finhyp.hypergeometric import _scaled_rows
 
     # a cold classic_sum keeps the tau(342) = 12 representatives, not 342
-    # rows: two scaled fibres each
+    # rows: one signed packed int each, and no fibre
     params = HGParams.parse("1/2,1/2,1/2,1/2", "0,0,0,0")
     clear_caches()
     classic_sum(params, 343, 2)
     assert _scaled_rows.cache_info().currsize == 1
-    rows = _scaled_rows(split_instance(params, 343))
-    assert len(rows[1]) == 12 and _held_fibres(rows) == 2 * 12
+    cached = _scaled_rows(split_instance(params, 343))
+    assert [type(row) for _, row in cached[2]] == [int] * 12 and _held_fibres(cached) == 0
 
 
 def test_wide_slot_rows_fourier_equals_direct():
@@ -1053,14 +1053,14 @@ def test_warm_equidimensional_direct_value_reads_at_big(alpha, beta, q, monkeypa
     big = q - 1
     calls = _count_reductions(monkeypatch)
     lengths = []
-    cut = _Packed.cut
-    monkeypatch.setattr(_Packed, "cut",
-                        lambda self, *args: lengths.append(args[2]) or cut(self, *args))
+    gather = cyclo._gather
+    monkeypatch.setattr(cyclo, "_gather",
+                        lambda *args: lengths.append(args[2]) or gather(*args))
     for t in range(1, q):
         calls.clear()
         value = algebra_sum_direct(inst, t)
-        # the read and the product with the inverse
-        assert calls == [big, big] and value.conductor == big
+        # one reduction: the product with the inverse is taken packed
+        assert calls == [big] and value.conductor == big
     assert lengths and set(lengths) == {big}
 
 
@@ -1079,7 +1079,7 @@ def test_warm_lifted_direct_value_is_one_read(monkeypatch):
             t = inst.base.unit(j)
             calls.clear()
             value = algebra_sum_direct(inst, t, twist)
-            assert calls == [3 * 8, 3 * 8]  # the read and the product with the inverse
+            assert calls == [3 * 8]  # the product with the inverse is taken packed
             assert value == oracles.direct_sum(inst, t, twist)
     assert lifts == []
 
