@@ -27,16 +27,16 @@ twisted.  The automorphism sigma_k, which fixes zeta_p and raises
 zeta_big to the k-th power, takes g(chi) to g(chi^k): it moves slot j of
 X_0 and X_1 to slot j k mod big and multiplies psi by k.  No image is
 built; the character expansion (see hypergeometric) meets sigma_k only in
-the traced read of one packed sum (_Packed.read).
+the traced read of one packed sum (cyclo._read_rotated).
 """
 
-from collections import Counter
 from functools import lru_cache, reduce
 from math import lcm, prod
-from operator import mul
+from itertools import repeat
+from operator import add, lshift, mod, mul
 
 from ._value import Value
-from .cyclo import _gather, _Packed, root_of_unity
+from .cyclo import _gather, _Packed, _to_slots, root_of_unity
 from .errors import FieldMismatch, InternalInconsistency, LengthMismatch, NotSubfield
 
 
@@ -86,27 +86,26 @@ def _trace_fibres(field):
     return tuple(fibres[0]), tuple(fibres[1]), dlogs
 
 
-def _gauss_entry(field, e):
-    """One Gauss sum as its trace fibres, read off _trace_fibres in O(q/p):
-    the (c, count) pairs of S_0 and S_1 as sums of count * zeta_(q-1)^c, and
-    psi with chi(b) = zeta_(q-1)^psi[b] for b = 1..p-1 (psi[0] = 0).  S_0 is
-    left empty when psi is nontrivial, where it is 0."""
-    qbar = field.q - 1
-    zero, one, dlogs = _trace_fibres(field)
-    psi = tuple(e * d % qbar for d in dlogs)
-    s0 = () if any(psi) else tuple(Counter(e * j % qbar for j in zero).items())
-    return s0, tuple(Counter(e * j % qbar for j in one).items()), psi
-
-
 @lru_cache(maxsize=None)
 def _gauss_pair_entry(chi, big, bound):
     """The Gauss sum of chi, a _GaussPair at length big, built once per
-    (chi, big, bound)."""
-    field = chi.field
-    s0, s1, psi = _gauss_entry(field, chi.e)
-    step = big // (field.q - 1)
-    x0, x1 = (_Packed.tally(big, bound, ((c * step, w) for c, w in s)) for s in (s0, s1))
-    return _GaussPair(field.p, x0, x1, tuple(e * step for e in psi))
+    (chi, big, bound) and read off _trace_fibres in O(q/p): X_0 and X_1
+    tally zeta_(q-1)^(e j) = zeta_big^(e j step), step = big/(q-1), over the
+    units g^j of trace 0 and 1, and chi(b) = zeta_big^psi[b] for b = 1..p-1
+    (psi[0] = 0).  X_0 is left empty when psi is nontrivial, where it is 0."""
+    field, e = chi.field, chi.e
+    qbar = field.q - 1
+    zero, one, dlogs = _trace_fibres(field)
+    step, width = big // qbar, _Packed.slot_width(bound)
+    psi = tuple(e * d % qbar * step for d in dlogs)
+
+    def tally(js):
+        v = [0] * big
+        for j in js:
+            v[e * j % qbar * step] += 1
+        return _Packed(big, bound, width, _to_slots(v, width), len(js))
+
+    return _GaussPair(field.p, tally(() if any(psi) else zero), tally(one), psi)
 
 
 class _GaussPair:
@@ -138,18 +137,16 @@ class _GaussPair:
         x0, x1, y0, y1 = self.x0, self.x1, other.x0, other.x1
         n, bound, width = x1.n, x1.bound, x1.width
         bits = 8 * width
-        psi = tuple((u + v) % n for u, v in zip(psi_p, psi_g))
+        psi = tuple(map(mod, map(add, psi_p, psi_g), repeat(n)))
         low, top = x0.value * y0.value, x1.value * y1.value
         if x0.value and y0.value:
             cross = (x0.value + x1.value) * (y0.value + y1.value) - low - top
         else:
             cross = x0.value * y1.value + x1.value * y0.value
         hi = _Packed(n, bound, width, top, x1.total * y1.total)  # P_1 G_1, folded
-        jacobi = {}
-        for b in range(2, p):
-            e = (psi_p[b] + psi_g[p + 1 - b]) % n
-            jacobi[e] = jacobi.get(e, 0) + 1
-        v1 = cross + sum(hi.value * w << bits * e for e, w in jacobi.items())
+        # psi_P(b) psi_G(1 - b) = zeta_big^e for b = 2..p-1: P_1 G_1 shifted by e
+        jacobi = map(mod, map(add, psi_p[2:], psi_g[:1:-1]), repeat(n))
+        v1 = cross + sum(map(lshift, repeat(hi.value), map(mul, jacobi, repeat(bits))))
         t1 = x0.total * y1.total + x1.total * y0.total + (p - 2) * hi.total
         if any(psi):  # (PG)_0 = psi(b) (PG)_0 is 0
             v0 = t0 = 0

@@ -113,9 +113,20 @@ def _compare_per_t(check, instance, field, ts, routes):
     return _report(check, instance, start, failures)
 
 
+def _subject(arg):
+    """How a report names the first argument of its check: an instance by
+    its description, a character by its algebra and exponents, anything
+    else by its repr."""
+    if isinstance(arg, HGAlgebraInstance):
+        return f"{arg.describe()}"
+    if isinstance(arg, AlgebraChar):
+        return f"{arg.algebra!r} exps={list(arg.exponents)}"
+    return repr(arg)
+
+
 def check_fourier(inst, ts=None, twist=1):
     """Norm-equation sum equals its character expansion, exactly, per t."""
-    return _compare_per_t("fourier", f"{inst.describe()}", inst.base, ts, {
+    return _compare_per_t("fourier", _subject(inst), inst.base, ts, {
         "direct": lambda ts: algebra_sums_direct(inst, ts, twist),
         "fourier": lambda ts: algebra_sums_fourier(inst, ts, twist),
     })
@@ -134,8 +145,7 @@ def check_gauss_norm(chi_a):
     """|g_A(chi)|^2 is exactly q^f with f the predicted degree count."""
     start = time.perf_counter()
     f = gauss_norm_exponent(chi_a)
-    return _report("gauss_norm", f"{chi_a.algebra!r} exps={list(chi_a.exponents)} f={f}",
-                   start, [])
+    return _report("gauss_norm", f"{_subject(chi_a)} f={f}", start, [])
 
 
 def check_zeta_p_independence(inst, ts=None):
@@ -152,7 +162,7 @@ def check_zeta_p_independence(inst, ts=None):
                  "value": _cyclo_str(values[i]), "reference": _cyclo_str(ref)}
                 for i, (t, ref) in enumerate(zip(ts, refs))
                 for a, values in twisted if values[i] != ref]
-    return _report("zeta_p_independence", f"{inst.describe()}", start, failures)
+    return _report("zeta_p_independence", _subject(inst), start, failures)
 
 
 def check_omega_independence(params, q, ts=None):
@@ -417,15 +427,12 @@ def random_params(rng):
             return HGParams(alpha, beta)
 
 
-def _describe(arg):
-    return arg.describe() if hasattr(arg, "describe") else repr(arg)
-
-
 def run_full_suite(seed=1, checks=None):
     """The default battery, with fixed sizes; deterministic per seed.  A
     check that raises a FinHypError outside PRECONDITION_ERRORS has met a
     defect: it is reported as a failed check, with the error as its
-    witness, and the battery goes on."""
+    witness, and the battery goes on; its instance names the first argument
+    as the check does and every other argument as name=value."""
     rng = Random(seed)
     reports = []
     want = None if checks in (None, "all", ["all"]) else set(checks)
@@ -441,7 +448,9 @@ def run_full_suite(seed=1, checks=None):
             raise
         except FinHypError as e:
             millis = int((time.perf_counter() - start) * 1000)
-            instance = " ".join(map(_describe, args + tuple(kwargs.items())))
+            names = check.__code__.co_varnames[1:check.__code__.co_argcount]
+            rest = [*zip(names, args[1:]), *kwargs.items()]
+            instance = " ".join([_subject(args[0])] + [f"{k}={v!r}" for k, v in rest])
             witness = {"error": f"{type(e).__name__}: {e}"}
             reports.append(CheckReport(check.__name__.removeprefix("check_"), instance,
                                        "fail", witness, millis))

@@ -179,6 +179,14 @@ def _unpack(raw, width):
     return out
 
 
+def _offset(width, slots):
+    """The half of a `width`-byte slot, and the int that holds it in each of
+    `slots` slots: added to packed coefficients of absolute value below the
+    half, it makes every slot nonnegative."""
+    half = 1 << 8 * width - 1
+    return half, int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+
+
 def _convolve(a, b):
     """The integer convolution of two int sequences, by one big-int multiply."""
     ma = max(map(abs, a))
@@ -189,8 +197,7 @@ def _convolve(a, b):
     # every product coefficient c has |c| <= ma*mb*min(len) < half, so c + half
     # fills its slot without a carry; the inputs are packed with the same offset
     width = _Packed.slot_width(2 * ma * mb * min(len(a), len(b)) + 1)
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * k, "little")  # half per slot
+    half, offset = _offset(width, k)
     pa, pb = (_to_slots([x + half for x in v], width) - (offset >> 8 * width * (k - len(v)))
               for v in (a, b))
     return [x - half for x in _from_slots(pa * pb + offset, width, k)]
@@ -538,30 +545,19 @@ class _Packed:
         return _Packed(self.n, self.bound, self.width, value << bits * last, total)
 
     @staticmethod
-    def rotated_sum(rows, shifts, weights=None):
-        """The sum of weights[i] * rows[i] * x^shifts[i], every weight 1 if
-        none are given: one shift per row."""
-        n, bits = rows[0].n, 8 * rows[0].width
-        weights = weights or [1] * len(rows)
-        value = sum(r.value * w << (bits * (s % n)) for r, s, w in zip(rows, shifts, weights))
-        total = sum(r.total * w for r, w in zip(rows, weights))
-        return _Packed(n, rows[0].bound, rows[0].width, value, total)
+    def sum_of(rows):
+        """The sum of rows, vectors at one length and slot width."""
+        first = rows[0]
+        return _Packed(first.n, first.bound, first.width, sum(r.value for r in rows),
+                       sum(r.total for r in rows))
 
-    def cut(self, start, step, n, spacing, shift):
-        """The vector at length n whose slot shift + i*spacing (mod n) holds
-        slot start + i*step (mod self.n) of self, for i < n/spacing: a
-        gather of one lane of one piece."""
-        value, (total,) = _gather([[(self, start, shift)]], step, n, spacing, self.width, n)
-        return _Packed(n, self.bound, self.width, value, total)
-
-    def read(self, minus=None, group=(1,)):
+    def read(self, minus=None):
         """The element sum v[j] zeta_n^j of Q(zeta_n), less the one that minus
-        holds if given, traced over group (see _lane_value): one unpack per
-        vector, one reduction."""
+        holds if given: one unpack per vector, one reduction."""
         v = _from_slots(self.value, self.width, self.n)
         if minus is not None and minus.value:
             v = list(map(sub, v, _from_slots(minus.value, minus.width, minus.n)))
-        return _lane_value(self.n, v, group)
+        return _make(self.n, _reduce(self.n, v))
 
 
 # ------------------------------------------------------------- lane reads
@@ -637,14 +633,6 @@ def _read_lanes(n, width, raw, stride, offset, group=(1,), den=1):
             for at in range(0, len(v), stride)]
 
 
-def _offset(width, slots):
-    """The half of a `width`-byte slot, and the int that holds it in each of
-    `slots` slots: added to packed coefficients of absolute value below the
-    half, it makes every slot nonnegative."""
-    half = 1 << 8 * width - 1
-    return half, int.from_bytes(half.to_bytes(width, "little") * slots, "little")
-
-
 def _read_times(plus, minus, step, n, spacing, factor, bound):
     """The elements (P_i - M_i) factor of Q(zeta_n), factor in Q(zeta_n),
     for the lanes P_i of plus and M_i of minus (None for no M_i), lists of
@@ -655,6 +643,8 @@ def _read_times(plus, minus, step, n, spacing, factor, bound):
     by a stride of n + phi(n) - 1 slots, and one _read_lanes over
     factor.den.  Every product coefficient is below that bound in absolute
     value, so the signed slots are read back exactly after an offset."""
+    if factor.conductor != n:
+        raise InternalInconsistency(f"factor of conductor {factor.conductor} read at length {n}")
     num = factor.num
     width = _Packed.slot_width(2 * bound * sum(map(abs, num)))
     stride = n + len(num) - 1

@@ -14,7 +14,7 @@ each side takes row m to row k m by sigma_k, so one Gauss product per
 orbit of G is built and kept, with the orbit's size, and the sum of all
 rows is 1/|G| times the trace over G of the representatives' weighted
 sum: one traced read of one packed sum, which moves no slot (see
-algebra_sum_fourier and _Packed.read).  A twist of the trace is applied
+algebra_sums_fourier and cyclo._read_rotated).  A twist of the trace is applied
 to each value, never tabulated, so every cache is keyed by the instance
 alone.  A direct value reads one joint tally per instance: the unit pairs
 of A x B by norm class, trace fibre 0 or 1 and character, which the
@@ -222,7 +222,7 @@ def _grid_sum(terms, rows, qbar):
     hist, by one shift-add per key (see _Packed.times): the rows folded by
     the packing, and the norm dlogs >= q-1 folded within their row once."""
     parts = [grid.times(hist.items()) for grid, hist in terms if hist]
-    return _fold_norms(_Packed.rotated_sum(parts, [0] * len(parts)), rows, qbar)
+    return _fold_norms(_Packed.sum_of(parts), rows, qbar)
 
 
 def _component_fibres(comp, step, norm_step, h, big, qbar):
@@ -364,13 +364,14 @@ def _fourier_coefficients(inst):
     their norm shift, so row k m = sigma_k(row m): the other rows of an
     orbit are never built (see algebra_sum_fourier).  They are the rows
     against the trace itself; algebra_sum_fourier applies a twist to t
-    instead.  Not cached: _scaled_rows builds them once per instance."""
+    instead.  Row 0 is the cached denominator (see _gauss_denominator); the
+    others are not cached: _scaled_rows builds them once per instance."""
     qbar, bound = inst.base.q - 1, _row_bound(inst)
     big = lcm(*(c.q - 1 for c in inst.A.components + inst.B.components))
     group = _row_stabilizer(inst, big)
     chiB_bar = inst.chiB.conj()
-    seen, reps = set(), []
-    for m in range(qbar):
+    seen, reps = {0}, [(0, 1, _gauss_denominator(inst))]
+    for m in range(1, qbar):
         if m not in seen:
             orbit = {k * m % qbar for k in group}
             seen |= orbit

@@ -286,17 +286,38 @@ def test_malformed_input_is_usage_error(capsys, argv):
 
 
 def test_verify_reports_a_check_that_raises_as_failed(capsys, monkeypatch):
-    # a defect met inside a check fails that check; the battery goes on
+    # a defect met inside a check fails that check and the battery goes on;
+    # the report names the instance as the check does, up to what the check
+    # would have computed, and a keyword argument as name=value
     import finhyp.checks as checks
     from finhyp.errors import InternalInconsistency
 
-    def check_omega_independence(*args, **kwargs):
+    names = ["gauss_norm", "omega_independence", "gp_equals_hp"]
+    suite = checks.run_full_suite(seed=1)
+    clean = {name: [r.instance for r in suite if r.check == name] for name in names}
+
+    def gauss_norm_exponent(chi_a):
+        raise InternalInconsistency("f mismatch")
+
+    def check_omega_independence(params, q, ts=None):
         raise InternalInconsistency("pi-exponent mismatch")
 
+    def check_gp_equals_hp(params, p, ts=None, prec=6):
+        raise InternalInconsistency("valuation mismatch")
+
+    monkeypatch.setattr(checks, "gauss_norm_exponent", gauss_norm_exponent)
     monkeypatch.setattr(checks, "check_omega_independence", check_omega_independence)
+    monkeypatch.setattr(checks, "check_gp_equals_hp", check_gp_equals_hp)
     code, out = run_cli(capsys, "verify", "--json")
     reports = [json.loads(line) for line in out.splitlines()]
     assert code == 1 and len(reports) == 66
-    failed = [r for r in reports if r["verdict"] == "fail"]
-    assert [r["check"] for r in failed] == ["omega_independence"] * 2
-    assert failed[0]["witness"] == {"error": "InternalInconsistency: pi-exponent mismatch"}
+    failed = {name: [r for r in reports if r["check"] == name] for name in names}
+    assert [r for r in reports if r["verdict"] == "fail"] == sum(failed.values(), [])
+    assert all(r["verdict"] == "fail" for r in sum(failed.values(), []))
+    assert failed["omega_independence"][0]["witness"] == {
+        "error": "InternalInconsistency: pi-exponent mismatch"}
+    assert [r["instance"] + " f=" for r in failed["gauss_norm"]] == [
+        i[:i.rindex(" f=") + 3] for i in clean["gauss_norm"]]
+    assert [r["instance"] for r in failed["omega_independence"]] == clean["omega_independence"]
+    assert [r["instance"] for r in failed["gp_equals_hp"]] == [
+        i.rsplit(" via ", 1)[0] for i in clean["gp_equals_hp"]]

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from finhyp.cyclo import (
     CycloNum,
     _from_slots,
+    _gather,
+    _lane_value,
     _Packed,
     _to_slots,
     cyclotomic_polynomial,
@@ -378,6 +381,18 @@ def _same(a, b):
     return (a.conductor, a.num, a.den) == (b.conductor, b.num, b.den)
 
 
+def _rotated(x, shift, weight=1):
+    """x times weight * x^shift, one shift-add (see _Packed.times)."""
+    return x.times([(shift % x.n, weight)])
+
+
+def _cut(x, start, step, n, spacing, shift):
+    """The vector at length n whose slot shift + i*spacing (mod n) holds slot
+    start + i*step (mod x.n) of x, for i < n/spacing: one lane of _gather."""
+    value, (total,) = _gather([[(x, start, shift)]], step, n, spacing, x.width, n)
+    return _Packed(n, x.bound, x.width, value, total)
+
+
 def _times(x, y):
     """The packed product as _GaussPair.__mul__ forms it: one multiply of the
     packed ints, folded once, its total the product of the totals."""
@@ -405,18 +420,18 @@ def test_packed_rotated_sum_and_dot_match_cyclonum(n):
         shifts = [rng.randint(-3 * n, 3 * n) for _ in xs]
         bound = sum(map(sum, xs)) * max(1, *map(sum, ys))
         px, py = [_pack(n, bound, x) for x in xs], [_pack(n, bound, y) for y in ys]
-        rotated = _Packed.rotated_sum(px, shifts)
+        rotated = _Packed.sum_of([_rotated(x, s) for x, s in zip(px, shifts)])
         assert rotated.total == sum(map(sum, xs))
         ref = sum((_powers(n, x) * root_of_unity(n, s) for x, s in zip(xs, shifts)),
                   CycloNum.zero(n))
         assert _same(rotated.read(), ref)
-        dot = _Packed.rotated_sum([_times(x, y) for x, y in zip(px, py)], [0] * len(px))
+        dot = _Packed.sum_of([_times(x, y) for x, y in zip(px, py)])
         ref = sum((_powers(n, x) * _powers(n, y) for x, y in zip(xs, ys)), CycloNum.zero(n))
         assert _same(dot.read(), ref)
         # with weights: each row once, times its weight
         weights = [rng.randint(1, 3) for _ in xs]
         px = [_pack(n, 3 * bound, x) for x in xs]
-        weighted = _Packed.rotated_sum(px, shifts, weights)
+        weighted = _Packed.sum_of([_rotated(x, s, w) for x, s, w in zip(px, shifts, weights)])
         assert weighted.total == sum(w * sum(x) for x, w in zip(xs, weights))
         ref = sum((_powers(n, x) * root_of_unity(n, s) * w
                    for x, s, w in zip(xs, shifts, weights)), CycloNum.zero(n))
@@ -457,7 +472,7 @@ def test_packed_class_products_match_cyclonum(n, weighted):
         grid = _Packed.tally(m * span, bound, ((k * span + j, c) for k, v in enumerate(classes)
                                                for j, c in enumerate(v)))
         out = _grid_sum([(grid, {d * span + e: w for (e, d), w in terms.items()})], m, n)
-        rows = [out.cut(k * span, 1, n, 1, 0) for k in range(m)]
+        rows = [_cut(out, k * span, 1, n, 1, 0) for k in range(m)]
         assert out.total == sum(row.total for row in rows) == bound
         for k, got in enumerate(rows):
             ref = sum((_powers(n, classes[(k - d) % m]) * root_of_unity(n, e) * w
@@ -477,8 +492,8 @@ def test_packed_coefficient_equal_to_bound(n, bound):
     assert _same(x.read(), ref)
     one = _pack(n, bound, [0, 1])
     assert _same(_times(x, one).read(), ref * root_of_unity(n, 1))
-    assert _same(_Packed.rotated_sum([x], [n + 5]).read(), ref * root_of_unity(n, 5))
-    split = _Packed.rotated_sum([_pack(n, bound, [bound - 1]), _pack(n, bound, [1])], [0, 0])
+    assert _same(_rotated(x, n + 5).read(), ref * root_of_unity(n, 5))
+    split = _Packed.sum_of([_pack(n, bound, [bound - 1]), _pack(n, bound, [1])])
     assert _same(split.read(), CycloNum.from_rational(bound, n))
 
 
@@ -500,11 +515,12 @@ def test_packed_galois_matches_cyclonum(n, bound):
     for top in (1, bound // max(n, 1), bound):
         v, w = ([rng.randint(0, top) for _ in range(n)] for _ in range(2))
         x, y = (_Packed.tally(n, bound * n, enumerate(u)) for u in (v, w))
+        vx, vy = (_from_slots(u.value, u.width, n) for u in (x, y))
         for group in _small_groups(n):
             ref = sum((x.read().galois(k) for k in group), CycloNum.zero(n))
-            assert _same(x.read(group=group), ref), (n, group)
+            assert _same(_lane_value(n, list(vx), group), ref), (n, group)
             ref -= sum((y.read().galois(k) for k in group), CycloNum.zero(n))
-            assert _same(x.read(y, group), ref), (n, group)
+            assert _same(_lane_value(n, list(map(sub, vx, vy)), group), ref), (n, group)
 
 
 @pytest.mark.parametrize("width", [9, 11, 16])
@@ -528,17 +544,17 @@ def test_packed_cut_inverts_spread(n, step):
         vs = [[rng.randint(0, bound // n) for _ in range(m)] for _ in range(2)]
         xs = [_pack(m, bound, v) for v in vs]
         spread = _spread(n, bound, vs[0])
-        assert _packed_fields(xs[0].cut(0, 1, n, step, 0)) == _packed_fields(spread)
-        assert _packed_fields(spread.cut(0, step, m, 1, 0)) == _packed_fields(xs[0])
+        assert _packed_fields(_cut(xs[0], 0, 1, n, step, 0)) == _packed_fields(spread)
+        assert _packed_fields(_cut(spread, 0, step, m, 1, 0)) == _packed_fields(xs[0])
         # slots start + i*step, i < m, spread by 3 and rotated by shift
         start, shift = rng.randrange(step), rng.randrange(-3 * m, 3 * m)
-        got = spread.times([(start, 1)]).cut(start, step, 3 * m, 3, shift)
-        ref = _Packed.rotated_sum([_spread(3 * m, bound, vs[0])], [shift])
+        got = _cut(_rotated(spread, start), start, step, 3 * m, 3, shift)
+        ref = _rotated(_spread(3 * m, bound, vs[0]), shift)
         assert _packed_fields(got) == _packed_fields(ref) and got.total == sum(vs[0])
         if step > 1:  # one cut per start: slots 0 and 1 of every step hold xs[0] and xs[1]
-            both = _Packed.rotated_sum([_spread(n, bound, v) for v in vs], [0, 1])
+            both = _Packed.sum_of([_rotated(_spread(n, bound, v), s) for s, v in enumerate(vs)])
             for start, x in enumerate(xs):
-                assert _packed_fields(both.cut(start, step, m, 1, 0)) == _packed_fields(x)
+                assert _packed_fields(_cut(both, start, step, m, 1, 0)) == _packed_fields(x)
 
 
 @pytest.mark.parametrize("n,step", [(1, 1), (12, 3), (78, 3), (342, 19), (506, 2)])
@@ -550,7 +566,7 @@ def test_packed_strided_inverts_spread(n, step):
         v = [rng.randint(0, bound // n) for _ in range(n // step)]
         x = _pack(n // step, bound, v)
         start = rng.randrange(n)
-        got = _Packed.rotated_sum([_spread(n, bound, v)], [start]).cut(start, step, n // step, 1, 0)
+        got = _cut(_rotated(_spread(n, bound, v), start), start, step, n // step, 1, 0)
         assert _packed_fields(got) == _packed_fields(x) and got.total == sum(v)
 
 
@@ -575,11 +591,10 @@ def test_packed_sum_over_bound_raises(n):
         _times(x, y)
     x, y = _pack(n, sa + sb - 1, a), _pack(n, sa + sb - 1, b)
     with pytest.raises(InternalInconsistency):
-        _Packed.rotated_sum([x, y], [0, 3])
-    assert _Packed.rotated_sum([x], [3]).total == sa
-    with pytest.raises(InternalInconsistency):  # weights count against the bound
-        _Packed.rotated_sum([x, y], [0, 3], [1, 2])
-    assert _Packed.rotated_sum([x, y], [0, 3], [1, 0]).total == sa
+        _Packed.sum_of([x, _rotated(y, 3)])
+    assert _Packed.sum_of([_rotated(x, 3)]).total == sa
+    with pytest.raises(InternalInconsistency):  # a weight counts against the bound
+        _rotated(x, 3, (sa + sb) // sa + 1)
 
 
 # ------------------------------------------------------ hash/eq contract
